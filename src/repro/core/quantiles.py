@@ -21,8 +21,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Callable, Hashable, List, Optional, Tuple, TypeVar
 
+from ._vector import np as _np
 from .error import estimate_error
 from .query import ValueFn, histogram_with_errors
 from .strata import WeightedSample
@@ -131,25 +133,80 @@ def quantile_bound(estimate: QuantileEstimate) -> DKWBound:
     )
 
 
-def _weighted_points(
-    sample: WeightedSample[T], value_fn: Optional[ValueFn]
-) -> List[Tuple[float, float]]:
-    """Sorted (value, weight) pairs across all strata."""
+def _weight_moments(sample: WeightedSample[T]) -> Tuple[float, float]:
+    """``(Σw, Σw²)`` over every sampled item, each item counted at its weight.
+
+    ``fsum`` is exactly rounded, hence order-free: repeating each stratum's
+    weight ``Y_i`` times gives the same sums as walking the sorted points.
+    """
+    sizes = [(stratum.weight, stratum.sample_size) for stratum in sample]
+    total = math.fsum(chain.from_iterable(repeat(w, y) for w, y in sizes))
+    squares = math.fsum(chain.from_iterable(repeat(w * w, y) for w, y in sizes))
+    return total, squares
+
+
+def _sorted_run(values):
+    """Ascending copy of one stratum's values, ties as a stable sort leaves them.
+
+    Within a stratum every item has the same weight and equal floats are
+    bit-identical — except ``-0.0 == 0.0`` — so the fast unstable sort only
+    needs its zero block put back in arrival order.
+    """
+    run = _np.sort(values)
+    lo = _np.searchsorted(run, 0.0, side="left")
+    hi = _np.searchsorted(run, 0.0, side="right")
+    if hi - lo > 1:
+        run[lo:hi] = values[values == 0.0]
+    return run
+
+
+def _values_at_columns(
+    sample: WeightedSample[T], value_fn: Optional[ValueFn], targets: List[float]
+) -> Optional[List[float]]:
+    """`_values_at_items` on value arrays; None unless every stratum has one.
+
+    Each stratum's run is sorted on its own, then one stable argsort merges
+    the presorted runs: ties across strata stay in stratum order, exactly
+    where the stable sort of the stratum-by-stratum point list puts them.
+    ``cumsum`` adds the weights in that order, one by one, as the loop does.
+    """
+    arrays = sample.value_arrays(value_fn)
+    if arrays is None:
+        return None
+    runs = [_sorted_run(values) for values in arrays]
+    values = _np.concatenate(runs)
+    weights = _np.repeat(
+        [stratum.weight for stratum in sample], [len(run) for run in runs]
+    )
+    # Each temporary is a pane's worth of float64: drop them as they die.
+    del runs
+    order = _np.argsort(values, kind="stable")
+    values = values[order]
+    cumulative = weights[order]
+    del order, weights
+    _np.cumsum(cumulative, out=cumulative)
+    ranks = _np.searchsorted(cumulative, targets, side="left")
+    return values[_np.minimum(ranks, len(values) - 1)].tolist()
+
+
+def _values_at_items(
+    sample: WeightedSample[T], value_fn: Optional[ValueFn], targets: List[float]
+) -> List[float]:
+    """Per target: the smallest sampled value whose cumulative weight reaches it."""
     points: List[Tuple[float, float]] = []
     for stratum in sample:
         for value in stratum.values(value_fn):
             points.append((value, stratum.weight))
     points.sort(key=lambda vw: vw[0])
-    return points
-
-
-def _kish_effective_n(weights: List[float]) -> float:
-    """Kish effective sample size: (Σw)² / Σw² — discounts unequal weights."""
-    total = math.fsum(weights)
-    squares = math.fsum(w * w for w in weights)
-    if squares == 0:
-        return 0.0
-    return total * total / squares
+    found = []
+    for target in targets:
+        cumulative = 0.0
+        for value, weight in points:
+            cumulative += weight
+            if cumulative >= target:
+                break
+        found.append(value)
+    return found
 
 
 def approximate_quantile(
@@ -164,39 +221,43 @@ def approximate_quantile(
     weight reaches ``q`` of the total.  The interval comes from the DKW
     inequality: with probability ≥ confidence the true CDF is within
     ``ε = sqrt(ln(2/α) / (2 n_eff))`` of the weighted empirical CDF, so the
-    values at cumulative ranks ``q ± ε`` bracket the true quantile.
+    values at cumulative ranks ``q ± ε`` bracket the true quantile
+    (``n_eff`` is the Kish effective sample size ``(Σw)² / Σw²``, which
+    discounts unequal weights).
+
+    Value-mode samples (see `repro.core.strata.StratumSample.value_array`)
+    are ranked on their value arrays; samples holding item tuples or read
+    through a custom projection take the per-item walk.  Both give the
+    same answer bit for bit.
     """
     if not 0 < q < 1:
         raise ValueError(f"q must be in (0, 1), got {q}")
     if not 0 < confidence < 1:
         raise ValueError(f"confidence must be in (0, 1), got {confidence}")
-    points = _weighted_points(sample, value_fn)
-    if not points:
+    if sample.total_items == 0:
         raise ValueError("cannot take a quantile of an empty sample")
 
-    weights = [w for _v, w in points]
-    total = math.fsum(weights)
-    effective_n = _kish_effective_n(weights)
+    total, squares = _weight_moments(sample)
+    effective_n = total * total / squares if squares else 0.0
     alpha = 1.0 - confidence
     if effective_n > 0:
         epsilon = math.sqrt(math.log(2.0 / alpha) / (2.0 * effective_n))
     else:
         epsilon = 1.0
 
-    def value_at(rank_fraction: float) -> float:
-        target = min(max(rank_fraction, 0.0), 1.0) * total
-        cumulative = 0.0
-        for value, weight in points:
-            cumulative += weight
-            if cumulative >= target:
-                return value
-        return points[-1][0]
-
+    targets = [
+        min(max(rank_fraction, 0.0), 1.0) * total
+        for rank_fraction in (q, q - epsilon, q + epsilon)
+    ]
+    found = _values_at_columns(sample, value_fn, targets)
+    if found is None:
+        found = _values_at_items(sample, value_fn, targets)
+    value, lower, upper = found
     return QuantileEstimate(
         q=q,
-        value=value_at(q),
-        lower=value_at(q - epsilon),
-        upper=value_at(q + epsilon),
+        value=value,
+        lower=lower,
+        upper=upper,
         confidence=confidence,
         effective_n=effective_n,
     )

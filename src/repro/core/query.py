@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Generic, Hashable, List, Optional, TypeVar
 
 from ._vector import np as _np
+from .records import item_key as _item_key
 from .records import item_value as _item_value
 from .strata import StratumSample, WeightedSample
 
@@ -71,16 +72,16 @@ class StratumStats:
     ) -> "StratumStats":
         y = len(stratum.items)
         if _np is not None and y >= _VECTOR_MIN_STATS:
-            # Vectorized path for large strata: one pass of the (Python)
-            # value function into a NumPy buffer, then C-speed moments.
-            items = stratum.items
-            raw = getattr(items, "value_list", None)
-            if raw is not None and (value_fn is None or value_fn is _item_value):
-                array = _np.asarray(raw(), dtype=_np.float64)
-            elif value_fn is None:
-                array = _np.asarray(items, dtype=_np.float64)
-            else:
-                array = _np.asarray([value_fn(x) for x in items], dtype=_np.float64)
+            # Vectorized path for large strata: value-mode members hand
+            # over their array, anything else takes one pass of the (Python)
+            # value function into a NumPy buffer; then C-speed moments.
+            array = stratum.value_array(value_fn)
+            if array is None:
+                items = stratum.items
+                array = _np.asarray(
+                    items if value_fn is None else [value_fn(x) for x in items],
+                    dtype=_np.float64,
+                )
             total = float(array.sum())
             mean = total / y
             variance = float(array.var(ddof=1)) if y > 1 else 0.0
@@ -156,6 +157,37 @@ def approximate_count(sample: WeightedSample[T]) -> QueryResult[T]:
     return QueryResult(value=float(sum(s.c for s in strata)), strata=strata, kind="count")
 
 
+def _strata_as_groups(sample, group_fn, value_fn):
+    """``(group, values, weight)`` per non-empty stratum, or None.
+
+    When the grouping *is* the stratification (``group_fn is item_key``)
+    and every stratum is value-mode, each stratum is exactly one group and
+    its kept values are already a ``float64`` array — the grouped
+    estimators then accumulate per stratum instead of per item.  Any other
+    grouping may cut across strata and keeps the per-item loop.
+    """
+    if group_fn is not _item_key or value_fn is not _item_value:
+        return None
+    arrays = sample.value_arrays(value_fn)
+    if arrays is None:
+        return None
+    return [
+        (stratum.items.key, values, stratum.weight)
+        for stratum, values in zip(sample, arrays)
+        if len(values)
+    ]
+
+
+def _running_sum(terms) -> float:
+    """``0.0 + t₀ + t₁ + …`` added one by one, as the per-item loop adds them.
+
+    ``cumsum`` accumulates sequentially (unlike ``sum``, which is pairwise);
+    the trailing ``+ 0.0`` is the loop's ``0.0`` start, which only matters
+    when every term is ``-0.0``.
+    """
+    return float(_np.cumsum(terms)[-1]) + 0.0
+
+
 def grouped_sum(
     sample: WeightedSample[T],
     group_fn: Callable[[T], Hashable],
@@ -166,6 +198,11 @@ def grouped_sum(
     Groups may cut across strata; each item contributes
     ``value × stratum_weight`` to its group, which stays a linear query.
     """
+    columns = _strata_as_groups(sample, group_fn, value_fn)
+    if columns is not None:
+        return {
+            group: _running_sum(values * weight) for group, values, weight in columns
+        }
     vf: ValueFn = (lambda x: float(x)) if value_fn is None else value_fn  # type: ignore[assignment,return-value]
     out: Dict[Hashable, float] = {}
     for stratum in sample:
@@ -187,6 +224,13 @@ def grouped_mean(
     When they do coincide (the common case in the paper's case studies) the
     estimate equals Equation 4 computed per stratum.
     """
+    columns = _strata_as_groups(sample, group_fn, value_fn)
+    if columns is not None:
+        return {
+            group: _running_sum(values * weight)
+            / _running_sum(_np.full(len(values), weight))
+            for group, values, weight in columns
+        }
     vf: ValueFn = (lambda x: float(x)) if value_fn is None else value_fn  # type: ignore[assignment,return-value]
     sums: Dict[Hashable, float] = {}
     weights: Dict[Hashable, float] = {}

@@ -45,7 +45,7 @@ chunk sizes from spilling out of cache (the old chunk=4096 regression).
 
 from __future__ import annotations
 
-from itertools import repeat
+from itertools import chain, repeat
 from operator import itemgetter
 from typing import Hashable, Iterable, List, Optional, Tuple
 
@@ -57,6 +57,7 @@ __all__ = [
     "item_value",
     "RecordBatch",
     "ColumnSlice",
+    "concat_members",
 ]
 
 #: Rows per vectorized sampling call.  8192 rows × (4 B code + 8 B value)
@@ -208,20 +209,27 @@ class _StratumMembers:
     vectorized accept path gathers kept items through `take`, one C-level
     pass per chunk), and `peek` emits them as the ``items`` of a
     value-mode `repro.core.strata.StratumSample`.  Estimators that only
-    need the numeric values read them through `value_list` without any
-    tuple ever being built; per-item access materializes the whole run
-    once (also a C-level pass) and indexes the cached list.
+    need the numeric values read them through `value_array` (merges,
+    quantiles, grouped sums, large-stratum moments) or `value_list`
+    (small-stratum ``fsum`` moments) without any tuple ever being built;
+    per-item access materializes the whole run once (also a C-level pass)
+    and indexes the cached list.
 
-    ``values`` may be a NumPy ``float64`` array (column view) or a plain
-    list of Python floats (a value-mode reservoir's kept items).
+    ``values`` may be a NumPy ``float64`` array (a column view, or a pane's
+    merged runs — see `concat_members`) or a plain list of Python floats (a
+    value-mode reservoir's kept items); whichever form was not given is
+    derived on first use and cached.
     """
 
-    __slots__ = ("key", "values", "_vals", "_items")
+    __slots__ = ("key", "values", "_vals", "_array", "_items")
 
     def __init__(self, key: Hashable, values) -> None:
         self.key = key
         self.values = values
-        self._vals = values if type(values) is list else None
+        if type(values) is list:
+            self._vals, self._array = values, None
+        else:
+            self._vals, self._array = None, values
         self._items = None
 
     def value_list(self) -> List[float]:
@@ -230,6 +238,14 @@ class _StratumMembers:
         if vals is None:
             vals = self._vals = self.values.tolist()
         return vals
+
+    def value_array(self):
+        """The member values as a ``float64`` array (cached; do not mutate)."""
+        array = self._array
+        if array is None:
+            vals = self._vals
+            array = self._array = _np.fromiter(vals, dtype=_np.float64, count=len(vals))
+        return array
 
     def _materialized(self):
         items = self._items
@@ -257,14 +273,8 @@ class _StratumMembers:
             return [(key, vals[p]) for p in positions.tolist()]
         return list(zip(repeat(self.key), self.values[positions].tolist()))
 
-    # Sample-merging and serialization interop: behave as the tuple of
-    # items this run stands for.
-
-    def __add__(self, other):
-        return tuple(self._materialized()) + tuple(other)
-
-    def __radd__(self, other):
-        return tuple(other) + tuple(self._materialized())
+    # Comparison and serialization interop: behave as the tuple of items
+    # this run stands for.
 
     def __eq__(self, other):
         if isinstance(other, _StratumMembers):
@@ -275,6 +285,21 @@ class _StratumMembers:
 
     def __reduce__(self):
         return (tuple, (tuple(self._materialized()),))
+
+
+def concat_members(parts):
+    """One stratum's members across several samples, concatenated in order.
+
+    Value-mode runs stay columnar: the result is a `_StratumMembers` over
+    one ``float64`` array (8 bytes per kept value, no tuple built).  As
+    soon as any part holds item tuples the result is the plain tuple of
+    all items — the two forms are never mixed inside one stratum.
+    """
+    if all(type(part) is _StratumMembers for part in parts):
+        return _StratumMembers(
+            parts[0].key, _np.concatenate([part.value_array() for part in parts])
+        )
+    return tuple(chain.from_iterable(parts))
 
 
 class RecordBatch(list):

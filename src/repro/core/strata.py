@@ -22,6 +22,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, Generic, Hashable, List, Sequence, Tuple, TypeVar
 
+from .records import concat_members
 from .records import item_value as _item_value
 
 T = TypeVar("T")
@@ -100,6 +101,19 @@ class StratumSample(Generic[T]):
             return [float(x) for x in self.items]  # type: ignore[arg-type]
         return [float(value_fn(x)) for x in self.items]
 
+    def value_array(self, value_fn=None):
+        """The kept values as a ``float64`` array, or None off the columnar path.
+
+        Only value-mode members (fed by the columnar sampling kernel, or
+        merged from such runs) read through the canonical value projection
+        have the array; everything else — item tuples, custom projections,
+        no NumPy — returns None and the caller keeps its per-item code.
+        """
+        raw = getattr(self.items, "value_array", None)
+        if raw is not None and (value_fn is None or value_fn is _item_value):
+            return raw()
+        return None
+
 
 @dataclass
 class WeightedSample(Generic[T]):
@@ -152,6 +166,15 @@ class WeightedSample(Generic[T]):
             return 0.0
         return self.total_items / total
 
+    def value_arrays(self, value_fn=None):
+        """Every stratum's `StratumSample.value_array`, in stratum order.
+
+        None as soon as one stratum is off the columnar path: estimators
+        either read the whole sample as arrays or not at all.
+        """
+        arrays = [stratum.value_array(value_fn) for stratum in self]
+        return None if any(array is None for array in arrays) else arrays
+
     def all_items(self) -> List[T]:
         """Flat list of every sampled item (order: stratum insertion order)."""
         out: List[T] = []
@@ -166,27 +189,15 @@ class WeightedSample(Generic[T]):
             out.extend((item, stratum.weight) for item in stratum.items)
         return out
 
-    def merge(self, other: "WeightedSample[T]") -> "WeightedSample[T]":
-        """Merge two interval samples over *disjoint* stratum partitions.
+    def merge(self, *others: "WeightedSample[T]") -> "WeightedSample[T]":
+        """Merge interval samples over *disjoint* stratum partitions.
 
-        Used by the distributed execution path (§3.2): worker-local samples
-        of the *same* stratum are combined by summing counts and
-        concatenating items, then re-deriving the weight from Equation 1.
+        Used by the distributed execution path (§3.2) and by sliding-window
+        panes: samples of the *same* stratum are combined by summing counts
+        and concatenating items, then re-deriving the weight from
+        Equation 1.  See `combine_worker_samples`.
         """
-        merged: WeightedSample[T] = WeightedSample()
-        for key in {*self.strata, *other.strata}:
-            mine = self.strata.get(key)
-            theirs = other.strata.get(key)
-            if mine is None:
-                merged.add(theirs)  # type: ignore[arg-type]
-            elif theirs is None:
-                merged.add(mine)
-            else:
-                items = mine.items + theirs.items
-                count = mine.count + theirs.count
-                weight = stratum_weight(count, len(items))
-                merged.add(StratumSample(key, items, count, weight))
-        return merged
+        return combine_worker_samples((self, *others))
 
     def scaled_total(self, value_fn=None) -> float:
         """Convenience: the weighted SUM estimate (Equations 2–3)."""
@@ -199,12 +210,32 @@ class WeightedSample(Generic[T]):
 def combine_worker_samples(
     samples: Sequence[WeightedSample[T]],
 ) -> WeightedSample[T]:
-    """Fold worker-local samples into one, re-deriving weights per stratum."""
+    """Merge samples into one in a single pass, re-deriving weights per stratum.
+
+    Strata appear in first-appearance order (the first sample's keys, then
+    each later sample's new keys) — never set order, because stratum order
+    feeds order-sensitive float accumulation in the error bounds and must
+    not depend on ``PYTHONHASHSEED``.  Each stratum's kept items are
+    concatenated once across all samples (`repro.core.records.concat_members`:
+    value-mode runs become one ``float64`` array, no per-item tuples) and
+    ``W = ΣC / ΣY`` follows from Equation 1.
+    """
     if not samples:
         return WeightedSample()
-    merged = samples[0]
-    for sample in samples[1:]:
-        merged = merged.merge(sample)
+    if len(samples) == 1:
+        return samples[0]
+    runs: Dict[Key, List[StratumSample[T]]] = {}
+    for sample in samples:
+        for stratum in sample:
+            runs.setdefault(stratum.key, []).append(stratum)
+    merged: WeightedSample[T] = WeightedSample()
+    for key, parts in runs.items():
+        if len(parts) == 1:
+            merged.add(parts[0])
+            continue
+        items = concat_members([part.items for part in parts])
+        count = sum(part.count for part in parts)
+        merged.add(StratumSample(key, items, count, stratum_weight(count, len(items))))
     return merged
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Deque, Generic, List, Optional, Sequence, Tuple, TypeVar
 
+from ...core.strata import combine_worker_samples
 from ..cluster import SimulatedCluster
 from .operators import Operator
 
@@ -119,11 +120,9 @@ class SampleWindowOperator(Operator[T], Generic[T, A]):
 
     def on_item(self, timestamp: float, sample: object) -> None:
         self._recent.append((timestamp, sample))
-        merged = self._recent[0][1]
-        for _ts, nxt in list(self._recent)[1:]:
-            merged = merged.merge(nxt)  # type: ignore[attr-defined]
+        merged = combine_worker_samples([recent for _ts, recent in self._recent])
         if self._charge:
-            self._cluster.process_items(merged.total_items)  # type: ignore[attr-defined]
+            self._cluster.process_items(merged.total_items)
         self.emit(timestamp, self._aggregate(merged))
         if self._state_hook is not None:
             self._state_hook(timestamp, tuple(self._recent))

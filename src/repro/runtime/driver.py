@@ -547,6 +547,9 @@ def run_batched(
                         recovery=recovery,
                     )
                 )
+                # Released before the next micro-batch is sampled; the batch
+                # samples it was merged from live on in history.
+                del pane_sample
                 if on_pane is not None:
                     on_pane(results[-1])
                 pane_index += 1
@@ -1153,6 +1156,9 @@ def run_direct(
                 )
                 population = merged.total_count
                 sampled = merged.total_items
+                # The pane's merged arrays are dead weight while the next
+                # interval is sampled; the interval runs live on in history.
+                del merged
             if controller is not None:
                 # §4.2 feedback: re-derive the next interval's budget from this
                 # pane's statistics; the shared water-filling policy propagates

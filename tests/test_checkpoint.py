@@ -28,8 +28,14 @@ from repro.core.budget import AccuracyBudget
 from repro.core.error import ErrorBound
 from repro.core.oasrs import OASRSSampler, WaterFillingAllocation
 from repro.core.query import StratumStats
+from repro.core.records import _StratumMembers, item_key
 from repro.core.recovery import restore_sampler, sampler_state
-from repro.core.strata import stratum_weight
+from repro.core.strata import (
+    StratumSample,
+    WeightedSample,
+    combine_worker_samples,
+    stratum_weight,
+)
 from repro.runtime import (
     CheckpointPolicy,
     CheckpointStore,
@@ -250,6 +256,83 @@ class TestPlanLevelResume:
                 resume_from=store.get(index),
             )
             assert pane_fingerprint(resumed) == pane_fingerprint(base)
+
+
+MERGE_QUERIES = {
+    "p90": StreamQuery(kind="quantile", q=0.9),
+    "grouped-sum": StreamQuery(kind="sum", group_fn=item_key),
+}
+
+
+def merge_path_plan(stream, query, **config_overrides):
+    """A direct-engine plan whose panes re-merge value-mode interval samples."""
+    config = SystemConfig(
+        sampling_fraction=0.4, seed=11, chunk_size=64, **config_overrides
+    )
+    return build_plan(
+        query, WindowConfig(9.0, 3.0), config,
+        engine="direct", strategy="oasrs",
+        source=ListSource(stream), name="merge-path",
+    )
+
+
+class TestMergePathResume:
+    """Quantile / grouped panes keep their interval samples as state.
+
+    In memory the checkpointed history holds value-mode (array-capable)
+    members; through ``to_bytes`` they travel as the item tuples they stand
+    for, so the first resumed panes merge tuple-mode history with fresh
+    value-mode intervals — the per-item fallback — and must still come out
+    bit for bit.
+    """
+
+    @pytest.mark.parametrize("kind", sorted(MERGE_QUERIES))
+    @settings(max_examples=5, deadline=None)
+    @given(seed=st.integers(0, 2**16))
+    def test_resume_from_every_checkpoint_is_bitwise(self, kind, seed):
+        stream = tiny_stream(seed)
+        query = MERGE_QUERIES[kind]
+        info = {}
+        base, _ = execute_plan(merge_path_plan(stream, query), run_info=info)
+        assert info.get("columnar_fallback") is None
+        store = CheckpointStore()
+        policy = CheckpointPolicy(every=1)
+        observed, _ = execute_plan(
+            merge_path_plan(stream, query, checkpoint=policy), checkpoint_store=store
+        )
+        assert observed == base
+        assert len(store) == len(base)
+        for index in store.indices():
+            checkpoint = store.get(index)
+            for resume_from in (
+                checkpoint, PaneCheckpoint.from_bytes(checkpoint.to_bytes())
+            ):
+                resumed, _ = execute_plan(
+                    merge_path_plan(stream, query, checkpoint=policy),
+                    resume_from=resume_from,
+                )
+                assert resumed == base
+
+    def test_merged_members_round_trip_as_the_tuples_they_stand_for(self):
+        parts = []
+        for values in ([1.0, 2.5], [-0.0, 4.0, 4.0]):
+            sample = WeightedSample()
+            sample.add(StratumSample("a", _StratumMembers("a", values), 10, 10 / len(values)))
+            parts.append(sample)
+        merged = combine_worker_samples(parts)
+        members = merged["a"].items
+        assert type(members) is _StratumMembers and members.value_array().dtype == float
+        checkpoint = PaneCheckpoint(
+            plan_name="p", engine="direct", strategy="oasrs", pane_index=1,
+            pane_end=3.0, stream_position=5, results=(),
+            state={"history": (merged,)},
+        )
+        clone = PaneCheckpoint.from_bytes(checkpoint.to_bytes())
+        restored = clone.state["history"][0]["a"]
+        assert type(restored.items) is tuple
+        assert repr(restored.items) == repr(tuple(members))
+        assert members == restored.items
+        assert (restored.count, restored.weight) == (20, 4.0)
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ from repro.core.records import (
     RecordBatch,
     _FloatRun,
     _StratumMembers,
+    concat_members,
     item_key,
     item_value,
 )
@@ -129,8 +130,13 @@ class TestRoundTrip:
         assert list(members) == [("k", 1.0), ("k", 2.0), ("k", 3.0)]
         assert members.value_list() == [1.0, 2.0, 3.0]
         assert members == [("k", 1.0), ("k", 2.0), ("k", 3.0)]
-        # Merge interop (sample merging concatenates member sequences).
-        assert members + (("k", 9.0),) == (
+        # Merge interop: value-mode runs concatenate into one float64 array,
+        # a tuple-mode part turns the whole result into plain item tuples.
+        both = concat_members([members, _StratumMembers("k", [9.0])])
+        assert type(both) is _StratumMembers
+        assert both.value_array().dtype == np.float64
+        assert both == [("k", 1.0), ("k", 2.0), ("k", 3.0), ("k", 9.0)]
+        assert concat_members([members, (("k", 9.0),)]) == (
             ("k", 1.0), ("k", 2.0), ("k", 3.0), ("k", 9.0),
         )
         # Serialization ships plain tuples.

@@ -122,6 +122,20 @@ class TestMerge:
         assert s.sample_size == 4
         assert s.weight == pytest.approx(6.0)
 
+    def test_merge_keeps_first_appearance_order(self):
+        """Stratum order is self's keys then the other's new keys — never set
+        order, which would tie the error bounds' last bits to PYTHONHASHSEED."""
+        left = WeightedSample()
+        for key in ("zeta", "alpha"):
+            left.add(StratumSample(key, (1.0,), 1, 1.0))
+        right = WeightedSample()
+        for key in ("mid", "alpha", "beta"):
+            right.add(StratumSample(key, (2.0,), 1, 1.0))
+        assert left.merge(right).keys == ["zeta", "alpha", "mid", "beta"]
+        assert combine_worker_samples([right, left]).keys == [
+            "mid", "alpha", "beta", "zeta",
+        ]
+
     def test_combine_worker_samples_empty(self):
         assert len(combine_worker_samples([])) == 0
 
