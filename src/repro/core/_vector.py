@@ -1,8 +1,9 @@
 """Shared NumPy-acceleration shim for the vectorized chunk paths.
 
-Every chunk fast path (reservoir, SRS/STS samplers, stratum statistics,
-the native system's moment accounting) is pure-stdlib with an optional
-NumPy acceleration.  This module centralises the three pieces they share:
+Every chunk fast path (the OASRS chunk kernel, SRS/STS samplers, stratum
+statistics, the native system's moment accounting) is pure-stdlib with an
+optional NumPy acceleration.  This module centralises the three pieces
+they share:
 
 * ``np`` — the NumPy module, or ``None`` when it is not installed (every
   caller must keep a stdlib fallback),

@@ -12,9 +12,10 @@ OASRS is the paper's core contribution.  Within each time interval it:
    ``W_i = C_i / Y_i`` (when the reservoir overflowed) or ``1``.
 
 The sampler is *online*: items are processed one at a time with O(1) work
-(``offer``) or, on hot paths, chunk at a time with amortised routing and
-batched RNG draws (``process_chunk`` — statistically equivalent, see
-`repro.core.reservoir.Reservoir.offer_many`), and it is *adaptive*:
+(``offer``) or, on hot paths, chunk at a time — one
+`repro.core.reservoir.segmented_offer` call decides the whole chunk for
+every stratum at once (``process_chunk``, statistically equivalent) — and
+it is *adaptive*:
 per-stratum reservoir capacities come from a policy that may be
 re-evaluated every interval (e.g. driven by the query budget, see
 `repro.core.budget`).
@@ -32,6 +33,8 @@ Two capacity policies from the paper are provided:
 from __future__ import annotations
 
 import random
+from array import array
+from itertools import repeat
 from typing import (
     Callable,
     Dict,
@@ -44,20 +47,16 @@ from typing import (
     TypeVar,
 )
 
+from ._vector import derive_generator as _derive_generator
 from ._vector import np as _np
 from .records import L2_SLICE as _L2_SLICE
-from .records import ColumnSlice, _FloatRun, _StratumMembers, item_key
-from .reservoir import Reservoir
+from .records import ColumnSlice, _StratumMembers, item_key
+from .reservoir import segmented_offer
 from .strata import StratumSample, WeightedSample, stratum_weight
 
 T = TypeVar("T")
 Key = Hashable
 KeyFn = Callable[[T], Key]
-
-# Columnar chunks at or below this size are grouped with a Python loop over
-# the decoded scalars; np.unique + boolean-mask gathers only pay off once a
-# chunk is a few cache lines of codes.
-_SMALL_CHUNK = 128
 
 __all__ = [
     "AllocationPolicy",
@@ -228,6 +227,13 @@ class WaterFillingAllocation(AllocationPolicy):
         return max(1, self.total // strata)
 
 
+def _positive(capacity: int) -> int:
+    """A policy's answer, checked: a reservoir needs at least one slot."""
+    if capacity <= 0:
+        raise ValueError(f"reservoir capacity must be positive, got {capacity}")
+    return capacity
+
+
 class OASRSSampler(Generic[T]):
     """Streaming OASRS over consecutive time intervals.
 
@@ -254,6 +260,20 @@ class OASRSSampler(Generic[T]):
     ``close_interval`` returns the interval's `WeightedSample` and resets
     all reservoirs/counters for the next interval, matching Algorithm 2's
     per-time-interval loop.
+
+    Strata are numbered in first-arrival order for the sampler's lifetime
+    and every per-stratum quantity is a column indexed by that number:
+    capacity ``N``, arrival counter ``C``, and the reservoir's slots.  The
+    counters ``C`` follow the feed: a plain list while items arrive one at
+    a time (``offer`` pays nothing for the chunk path's existence), an
+    ``int64`` array from an interval's first multi-row chunk on, which the
+    chunk kernel advances in place.  A feed that mixes the two inside one
+    interval converts, O(strata) per switch.  An interval's kept items
+    live in one of two stores — a
+    list of item objects per stratum, or, for `ColumnSlice` chunks, one
+    flat ``float64`` buffer in which every stratum owns ``N`` consecutive
+    slots.  Which rows enter which slot is decided without looking at the
+    payload, so both stores receive the same decisions.
     """
 
     def __init__(
@@ -265,34 +285,76 @@ class OASRSSampler(Generic[T]):
         self._policy = policy
         self._key_fn = key_fn
         self._rng = rng if rng is not None else random.Random()
-        self._reservoirs: Dict[Key, Reservoir[T]] = {}
-        self._known_keys: set = set()
-        # Keys whose current reservoir holds raw float values (fed through
-        # the columnar kernel) rather than item tuples; `peek` re-attaches
-        # the key lazily.  Cleared whenever reservoirs are recreated.
-        self._value_keys: set = set()
+        # The chunk kernel's generator, derived from ``rng`` by the first
+        # multi-row chunk (item-at-a-time runs never consume that draw).
+        self._gen = None
+        self._index: Dict[Key, int] = {}
+        self._keys: List[Key] = []
+        self._cap = array("q")
+        self._seen = []
+        # True once ``_seen`` is the kernel's int64 array (see class docs).
+        self._chunked = False
+        self._kept: List[list] = []
+        # Value mode: this interval's kept items are floats in ``_values``,
+        # stratum ``s`` owning ``_cap[s]`` slots from ``_offset[s]``.
+        self._value_mode = False
+        self._values = None if _np is None else _np.empty(0)
+        self._offset = array("q")
+        self._room = 0
+        # `_strata_of`'s code -> stratum-number table for one batch key table.
+        self._lut = None
+        self._lut_table = None
 
     @property
     def strata_seen(self) -> int:
         """Number of distinct strata observed since construction."""
-        return len(self._known_keys)
+        return len(self._keys)
+
+    def _register(self, key: Key) -> int:
+        """Number a newly arrived stratum and give it its capacity."""
+        number = len(self._keys)
+        capacity = _positive(self._policy.capacity_for(key, number + 1))
+        if self._chunked:
+            self._count_in_list()
+        self._index[key] = number
+        self._keys.append(key)
+        self._cap.append(capacity)
+        self._seen.append(0)
+        self._kept.append([])
+        self._offset.append(self._room)
+        self._room += capacity
+        return number
+
+    def _slot_for(self, number: int) -> int:
+        """Algorithm 1 for one arrival: the slot it takes, or -1 if rejected."""
+        seen = int(self._seen[number]) + 1  # either form of the counters
+        self._seen[number] = seen
+        capacity = self._cap[number]
+        if seen <= capacity:
+            return seen - 1
+        # Accept with probability capacity / i where i == seen.
+        if self._rng.random() * seen < capacity:
+            return self._rng.randrange(capacity)
+        return -1
 
     def offer(self, item: T) -> Key:
         """Route one arriving item to its stratum's reservoir; O(1)."""
         key = self._key_fn(item)
-        reservoir = self._reservoirs.get(key)
-        if reservoir is None:
-            self._known_keys.add(key)
-            capacity = self._policy.capacity_for(key, len(self._known_keys))
-            reservoir = Reservoir(capacity, rng=self._rng)
-            self._reservoirs[key] = reservoir
-        elif self._value_keys and key in self._value_keys:
-            # Defensive: the runtime never mixes per-item and columnar
-            # feeds within an interval, but if it happens, materialize the
-            # stored floats into tuples before accepting a tuple.
-            reservoir._items[:] = [(key, v) for v in reservoir._items]
-            self._value_keys.discard(key)
-        reservoir.offer(item)
+        if self._chunked:
+            if self._value_mode:
+                self._leave_value_mode()
+            self._count_in_list()
+        number = self._index.get(key)
+        if number is None:
+            number = self._register(key)
+        # `_slot_for`, inlined: this is the per-item hot path.
+        seen = self._seen[number] + 1
+        self._seen[number] = seen
+        capacity = self._cap[number]
+        if seen <= capacity:
+            self._kept[number].append(item)
+        elif self._rng.random() * seen < capacity:
+            self._kept[number][self._rng.randrange(capacity)] = item
         return key
 
     def offer_many(self, items: Iterable[T]) -> None:
@@ -305,172 +367,191 @@ class OASRSSampler(Generic[T]):
             self.offer(item)
 
     def process_chunk(self, items: Sequence[T]) -> int:
-        """Vectorized fast path: route and sample a whole chunk at once.
+        """Route and sample a whole chunk at once; returns how many rows
+        entered a reservoir.
 
-        Groups the chunk by stratum in a single pass, then hands each
-        stratum's run of items to its reservoir's `Reservoir.offer_many`
-        batched-RNG path.  Statistically equivalent to offering each item
-        individually (identical per-item acceptance probabilities; ordering
-        within a stratum is preserved), and bit-for-bit identical for
-        one-item chunks.  Returns the number of items that entered a
-        reservoir.
-
-        A `repro.core.records.ColumnSlice` chunk (with the canonical
-        ``item_key`` stratifier) takes the columnar route: grouping happens
-        on the interned key codes with NumPy — no per-item Python loop at
-        all — and reservoirs receive lazy per-stratum views.  Group order
-        (first appearance in the chunk) and per-group member order match
-        the dict-grouping path exactly, so the RNG draw sequence — and
-        therefore the sample — is bitwise identical.  Chunks larger than
-        `repro.core.records.L2_SLICE` are processed slice by slice to keep
-        the working set cache-sized.
+        The chunk's rows are mapped to stratum numbers (new strata are
+        numbered in arrival order), `repro.core.reservoir.segmented_offer`
+        decides every row of every stratum in one pass, and the kept rows
+        are written to the interval's store.  The decision depends only on
+        the stratum sequence, the counters, the capacities and the
+        generator — a `repro.core.records.ColumnSlice` chunk (canonical
+        ``item_key`` stratifier) and the list of its item tuples therefore
+        sample identically, bit for bit; the column chunk merely skips
+        building the tuples.  Statistically equivalent to offering each
+        item individually (acceptance probability ``N / i``, uniform
+        slot), and draw for draw identical to ``offer`` for one-item
+        chunks.  Chunks larger than `repro.core.records.L2_SLICE` are
+        processed slice by slice to keep the working set cache-sized.
         """
         if not hasattr(items, "__len__"):
             items = list(items)
         n = len(items)
+        if n > _L2_SLICE:
+            return sum(
+                self.process_chunk(items[start : start + _L2_SLICE])
+                for start in range(0, n, _L2_SLICE)
+            )
         if n == 0:
             return 0
-        if n > _L2_SLICE:
-            accepted = 0
-            for start in range(0, n, _L2_SLICE):
-                accepted += self.process_chunk(items[start : start + _L2_SLICE])
-            return accepted
-        columnar = (
+        if (
             _np is not None
             and isinstance(items, ColumnSlice)
             and self._key_fn is item_key
-        )
-        if n == 1:
-            if columnar:
-                # Keep one-item column chunks on the value-mode route so a
-                # reservoir never sees mixed float/tuple contents.
-                key = items.key_table[items.codes[0]]
-                reservoir = self._reservoirs.get(key)
-                if reservoir is None:
-                    self._known_keys.add(key)
-                    capacity = self._policy.capacity_for(key, len(self._known_keys))
-                    reservoir = Reservoir(capacity, rng=self._rng)
-                    self._reservoirs[key] = reservoir
-                    self._value_keys.add(key)
-                elif key not in self._value_keys:
-                    if reservoir.seen:
-                        self.offer(items[0])
-                        return 1
-                    self._value_keys.add(key)
-                reservoir.offer(items.values.item(0))
-                return 1
-            self.offer(items[0])
-            return 1
-        if columnar:
+            and (self._value_mode or not any(self._seen))
+        ):
             return self._process_columns(items)
+        if self._value_mode:
+            self._leave_value_mode()
+        index = self._index
         key_fn = self._key_fn
-        groups: Dict[Key, List[T]] = {}
-        get_group = groups.get
+        strata = []
         for item in items:
             key = key_fn(item)
-            bucket = get_group(key)
-            if bucket is None:
-                groups[key] = bucket = []
-            bucket.append(item)
-        reservoirs = self._reservoirs
-        accepted = 0
-        for key, members in groups.items():
-            reservoir = reservoirs.get(key)
-            if reservoir is None:
-                self._known_keys.add(key)
-                capacity = self._policy.capacity_for(key, len(self._known_keys))
-                reservoir = Reservoir(capacity, rng=self._rng)
-                reservoirs[key] = reservoir
-            accepted += reservoir.offer_many(members)
-        return accepted
+            number = index.get(key)
+            strata.append(self._register(key) if number is None else number)
+        if n == 1 or _np is None:
+            # The textbook step on the Python RNG, exactly as `offer` takes
+            # it, so chunk_size=1 runs match item-at-a-time runs.
+            placed = []
+            for row, number in enumerate(strata):
+                slot = self._slot_for(number)
+                if slot >= 0:
+                    placed.append((row, number, slot))
+        else:
+            rows, numbers, slots = self._decide(
+                _np.fromiter(strata, dtype=_np.intp, count=n)
+            )
+            placed = list(zip(rows.tolist(), numbers.tolist(), slots.tolist()))
+        kept = self._kept
+        for row, number, slot in placed:
+            store = kept[number]
+            if slot < len(store):
+                store[slot] = items[row]
+            else:
+                store.append(items[row])
+        return len(placed)
+
+    def _decide(self, strata):
+        """`segmented_offer` over this sampler's counters and generator."""
+        if self._gen is None:
+            self._gen = _derive_generator(self._rng)
+        self._count_in_array()
+        return segmented_offer(
+            strata, self._seen, _np.frombuffer(self._cap, dtype=_np.int64), self._gen
+        )
+
+    def _count_in_array(self) -> None:
+        """Hand the arrival counters to the chunk kernel (no-op once done)."""
+        if not self._chunked:
+            self._seen = _np.array(self._seen, dtype=_np.int64)
+            self._chunked = True
+
+    def _count_in_list(self) -> None:
+        """Take the arrival counters back for item-at-a-time counting."""
+        self._seen = self._seen.tolist()
+        self._chunked = False
+
+    def _counts(self) -> List[int]:
+        """The arrival counters as plain ints, whichever form they are in."""
+        return self._seen.tolist() if self._chunked else self._seen
+
+    def _strata_of(self, chunk: ColumnSlice):
+        """Stratum number of every row of a column chunk.
+
+        The batch's interned codes go through a per-key-table translation
+        array.  Strata are numbered by *arrival*, never by code, so how a
+        batch happened to intern its keys cannot influence the sample.
+        """
+        table = chunk.key_table
+        if table is not self._lut_table or len(table) != len(self._lut):
+            index = self._index
+            self._lut = _np.fromiter(
+                (index.get(key, -1) for key in table), dtype=_np.intp, count=len(table)
+            )
+            self._lut_table = table
+        strata = self._lut[chunk.codes]
+        if strata.min() < 0:
+            codes, first = _np.unique(chunk.codes[strata < 0], return_index=True)
+            for code in codes[_np.argsort(first)].tolist():
+                key = table[code]
+                number = self._index.get(key)
+                self._lut[code] = self._register(key) if number is None else number
+            strata = self._lut[chunk.codes]
+        return strata
 
     def _process_columns(self, chunk: ColumnSlice) -> int:
-        """Columnar chunk routing: group by interned key codes, no item loop.
+        """Column chunk: decide, then scatter the kept values into the buffer."""
+        strata = self._strata_of(chunk)
+        self._count_in_array()
+        offset = _np.frombuffer(self._offset, dtype=_np.int64)
+        if not self._value_mode:
+            # First column chunk of the interval: every known stratum gets
+            # its N slots, in numbering order.
+            cap = _np.frombuffer(self._cap, dtype=_np.int64)
+            _np.cumsum(cap, out=offset)
+            self._room = int(offset[-1])
+            offset -= cap
+            self._value_mode = True
+        if self._room > len(self._values):
+            grown = _np.empty(max(self._room, 2 * len(self._values)))
+            grown[: len(self._values)] = self._values
+            self._values = grown
+        if len(strata) == 1:
+            # One row takes the textbook step on the Python RNG, exactly as
+            # `offer` would, so chunk_size=1 column runs match item runs.
+            number = int(strata[0])
+            slot = self._slot_for(number)
+            if slot >= 0:
+                self._values[self._offset[number] + slot] = chunk.values[0]
+            return int(slot >= 0)
+        rows, numbers, slots = self._decide(strata)
+        # NumPy assigns index arrays front to back, so of two rows naming
+        # one slot the later stays (tests/test_segmented_kernel.py pins it).
+        self._values[offset[numbers] + slots] = chunk.values[rows]
+        return len(rows)
 
-        Strata are visited in order of first appearance within the chunk —
-        the same order dict grouping produces — and each stratum's members
-        keep their stream order, so every reservoir sees exactly the input
-        (and consumes exactly the RNG draws) of the per-item grouping path.
+    def _region(self, number: int, count: int):
+        """The filled slots, after ``count`` arrivals, of one stratum in the
+        value buffer (a view)."""
+        start = self._offset[number]
+        return self._values[start : start + min(count, self._cap[number])]
+
+    def _leave_value_mode(self) -> None:
+        """Move the interval's kept floats into the item store.
+
+        The runtime never mixes column and per-item feeds inside one
+        interval; if a caller does, the floats become the ``(key, value)``
+        tuples the per-item feed would have stored.
         """
-        codes = chunk.codes
-        values = chunk.values
-        table = chunk.key_table
-        if codes.shape[0] <= _SMALL_CHUNK:
-            # np.unique + mask gathers do not amortize over tiny chunks; a
-            # Python grouping loop over the (already decoded) scalars is
-            # faster and produces the same groups in the same order.
-            grouped: Dict[int, list] = {}
-            get_group = grouped.get
-            vals = values.tolist()
-            pos = 0
-            for code in codes.tolist():
-                bucket = get_group(code)
-                if bucket is None:
-                    grouped[code] = bucket = []
-                bucket.append(vals[pos])
-                pos += 1
-            runs = ((table[code], members) for code, members in grouped.items())
-        else:
-            uniq, first = _np.unique(codes, return_index=True)
-            if uniq.size == 1:
-                order = (0,)
-            else:
-                order = _np.argsort(first, kind="stable").tolist()
-            runs = (
-                (
-                    table[uniq[gi]],
-                    _FloatRun(values if uniq.size == 1 else values[codes == uniq[gi]]),
-                )
-                for gi in order
-            )
-        reservoirs = self._reservoirs
-        value_keys = self._value_keys
-        accepted = 0
-        for key, members in runs:
-            reservoir = reservoirs.get(key)
-            if reservoir is None:
-                self._known_keys.add(key)
-                capacity = self._policy.capacity_for(key, len(self._known_keys))
-                reservoir = Reservoir(capacity, rng=self._rng)
-                reservoirs[key] = reservoir
-                value_keys.add(key)
-                value_mode = True
-            elif key in value_keys:
-                value_mode = True
-            elif reservoir.seen == 0:
-                value_keys.add(key)
-                value_mode = True
-            else:
-                # The reservoir already holds item tuples from a per-item
-                # feed; keep feeding tuples so contents stay homogeneous.
-                value_mode = False
-            if value_mode:
-                # Value mode: the reservoir stores raw floats — no tuple is
-                # built for items that merely pass through.  `peek`
-                # re-attaches the stratum key lazily via _StratumMembers.
-                accepted += reservoir.offer_many(members)
-            else:
-                accepted += reservoir.offer_many(
-                    [(key, v) for v in members]
-                    if type(members) is list
-                    else _StratumMembers(key, members.values)
-                )
-        return accepted
+        for number, count in enumerate(self._counts()):
+            if count:
+                values = self._region(number, count).tolist()
+                self._kept[number] = list(zip(repeat(self._keys[number]), values))
+        self._value_mode = False
 
     def peek(self) -> WeightedSample[T]:
         """Current interval's weighted sample *without* resetting state."""
         sample: WeightedSample[T] = WeightedSample()
-        value_keys = self._value_keys
-        for key, reservoir in self._reservoirs.items():
-            count = reservoir.seen
-            if count == 0:
-                continue
-            if key in value_keys:
-                # Value-mode reservoir: stored floats become (key, value)
-                # tuples only if a consumer actually indexes the members.
-                kept = _StratumMembers(key, reservoir.items)
+        counts = self._counts()
+        active = [number for number, count in enumerate(counts) if count]
+        if self._value_mode and active:
+            # One array, owned by the sample, holds every stratum's kept
+            # floats; they become (key, value) tuples only if a consumer
+            # actually indexes the members.
+            packed = _np.concatenate(
+                [self._region(number, counts[number]) for number in active]
+            )
+        start = 0
+        for number in active:
+            key = self._keys[number]
+            count = counts[number]
+            if self._value_mode:
+                end = start + min(count, self._cap[number])
+                kept = _StratumMembers(key, packed[start:end])
+                start = end
             else:
-                kept = tuple(reservoir.items)
+                kept = tuple(self._kept[number])
             weight = stratum_weight(count, len(kept))
             sample.add(StratumSample(key, kept, count, weight))
         return sample
@@ -480,28 +561,17 @@ class OASRSSampler(Generic[T]):
 
         Reservoir capacities are re-derived from the policy so adaptive
         policies (budget feedback, proportional allocation) take effect at
-        interval boundaries, as in Algorithm 2.
+        interval boundaries, as in Algorithm 2.  The value buffer is kept
+        and refilled by the next interval.
         """
         sample = self.peek()
         if isinstance(self._policy, (ProportionalAllocation, WaterFillingAllocation)):
             self._policy.observe({s.key: s.count for s in sample})
-        capacities = self._policy.rebalance(self._known_keys)
-        # Rebuild next interval's reservoirs in first-arrival order (the
-        # expiring dict's insertion order), not set-iteration order: stratum
-        # order feeds order-sensitive float accumulation in the error
-        # bounds, so it must be identical across hash seeds and across a
-        # checkpoint resume (which rebuilds ``_known_keys`` from a sorted
-        # snapshot and would otherwise iterate differently).
-        ordered = [key for key in self._reservoirs if key in capacities]
-        if len(ordered) < len(capacities):
-            known = self._reservoirs
-            ordered += sorted(
-                (key for key in capacities if key not in known), key=repr
-            )
-        self._reservoirs = {
-            key: Reservoir(capacities[key], rng=self._rng) for key in ordered
-        }
-        self._value_keys.clear()
+        strata = len(self._keys)
+        self._seen = [0] * strata
+        self._kept = [[] for _ in range(strata)]
+        self._chunked = self._value_mode = False
+        self.rebalance()
         return sample
 
     def set_policy(self, policy: AllocationPolicy) -> None:
@@ -511,19 +581,21 @@ class OASRSSampler(Generic[T]):
     def rebalance(self) -> None:
         """Re-derive reservoir capacities from the (possibly updated) policy.
 
-        ``close_interval`` already creates the next interval's reservoirs,
-        so a budget change applied *between* intervals (the §4.2 feedback
-        step) would otherwise only take effect one interval late.  Calling
-        this after updating the policy rebuilds the reservoirs with the new
-        capacities.  Only empty reservoirs are replaced, so the call is
+        ``close_interval`` already sets the next interval's capacities, so
+        a budget change applied *between* intervals (the §4.2 feedback
+        step) would otherwise only take effect one interval late.  Only
+        strata that have not received an item are re-sized, so the call is
         safe at any point — mid-interval it leaves active reservoirs alone.
         """
-        capacities = self._policy.rebalance(self._known_keys)
-        for key, capacity in capacities.items():
-            reservoir = self._reservoirs.get(key)
-            if reservoir is None or reservoir.seen == 0:
-                self._reservoirs[key] = Reservoir(capacity, rng=self._rng)
-                self._value_keys.discard(key)
+        capacities = self._policy.rebalance(self._keys)
+        for number, key in enumerate(self._keys):
+            if self._seen[number] == 0:
+                capacity = self._cap[number] = _positive(capacities[key])
+                if self._value_mode:
+                    # Mid-interval: the re-sized stratum's slots move to
+                    # the end of the buffer.
+                    self._offset[number] = self._room
+                    self._room += capacity
 
 
 def oasrs_sample(

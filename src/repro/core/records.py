@@ -38,7 +38,6 @@ silently degrading.
 
 `L2_SLICE` caps the working set of one vectorized sampling call: oversized
 inputs are processed in L2-cache-sized column slices inside
-`repro.core.reservoir.Reservoir.offer_many` and
 `repro.core.oasrs.OASRSSampler.process_chunk`, which is what keeps large
 chunk sizes from spilling out of cache (the old chunk=4096 regression).
 """
@@ -126,21 +125,6 @@ class ColumnSlice:
             )
         )
 
-    def take(self, positions) -> List[Tuple[Hashable, float]]:
-        """Materialize the items at the given positions (one C-level gather).
-
-        ``positions`` is an integer array; the batched-RNG accept loop of
-        `repro.core.reservoir.Reservoir` uses this instead of one
-        ``__getitem__`` call per accepted item.
-        """
-        keys = self.key_table
-        return list(
-            zip(
-                map(keys.__getitem__, self.codes[positions].tolist()),
-                self.values[positions].tolist(),
-            )
-        )
-
     def materialize(self) -> List[Tuple[Hashable, float]]:
         """The equivalent list of Python ``(key, value)`` item tuples."""
         return list(self)
@@ -160,65 +144,23 @@ def _rebuild_column_slice(items: List[Tuple[Hashable, float]]):
     return items
 
 
-class _FloatRun:
-    """A raw value run: the float sequence a value-mode reservoir samples.
-
-    Wraps one stratum's ``float64`` value slice so
-    `repro.core.reservoir.Reservoir` can fill and accept *plain Python
-    floats* — no per-item tuple builds anywhere on the sampling hot path.
-    The tuples reappear lazily at sample-emission time
-    (`repro.core.oasrs.OASRSSampler.peek` wraps the kept floats in a
-    `_StratumMembers`).
-    """
-
-    __slots__ = ("values", "_vals")
-
-    def __init__(self, values) -> None:
-        self.values = values
-        self._vals = None
-
-    def _list(self) -> List[float]:
-        vals = self._vals
-        if vals is None:
-            vals = self._vals = self.values.tolist()
-        return vals
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __getitem__(self, index):
-        return self._list()[index]
-
-    def __iter__(self):
-        return iter(self._list())
-
-    def take(self, positions) -> List[float]:
-        """The floats at the given integer positions (one C-level gather)."""
-        vals = self._vals
-        if vals is not None:
-            return [vals[p] for p in positions.tolist()]
-        return self.values[positions].tolist()
-
-
 class _StratumMembers:
     """One stratum's members: a constant key over a run of float values.
 
-    A lazy sequence of ``(key, value)`` tuples used in two places: the
-    columnar grouping of `repro.core.oasrs.OASRSSampler.process_chunk`
-    hands these to `repro.core.reservoir.Reservoir.offer_many` (the
-    vectorized accept path gathers kept items through `take`, one C-level
-    pass per chunk), and `peek` emits them as the ``items`` of a
-    value-mode `repro.core.strata.StratumSample`.  Estimators that only
-    need the numeric values read them through `value_array` (merges,
-    quantiles, grouped sums, large-stratum moments) or `value_list`
-    (small-stratum ``fsum`` moments) without any tuple ever being built;
-    per-item access materializes the whole run once (also a C-level pass)
-    and indexes the cached list.
+    A lazy sequence of ``(key, value)`` tuples: what
+    `repro.core.oasrs.OASRSSampler.peek` emits as the ``items`` of a
+    `repro.core.strata.StratumSample` whose kept values live in the
+    sampler's value buffer, and what a fully-kept column chunk is wrapped
+    in.  Estimators that only need the numeric values read them through
+    `value_array` (merges, quantiles, grouped sums, large-stratum moments)
+    or `value_list` (small-stratum ``fsum`` moments) without any tuple
+    ever being built; per-item access materializes the whole run once
+    (also a C-level pass) and indexes the cached list.
 
-    ``values`` may be a NumPy ``float64`` array (a column view, or a pane's
-    merged runs — see `concat_members`) or a plain list of Python floats (a
-    value-mode reservoir's kept items); whichever form was not given is
-    derived on first use and cached.
+    ``values`` may be a NumPy ``float64`` array (a copy of a reservoir's
+    filled slots, a column view, or a pane's merged runs — see
+    `concat_members`) or a plain list of Python floats; whichever form was
+    not given is derived on first use and cached.
     """
 
     __slots__ = ("key", "values", "_vals", "_array", "_items")
@@ -261,17 +203,6 @@ class _StratumMembers:
 
     def __iter__(self):
         return iter(self._materialized())
-
-    def take(self, positions) -> List[Tuple[Hashable, float]]:
-        """Materialize the items at the given positions (one C-level gather)."""
-        items = self._items
-        if items is not None:
-            return [items[p] for p in positions.tolist()]
-        vals = self._vals
-        if vals is not None:
-            key = self.key
-            return [(key, vals[p]) for p in positions.tolist()]
-        return list(zip(repeat(self.key), self.values[positions].tolist()))
 
     # Comparison and serialization interop: behave as the tuple of items
     # this run stands for.

@@ -7,10 +7,9 @@ makes that recovery story concrete, and supplies the state-snapshot
 primitives the runtime checkpoint layer (`repro.runtime.checkpoint`) is
 built on:
 
-* **Snapshot primitives** — `reservoir_state` / `sampler_state` /
-  `snapshot_attrs` capture a `Reservoir`, `OASRSSampler`, or allocation
-  policy as plain data (RNG state included, down to the per-reservoir
-  numpy generator used by the vectorized chunk path), and their
+* **Snapshot primitives** — `sampler_state` / `snapshot_attrs` capture an
+  `OASRSSampler` or allocation policy as plain data (RNG state included,
+  down to the NumPy generator the chunk kernel draws from), and their
   ``restore_*`` counterparts rebuild *exactly* that state.  "Exactly"
   is the contract: a restored sampler draws the same random numbers the
   original would have, so post-restore panes are bitwise identical to an
@@ -40,6 +39,7 @@ from __future__ import annotations
 
 import copy
 import random
+from array import array
 from dataclasses import dataclass
 from typing import (
     Any,
@@ -53,14 +53,9 @@ from typing import (
     TypeVar,
 )
 
+from ._vector import np as _np
 from .oasrs import AllocationPolicy, KeyFn, OASRSSampler
-from .reservoir import Reservoir
 from .strata import WeightedSample, combine_worker_samples
-
-try:  # pragma: no cover - exercised implicitly by both suites
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
 
 T = TypeVar("T")
 
@@ -70,8 +65,6 @@ __all__ = [
     "RecoveryEvent",
     "ShardKill",
     "FaultSchedule",
-    "reservoir_state",
-    "restore_reservoir",
     "sampler_state",
     "restore_sampler",
     "snapshot_attrs",
@@ -109,54 +102,32 @@ def restore_attrs(obj: Any, state: Dict[str, Any]) -> None:
     obj.__dict__.update(copy.deepcopy(state))
 
 
-def reservoir_state(reservoir: Reservoir) -> Dict[str, Any]:
-    """Capture one reservoir as plain data, vectorized-RNG state included.
-
-    The per-reservoir numpy generator is snapshotted by value
-    (``bit_generator.state``), never re-derived: `derive_generator`
-    consumes bits from the parent ``random.Random``, so re-deriving on
-    restore would desynchronize every later draw.
-    """
-    np_state = None
-    if reservoir._np_rng is not None:
-        np_state = copy.deepcopy(reservoir._np_rng.bit_generator.state)
-    return {
-        "capacity": reservoir.capacity,
-        "items": list(reservoir.items),
-        "seen": reservoir.seen,
-        "np_state": np_state,
-    }
-
-
-def restore_reservoir(state: Dict[str, Any], rng: random.Random) -> Reservoir:
-    """Rebuild a reservoir from `reservoir_state`, sharing ``rng``."""
-    reservoir = Reservoir(state["capacity"], rng=rng)
-    reservoir._items = list(state["items"])
-    reservoir._seen = state["seen"]
-    if state["np_state"] is not None and _np is not None:
-        generator = _np.random.default_rng(0)
-        generator.bit_generator.state = copy.deepcopy(state["np_state"])
-        reservoir._np_rng = generator
-    return reservoir
-
-
 def sampler_state(sampler: OASRSSampler) -> Dict[str, Any]:
     """Capture an `OASRSSampler` mid-stream as plain data.
 
-    Includes the shared ``random.Random`` state, the known-key set, every
-    reservoir (in insertion order — reservoir creation order determines
-    which reservoir draws next from the shared RNG), and the allocation
-    policy's attributes.  Callables (``key_fn``) are deliberately *not*
-    captured: restore targets a sampler built by the same plan, which
-    supplies them.
+    Includes the shared ``random.Random`` state, the chunk kernel's NumPy
+    generator (by value — `derive_generator` consumes bits from the parent
+    ``random.Random``, so re-deriving on restore would desynchronize every
+    later draw), the strata in numbering order with their capacities and
+    counters, the interval's store (item lists, or the used part of the
+    value buffer with its region offsets), and the allocation policy's
+    attributes.  Callables (``key_fn``) are deliberately *not* captured:
+    restore targets a sampler built by the same plan, which supplies them.
     """
+    gen = sampler._gen
     return {
         "rng": sampler._rng.getstate(),
-        "known_keys": sorted(sampler._known_keys, key=repr),
-        "value_keys": sorted(sampler._value_keys, key=repr),
-        "reservoirs": [
-            (key, reservoir_state(res)) for key, res in sampler._reservoirs.items()
-        ],
+        "gen": None if gen is None else copy.deepcopy(gen.bit_generator.state),
+        "keys": list(sampler._keys),
+        "cap": sampler._cap.tolist(),
+        "seen": list(sampler._counts()),
+        "kept": [list(store) for store in sampler._kept],
+        "value_mode": sampler._value_mode,
+        "offset": sampler._offset.tolist(),
+        "room": sampler._room,
+        "values": (
+            sampler._values[: sampler._room].copy() if sampler._value_mode else None
+        ),
         "policy": snapshot_attrs(sampler._policy),
     }
 
@@ -165,18 +136,29 @@ def restore_sampler(sampler: OASRSSampler, state: Dict[str, Any]) -> OASRSSample
     """Restore a `sampler_state` snapshot onto a structurally-equal sampler.
 
     The target must have been built with the same key function and policy
-    type (the plan rebuilds it); this overwrites its RNG, reservoirs, and
-    policy attributes with the checkpointed values.
+    type (the plan rebuilds it); this overwrites its RNGs, strata, store,
+    and policy attributes with the checkpointed values.
     """
     sampler._rng.setstate(state["rng"])
+    sampler._gen = None
+    if state["gen"] is not None:
+        sampler._gen = _np.random.default_rng(0)
+        sampler._gen.bit_generator.state = copy.deepcopy(state["gen"])
     restore_attrs(sampler._policy, state["policy"])
-    sampler._known_keys = set(state["known_keys"])
-    # Older snapshots predate value-mode reservoirs; default to none.
-    sampler._value_keys = set(state.get("value_keys", ()))
-    sampler._reservoirs = {
-        key: restore_reservoir(saved, sampler._rng)
-        for key, saved in state["reservoirs"]
-    }
+    sampler._keys = list(state["keys"])
+    sampler._index = {key: number for number, key in enumerate(sampler._keys)}
+    sampler._cap = array("q", state["cap"])
+    sampler._seen = list(state["seen"])
+    sampler._chunked = False
+    sampler._kept = [list(store) for store in state["kept"]]
+    sampler._value_mode = state["value_mode"]
+    if sampler._value_mode:
+        sampler._count_in_array()
+    sampler._offset = array("q", state["offset"])
+    sampler._room = state["room"]
+    if state["values"] is not None:
+        sampler._values = state["values"].copy()
+    sampler._lut = sampler._lut_table = None
     return sampler
 
 

@@ -13,14 +13,15 @@ one list of at most ``capacity`` items and one integer counter.
 
 Two execution paths are provided:
 
-* ``offer`` — the textbook per-item loop (one ``random()`` draw per item
-  once the reservoir is full),
-* ``offer_many`` — the vectorized chunk path: batched RNG draws via
-  Vitter-style skip counting (Algorithm X), or one NumPy draw per chunk
-  when NumPy is available.  Both paths realise the same per-item acceptance
-  probability ``capacity / i``, so samples are statistically
-  interchangeable; a chunk of one item delegates to ``offer`` and is
-  bit-for-bit identical.
+* ``Reservoir.offer`` — the textbook per-item step (one ``random()`` draw
+  per item once the reservoir is full),
+* ``segmented_offer`` — the same algorithm decided for a whole chunk and
+  every stratum at once: given each row's stratum, the per-stratum counters
+  and capacities, and a NumPy generator, it returns which rows enter which
+  slot.  It never looks at a payload, so one set of decisions can be
+  applied to any store (a ``float64`` slot buffer, a list of item tuples).
+  Both realise the per-item acceptance probability ``capacity / i`` with a
+  uniform victim slot, so samples are statistically interchangeable.
 """
 
 from __future__ import annotations
@@ -28,14 +29,11 @@ from __future__ import annotations
 import random
 from typing import Generic, Iterable, Iterator, List, Optional, Sequence, TypeVar
 
-from ._vector import VECTOR_MIN as _VECTOR_MIN
-from ._vector import derive_generator as _derive_generator
 from ._vector import np as _np
-from .records import L2_SLICE as _L2_SLICE
 
 T = TypeVar("T")
 
-__all__ = ["Reservoir", "reservoir_sample"]
+__all__ = ["Reservoir", "reservoir_sample", "segmented_offer"]
 
 
 class Reservoir(Generic[T]):
@@ -60,7 +58,7 @@ class Reservoir(Generic[T]):
     100
     """
 
-    __slots__ = ("_capacity", "_items", "_seen", "_rng", "_np_rng")
+    __slots__ = ("_capacity", "_items", "_seen", "_rng")
 
     def __init__(self, capacity: int, rng: Optional[random.Random] = None) -> None:
         if capacity <= 0:
@@ -69,7 +67,6 @@ class Reservoir(Generic[T]):
         self._items: List[T] = []
         self._seen = 0
         self._rng = rng if rng is not None else random.Random()
-        self._np_rng = None
 
     @property
     def capacity(self) -> int:
@@ -116,124 +113,12 @@ class Reservoir(Generic[T]):
         return False
 
     def offer_many(self, items: Sequence[T]) -> int:
-        """Offer a whole chunk of items; return how many entered the reservoir.
-
-        The chunk fast path of the vectorized sampling stack: instead of one
-        ``random()`` call (plus Python-level branching) per item, the
-        saturated regime draws skip counts with Vitter's Algorithm X — one
-        uniform draw per *accepted* item — or, for chunks of at least
-        ``_VECTOR_MIN`` items when NumPy is importable, a single vectorized
-        batch of draws.  Acceptance probabilities are identical to ``offer``
-        (``capacity / i`` for the *i*-th item ever seen), so the sample
-        distribution is unchanged; only the RNG call pattern differs.  A
-        one-item chunk delegates to ``offer`` so chunked and per-item
-        execution agree bit-for-bit at ``chunk_size=1``.
-
-        ``items`` may be any sequence (``len`` + indexing/slicing) — lists,
-        tuples, or the lazy column views of `repro.core.records` — and is
-        never copied wholesale: only the items that actually enter the
-        reservoir are materialized.  Inputs larger than
-        `repro.core.records.L2_SLICE` are processed slice by slice so one
-        call's working set stays cache-sized; the acceptance distribution
-        is unchanged (the RNG call pattern differs from an unsplit pass,
-        deterministically, for such oversized inputs only).
-        """
-        if not hasattr(items, "__len__"):
-            items = list(items)
-        n = len(items)
-        if n == 0:
-            return 0
-        if n > _L2_SLICE:
-            accepted = 0
-            for start in range(0, n, _L2_SLICE):
-                accepted += self.offer_many(items[start : start + _L2_SLICE])
-            return accepted
-        if n == 1:
-            return 1 if self.offer(items[0]) else 0
-        pos = 0
-        accepted = 0
-        free = self._capacity - len(self._items)
-        if free > 0:
-            # Fill phase: the first `capacity` items enter deterministically.
-            take = free if free < n else n
-            self._items.extend(items[:take])
-            self._seen += take
-            accepted += take
-            pos = take
-            if pos == n:
-                return accepted
-        if _np is not None and n - pos >= _VECTOR_MIN:
-            return accepted + self._accept_vectorized(items, pos)
-        return accepted + self._accept_skipping(items, pos)
-
-    def _accept_skipping(self, items: Sequence[T], pos: int) -> int:
-        """Saturated-regime chunk acceptance via Algorithm X skip counts.
-
-        Each iteration draws one uniform and advances directly to the next
-        accepted item; rejected items cost one multiply each instead of a
-        full RNG call.  Truncation at the chunk boundary is sound because
-        per-item acceptance events are independent Bernoulli(capacity/i)
-        trials.
-        """
-        rng_random = self._rng.random
-        rng_randrange = self._rng.randrange
-        cap = self._capacity
-        res = self._items
-        t = self._seen
-        n = len(items)
-        accepted = 0
-        while pos < n:
-            v = rng_random()
-            s = 0
-            # quot = P(next s+1 candidates are all rejected)
-            quot = (t + 1 - cap) / (t + 1)
-            while quot > v:
-                s += 1
-                if pos + s >= n:
-                    break
-                quot *= (t + s + 1 - cap) / (t + s + 1)
-            if pos + s >= n:
-                t += n - pos
-                pos = n
-                break
-            res[rng_randrange(cap)] = items[pos + s]
-            accepted += 1
-            t += s + 1
-            pos += s + 1
-        self._seen = t
-        return accepted
-
-    def _accept_vectorized(self, items: Sequence[T], pos: int) -> int:
-        """Saturated-regime chunk acceptance with one NumPy draw per chunk."""
-        if self._np_rng is None:
-            self._np_rng = _derive_generator(self._rng)
-        gen = self._np_rng
-        cap = self._capacity
-        t = self._seen
-        n = len(items) - pos
-        # Item t+j (1-based) is accepted iff U_j * (t+j) < capacity.
-        indices = _np.arange(t + 1, t + n + 1, dtype=_np.float64)
-        hits = _np.flatnonzero(gen.random(n) * indices < cap)
-        count = int(hits.size)
-        if count:
-            slots = gen.integers(0, cap, size=count)
-            res = self._items
-            take = getattr(items, "take", None)
-            if take is not None:
-                # Column views gather all accepted items in one C-level
-                # pass instead of one __getitem__ tuple build per item.
-                for slot, item in zip(slots.tolist(), take(pos + hits)):
-                    res[slot] = item
-            else:
-                for hit, slot in zip(hits.tolist(), slots.tolist()):
-                    res[slot] = items[pos + hit]
-        self._seen = t + n
-        return count
+        """Offer every item of ``items`` in order; return how many entered."""
+        return sum(map(self.offer, items))
 
     def extend(self, items: Iterable[T]) -> None:
         """Offer every item of ``items`` in order."""
-        for item in items:
-            self.offer(item)
+        self.offer_many(items)
 
     def reset(self) -> None:
         """Empty the reservoir and zero the counter (new time interval)."""
@@ -256,3 +141,41 @@ def reservoir_sample(
     reservoir: Reservoir[T] = Reservoir(capacity, rng=rng)
     reservoir.extend(items)
     return reservoir.items
+
+
+def segmented_offer(strata, seen, cap, gen):
+    """Algorithm 1 for one chunk of rows, run segment-wise over its strata.
+
+    ``strata[r]`` is the stratum number of stream row ``r``; ``seen`` and
+    ``cap`` are the per-stratum ``int64`` arrival counters and capacities.
+    Row ``r`` is the ``i``-th arrival of its stratum (``i`` = ``seen``
+    before the chunk + its 1-based rank among the chunk's rows of that
+    stratum).  With one uniform ``U`` per row, drawn in stream-row order,
+    and ``j = ⌊U·i⌋``: a fill row (``i ≤ N``) takes slot ``i − 1``; a
+    steady row is kept iff ``j < N`` — probability ``N / i`` — and then
+    lands in slot ``j``, uniform on ``0..N−1`` given acceptance.
+
+    Returns ``(rows, numbers, slots)``: the kept rows, each one's stratum
+    number, and the slot it takes *within that stratum*, ordered by stratum
+    and, inside a stratum, by arrival.  Apply the writes in the order
+    returned — two kept rows of a stratum may name the same slot, and the
+    later arrival wins, as it would have item by item.  ``seen`` is
+    advanced in place.  O(rows + strata), no Python-level loop.
+    """
+    n = strata.shape[0]
+    # A stable sort keeps arrival order inside each stratum; 16-bit keys
+    # get NumPy's O(n) radix sort.
+    narrow = _np.uint16 if seen.shape[0] <= 0x10000 else strata.dtype
+    order = strata.astype(narrow, copy=False).argsort(kind="stable")
+    by = strata[order]
+    # A stratum's rows are consecutive in ``by``; the first of them sits at
+    # the summed count of the strata numbered before it.
+    count = _np.bincount(strata, minlength=seen.shape[0])
+    arrival = (seen - count.cumsum() + count)[by]
+    arrival += _np.arange(1, n + 1)
+    seen += count
+    slot = (gen.random(n)[order] * arrival).astype(_np.int64)
+    room = cap[by]
+    _np.putmask(slot, arrival <= room, arrival - 1)
+    kept = (slot < room).nonzero()[0]
+    return order[kept], by[kept], slot[kept]

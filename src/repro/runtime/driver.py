@@ -909,10 +909,12 @@ def _interval_moments(sample, value_fn):
     re-scanning every sampled item per pane — batch-level accounting in the
     estimation layer, matching the chunk-level accounting in the samplers.
 
-    With the canonical value projection the value column is pulled out in
-    one C-level pass (``fromiter`` over the second tuple slot) instead of a
-    per-item listcomp; the array holds the identical Python floats either
-    way, so sums and squares are bitwise unchanged.
+    Members that carry their value column (`StratumSample.value_array`)
+    are read as that array, with no detour through Python floats; item
+    tuples under the canonical projection are pulled out in one C-level
+    pass (``fromiter`` over the second tuple slot).  The array holds the
+    identical doubles either way, so sums and squares are bitwise
+    unchanged.
     """
     moments = []
     value_of = itemgetter(1)
@@ -921,21 +923,22 @@ def _interval_moments(sample, value_fn):
         y = len(items)
         if y == 0:
             continue
-        canonical = value_fn is item_value
-        raw = getattr(items, "value_list", None) if canonical else None
         if _np is not None and y >= 1024:
-            if raw is not None:
-                array = _np.asarray(raw(), dtype=_np.float64)
-            elif canonical:
+            array = stratum.value_array(value_fn)
+            if array is None and value_fn is item_value:
                 array = _np.fromiter(
                     map(value_of, items), dtype=_np.float64, count=y
                 )
-            else:
+            elif array is None:
                 array = _np.asarray([value_fn(x) for x in items], dtype=_np.float64)
             total = float(array.sum())
             sumsq = float(_np.dot(array, array))
         else:
-            values = raw() if raw is not None else [value_fn(x) for x in items]
+            raw = getattr(items, "value_list", None)
+            if raw is not None and value_fn is item_value:
+                values = raw()
+            else:
+                values = [value_fn(x) for x in items]
             total = math.fsum(values)
             sumsq = math.fsum(v * v for v in values)
         moments.append((stratum.key, y, stratum.count, total, sumsq))

@@ -9,10 +9,17 @@ reproduces it number for number.
 Regenerate only when an intentional statistical change lands::
 
     PYTHONPATH=src python tests/golden/capture_golden.py
+
+``--only PATTERN`` (an ``fnmatch`` pattern over case names, e.g.
+``'*-streamapprox@chunk256'``) re-captures the matching cases and carries
+every other case over from the existing file verbatim, so a change that
+is meant to move a few cases provably leaves the rest untouched.
 """
 
 from __future__ import annotations
 
+import argparse
+import fnmatch
 import json
 import os
 import sys
@@ -27,10 +34,23 @@ from golden_config import (  # noqa: E402
 
 
 def main() -> None:
-    payload = {name: report_fingerprint(run()) for name, run in golden_cases()}
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--only", metavar="PATTERN", help="re-capture matching cases only")
+    only = parser.parse_args().only
+    payload = {}
+    if only is not None:
+        with open(GOLDEN_PATH) as fh:
+            payload = json.load(fh)
+    captured = []
+    for name, run in golden_cases():
+        if only is None or fnmatch.fnmatchcase(name, only):
+            payload[name] = report_fingerprint(run())
+            captured.append(name)
+    if not captured:
+        parser.error(f"--only {only!r} matches no golden case")
     with open(GOLDEN_PATH, "w") as fh:
         json.dump(payload, fh, indent=1, sort_keys=True)
-    print(f"wrote {len(payload)} cases to {GOLDEN_PATH}")
+    print(f"captured {', '.join(captured)}; {len(payload)} cases in {GOLDEN_PATH}")
 
 
 if __name__ == "__main__":

@@ -12,6 +12,18 @@ code that merged strata in set order: one margin in it (``spark-sts``,
 pane 1) sits one ulp from what first-appearance order gives.  The runtime
 itself merges in first-appearance order and reproduces every other number
 to the bit under any ``PYTHONHASHSEED`` (CI re-runs this file under two).
+
+The three ``*-streamapprox@chunk256`` cases were re-captured
+(``capture_golden.py --only '*-streamapprox@chunk256'``; the other eleven
+carried over byte for byte) when the segmented chunk kernel replaced the
+per-stratum batched draws: multi-row chunks now take their uniforms from
+one NumPy generator in stream-row order instead of from the shared
+``random.Random`` stratum by stratum, so those samples are different draws
+from the same distribution — the *i*-th arrival of a stratum is still kept
+with probability ``N / i`` and evicts a uniform slot
+(``tests/test_segmented_kernel.py`` checks inclusion frequencies,
+``tests/test_statistical_validation.py`` interval coverage).  Runs with
+``chunk_size <= 1`` never reach the kernel and are unchanged.
 """
 
 import json

@@ -28,7 +28,6 @@ from hypothesis import strategies as st
 from repro.core.records import (
     ColumnSlice,
     RecordBatch,
-    _FloatRun,
     _StratumMembers,
     concat_members,
     item_key,
@@ -113,19 +112,8 @@ class TestRoundTrip:
             view = batch.item_slice(0, len(events))
             assert pickle.loads(pickle.dumps(view)) == view.materialize()
 
-    def test_take_gathers_materialized_items(self):
-        events = [(float(i), ("ab"[i % 2], float(i) * 1.5)) for i in range(10)]
-        view = RecordBatch(events).item_slice(0, 10)
-        positions = np.asarray([7, 0, 3])
-        assert view.take(positions) == [view[7], view[0], view[3]]
-
-    def test_float_run_and_members_interop(self):
+    def test_stratum_members_interop(self):
         values = np.asarray([1.0, 2.0, 3.0])
-        run = _FloatRun(values)
-        assert list(run) == [1.0, 2.0, 3.0]
-        assert run[1] == 2.0
-        assert run.take(np.asarray([2, 0])) == [3.0, 1.0]
-
         members = _StratumMembers("k", values)
         assert list(members) == [("k", 1.0), ("k", 2.0), ("k", 3.0)]
         assert members.value_list() == [1.0, 2.0, 3.0]
