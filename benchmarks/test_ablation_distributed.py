@@ -9,12 +9,18 @@ halves of that claim:
   a single global reservoir of size N, for any worker count, and
 * **cost**: the distributed path crosses zero synchronization barriers,
   in contrast to an STS-style groupBy at the same sample size.
+
+The sharded side is `ShardedExecutor`, the executor behind
+``SystemConfig(parallelism=N)``, run in-process (``REPRO_NO_MP``): its
+determinism contract makes the samples — all this ablation looks at —
+bitwise those of the forked pool (``tests/test_sharded_executor.py`` pins
+that), without forking 600 worker processes for a statistics sweep.
 """
 
 import random
 import statistics
 
-from repro.core.distributed import DistributedOASRS
+from repro.core.distributed import ShardedExecutor
 from repro.core.oasrs import FixedPerStratum, oasrs_sample
 from repro.core.query import approximate_sum
 from repro.engine.batched.rdd import MiniRDD
@@ -40,11 +46,10 @@ def make_stream(seed=51):
 def mean_loss_distributed(stream, workers, truth):
     losses = []
     for seed in range(TRIALS):
-        d = DistributedOASRS(
-            workers, FixedPerStratum(CAPACITY), key_fn=KEY, rng=random.Random(seed)
+        executor = ShardedExecutor(
+            workers, FixedPerStratum(CAPACITY), key_fn=KEY, seed=seed
         )
-        d.offer_many(stream)
-        est = approximate_sum(d.close_interval(), VAL).value
+        est = approximate_sum(executor.run(stream), VAL).value
         losses.append(accuracy_loss(est, truth))
     return statistics.fmean(losses)
 
@@ -65,7 +70,8 @@ def sweep():
     return single, distributed, stream
 
 
-def test_ablation_distributed(benchmark):
+def test_ablation_distributed(benchmark, monkeypatch):
+    monkeypatch.setenv("REPRO_NO_MP", "1")
     single, distributed, stream = benchmark.pedantic(sweep, rounds=1, iterations=1)
 
     lines = [

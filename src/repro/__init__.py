@@ -33,7 +33,6 @@ paper-vs-measured record.
 from .core import (
     AccuracyBudget,
     AdaptiveSampleSizeController,
-    DistributedOASRS,
     ShardedExecutor,
     ErrorBound,
     FixedPerStratum,
@@ -87,7 +86,6 @@ __all__ = [
     "AdaptationPoint",
     "AdaptiveSampleSizeController",
     "BudgetController",
-    "DistributedOASRS",
     "ErrorBound",
     "ExecutionPlan",
     "FixedPerStratum",

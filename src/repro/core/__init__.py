@@ -22,7 +22,7 @@ from .budget import (
     ResourceBudget,
     VirtualCostFunction,
 )
-from .distributed import DistributedOASRS, ShardedExecutor
+from .distributed import ShardedExecutor
 from .error import (
     ErrorBound,
     confidence_z,
@@ -60,7 +60,6 @@ from .quantiles import (
     approximate_quantile,
     heavy_hitters,
 )
-from .recovery import ResilientDistributedOASRS, WorkerFailure
 from .reservoir import Reservoir, reservoir_sample
 from .stratify import GaussianMixtureStratifier, QuantileStratifier
 from .strata import (
@@ -75,7 +74,6 @@ __all__ = [
     "AdaptiveSampleSizeController",
     "AllocationPolicy",
     "CostModel",
-    "DistributedOASRS",
     "EqualAllocation",
     "ErrorBound",
     "FixedPerStratum",
@@ -88,7 +86,6 @@ __all__ = [
     "QuantileStratifier",
     "QueryResult",
     "Reservoir",
-    "ResilientDistributedOASRS",
     "ShardedExecutor",
     "ResourceBudget",
     "StratumSample",
@@ -96,7 +93,6 @@ __all__ = [
     "VirtualCostFunction",
     "WaterFillingAllocation",
     "WeightedSample",
-    "WorkerFailure",
     "approximate_count",
     "approximate_mean",
     "approximate_median",

@@ -1,7 +1,6 @@
 """Distributed OASRS execution (§3.2) — a persistent multi-process executor.
 
-This module is no longer only a simulation.  It provides two levels of the
-paper's synchronization-free distribution scheme, in which a sub-stream
+The paper's synchronization-free distribution scheme: a sub-stream
 handled by ``w`` workers is split so each worker keeps a *local* reservoir
 of capacity ``⌈N_i / w⌉`` plus a local counter, and at interval close the
 coordinator concatenates the local reservoirs, sums the local counters per
@@ -23,13 +22,11 @@ just one O(sample-size) merge:
   fault-injection reroutes, and the merged per-shard sample payloads
   cross the process boundary as messages.  This is the executor behind
   ``SystemConfig(parallelism=N)``.
-* `DistributedOASRS` — the original in-process *model* of the same scheme
-  (w samplers, routed items, one merge), kept for the statistical ablations
-  and for tests that need deterministic single-process routing.
+* `ShardedIntervalSampler` — adapts the executor to the interval-sampler
+  duck type the pipelined and direct engines drive.
 
-Both merge through `repro.core.strata.combine_worker_samples`, which the
-tests verify is statistically indistinguishable from a single global
-reservoir.
+The merge is `repro.core.strata.combine_worker_samples`, which the tests
+verify is statistically indistinguishable from a single global reservoir.
 
 Determinism contract: the coordinator draws one seed per *configured*
 worker per interval and each live worker rebuilds its shard sampler from
@@ -61,14 +58,14 @@ from typing import (
 
 from ..obs import NULL_METRICS
 from ._vector import np as _np
-from .oasrs import AllocationPolicy, FixedPerStratum, KeyFn, OASRSSampler
+from .oasrs import AllocationPolicy, KeyFn, OASRSSampler
 from .records import ColumnSlice, item_key
 from .recovery import FaultSchedule, RecoveryEvent, restore_attrs, snapshot_attrs
 from .strata import StratumSample, WeightedSample, combine_worker_samples, stratum_weight
 
 T = TypeVar("T")
 
-__all__ = ["DistributedOASRS", "ShardedExecutor", "ShardedIntervalSampler"]
+__all__ = ["ShardedExecutor", "ShardedIntervalSampler"]
 
 
 class _ScaledPolicy(AllocationPolicy):
@@ -373,6 +370,7 @@ class ShardedExecutor(Generic[T]):
 
     Example
     -------
+    >>> from repro.core.oasrs import FixedPerStratum
     >>> ex = ShardedExecutor(4, FixedPerStratum(8), key_fn=lambda it: it[0],
     ...                      seed=1)
     >>> sample = ex.run([("a", i) for i in range(1000)])
@@ -1002,91 +1000,3 @@ class ShardedIntervalSampler(Generic[T]):
             return self.run_interval([item for _ts, item in source[lo:hi]])
         return self._executor.run_span(lo, hi)
 
-
-class DistributedOASRS(Generic[T]):
-    """In-process model of OASRS over ``workers`` synchronization-free workers.
-
-    For execution on real cores use `ShardedExecutor`; this class keeps all
-    samplers in the calling process, which makes routing deterministic and
-    cheap to instrument — the configuration the ablation tests rely on.
-
-    Parameters
-    ----------
-    workers:
-        Number of simulated worker nodes.
-    policy:
-        The *global* allocation policy; each worker runs a 1/w-scaled copy.
-    key_fn:
-        Stratum key function, shared by all workers.
-    rng:
-        Seed source; each worker derives an independent child generator so
-        runs are reproducible yet workers are decorrelated.
-    route_fn:
-        Optional ``(item, index) -> worker_id`` partitioner.  Defaults to
-        round-robin on the arrival index.
-    """
-
-    def __init__(
-        self,
-        workers: int,
-        policy: AllocationPolicy,
-        key_fn: KeyFn,
-        rng: Optional[random.Random] = None,
-        route_fn: Optional[Callable[[T, int], int]] = None,
-    ) -> None:
-        if workers <= 0:
-            raise ValueError(f"workers must be positive, got {workers}")
-        self.workers = workers
-        base = rng if rng is not None else random.Random()
-        self._samplers: List[OASRSSampler[T]] = [
-            OASRSSampler(
-                _ScaledPolicy(policy, workers),
-                key_fn=key_fn,
-                rng=random.Random(base.getrandbits(64)),
-            )
-            for _ in range(workers)
-        ]
-        self._route_fn = route_fn
-        self._index = 0
-
-    def offer(self, item: T) -> int:
-        """Route one item to a worker; return the worker id used."""
-        if self._route_fn is not None:
-            worker = self._route_fn(item, self._index) % self.workers
-        else:
-            worker = self._index % self.workers
-        self._index += 1
-        self._samplers[worker].offer(item)
-        return worker
-
-    def offer_many(self, items: Iterable[T]) -> None:
-        for item in items:
-            self.offer(item)
-
-    def close_interval(self) -> WeightedSample[T]:
-        """Merge worker-local samples; the only cross-worker step, barrier-free.
-
-        Each worker's interval is closed independently; the coordinator
-        merge re-derives weights from the summed counters (Equation 1 is
-        stable under this merge because counters add and reservoirs
-        concatenate).
-        """
-        locals_ = [sampler.close_interval() for sampler in self._samplers]
-        self._index = 0
-        return combine_worker_samples(locals_)
-
-    @classmethod
-    def with_fixed_reservoirs(
-        cls,
-        workers: int,
-        per_stratum_capacity: int,
-        key_fn: KeyFn,
-        rng: Optional[random.Random] = None,
-    ) -> "DistributedOASRS[T]":
-        """Convenience constructor for the paper's fixed-size configuration."""
-        return cls(
-            workers=workers,
-            policy=FixedPerStratum(per_stratum_capacity),
-            key_fn=key_fn,
-            rng=rng,
-        )

@@ -17,51 +17,25 @@ built on:
 * **Fault schedules** — `ShardKill` / `FaultSchedule` describe
   deterministic worker-loss injections for `ShardedExecutor`, and
   `RecoveryEvent` is the per-incident record executors surface to pane
-  results.
-* `ResilientDistributedOASRS` wraps `DistributedOASRS`-style execution
-  with per-worker liveness: a failed worker's un-checkpointed state is
-  discarded, its routed items are re-routed to survivors from the failure
-  point on, and the interval's weights remain *correct for the items that
-  survived* (Equation 1 is per-stratum over observed counts, so dropping
-  a worker's counts keeps the estimator unbiased over the remaining
-  sub-population — the estimate simply covers fewer items, and the error
-  bound widens accordingly).
-* Optional **checkpointing**: a worker snapshots its full sampler state
-  (reservoirs + counters + RNG, via `sampler_state`) at item-count
-  boundaries; on failure the last checkpoint is restored, so only the
-  items since the checkpoint are lost rather than the interval.  The
-  snapshot format is the same one chunked execution runs on — a restored
-  worker continues through `OASRSSampler.process_chunk` with no format
-  translation, so checkpoints and chunked execution cannot diverge.
+  results.  A killed worker's processed prefix is discarded and the rest
+  of its shard re-routed to survivors; the interval's weights remain
+  *correct for the items that survived* (Equation 1 is per-stratum over
+  observed counts, so dropping a worker's counts keeps the estimator
+  unbiased over the remaining sub-population — the estimate simply covers
+  fewer items, and the error bound widens accordingly).
 """
 
 from __future__ import annotations
 
 import copy
-import random
 from array import array
 from dataclasses import dataclass
-from typing import (
-    Any,
-    Dict,
-    Generic,
-    Iterable,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    TypeVar,
-)
+from typing import Any, Dict, List, Tuple
 
 from ._vector import np as _np
-from .oasrs import AllocationPolicy, KeyFn, OASRSSampler
-from .strata import WeightedSample, combine_worker_samples
-
-T = TypeVar("T")
+from .oasrs import OASRSSampler
 
 __all__ = [
-    "WorkerFailure",
-    "ResilientDistributedOASRS",
     "RecoveryEvent",
     "ShardKill",
     "FaultSchedule",
@@ -70,10 +44,6 @@ __all__ = [
     "snapshot_attrs",
     "restore_attrs",
 ]
-
-
-class WorkerFailure(Exception):
-    """Raised internally to simulate a worker crash (failure injection)."""
 
 
 # ---------------------------------------------------------------------------
@@ -220,185 +190,3 @@ class RecoveryEvent:
     items_rerouted: int
     permanent: bool = False
 
-
-# ---------------------------------------------------------------------------
-# Resilient distributed sampler (in-process liveness model)
-# ---------------------------------------------------------------------------
-
-
-class _Worker(Generic[T]):
-    """One sampling worker with full-state snapshot/restore support."""
-
-    def __init__(self, policy: AllocationPolicy, key_fn: KeyFn, seed: int) -> None:
-        self._policy = policy
-        self._key_fn = key_fn
-        self._seed = seed
-        self.sampler: OASRSSampler[T] = OASRSSampler(
-            policy, key_fn=key_fn, rng=random.Random(seed)
-        )
-        self.alive = True
-        self.items_since_checkpoint = 0
-        self._checkpoint: Optional[Dict[str, Any]] = None
-        self._checkpoint_count = 0
-
-    def offer(self, item: T) -> None:
-        self.sampler.offer(item)
-        self.items_since_checkpoint += 1
-
-    def process_chunk(self, items: Sequence[T]) -> None:
-        """Absorb a chunk through the vectorized sampler path."""
-        self.sampler.process_chunk(items)
-        self.items_since_checkpoint += len(items)
-
-    def checkpoint(self) -> None:
-        """Snapshot the full sampler state (reservoirs + counters + RNG).
-
-        The snapshot is `sampler_state` plain data — the exact state the
-        chunk-first execution path runs on — so a restored worker resumes
-        with the same reservoirs, counters, and RNG stream it would have
-        had, rather than an approximate peeked sample.
-        """
-        self._checkpoint = sampler_state(self.sampler)
-        self._checkpoint_count = self.sampler.peek().total_count
-        self.items_since_checkpoint = 0
-
-    def crash(self) -> None:
-        self.alive = False
-
-    def recover(self) -> int:
-        """Restart from the last checkpoint (or empty); return items kept.
-
-        Restoration is exact: the checkpointed RNG state is reinstated, so
-        the restarted worker is bitwise the worker at checkpoint time —
-        there is no reseeding drift between the snapshot and live state.
-        """
-        restored = 0
-        if self._checkpoint is not None:
-            restore_sampler(self.sampler, self._checkpoint)
-            restored = self._checkpoint_count
-        else:
-            self.sampler = OASRSSampler(
-                self._policy, key_fn=self._key_fn, rng=random.Random(self._seed)
-            )
-        self.alive = True
-        self.items_since_checkpoint = 0
-        return restored
-
-
-class ResilientDistributedOASRS(Generic[T]):
-    """Distributed OASRS that tolerates worker crashes mid-interval.
-
-    Parameters mirror `DistributedOASRS`; additionally ``checkpoint_every``
-    (items per worker) bounds the loss window when a worker dies.
-    """
-
-    def __init__(
-        self,
-        workers: int,
-        policy_factory,
-        key_fn: KeyFn,
-        rng: Optional[random.Random] = None,
-        checkpoint_every: Optional[int] = None,
-    ) -> None:
-        if workers <= 0:
-            raise ValueError(f"workers must be positive, got {workers}")
-        if checkpoint_every is not None and checkpoint_every <= 0:
-            raise ValueError("checkpoint_every must be positive when given")
-        base = rng if rng is not None else random.Random()
-        self.workers: List[_Worker[T]] = [
-            _Worker(policy_factory(), key_fn, seed=base.getrandbits(32))
-            for _ in range(workers)
-        ]
-        self.checkpoint_every = checkpoint_every
-        self._index = 0
-        self.items_lost = 0
-        self.failures_seen = 0
-
-    # -- routing ----------------------------------------------------------
-
-    def _alive_workers(self) -> List[int]:
-        return [i for i, w in enumerate(self.workers) if w.alive]
-
-    def offer(self, item: T) -> int:
-        """Route one item to a live worker (round-robin over survivors)."""
-        alive = self._alive_workers()
-        if not alive:
-            raise RuntimeError("all workers have failed")
-        worker_id = alive[self._index % len(alive)]
-        self._index += 1
-        worker = self.workers[worker_id]
-        worker.offer(item)
-        self._maybe_checkpoint(worker)
-        return worker_id
-
-    def offer_many(self, items: Iterable[T]) -> None:
-        for item in items:
-            self.offer(item)
-
-    def process_chunk(self, items: Sequence[T]) -> None:
-        """Route a chunk across live workers through the vectorized path.
-
-        Items are distributed round-robin starting at the current routing
-        index (matching per-item ``offer`` order), but each worker absorbs
-        its share in one `OASRSSampler.process_chunk` call.
-        """
-        alive = self._alive_workers()
-        if not alive:
-            raise RuntimeError("all workers have failed")
-        shares: Dict[int, List[T]] = {worker_id: [] for worker_id in alive}
-        routed = 0
-        for offset, item in enumerate(items):
-            worker_id = alive[(self._index + offset) % len(alive)]
-            shares[worker_id].append(item)
-            routed += 1
-        self._index += routed
-        for worker_id, share in shares.items():
-            if not share:
-                continue
-            worker = self.workers[worker_id]
-            worker.process_chunk(share)
-            self._maybe_checkpoint(worker)
-
-    def _maybe_checkpoint(self, worker: _Worker[T]) -> None:
-        if (
-            self.checkpoint_every is not None
-            and worker.items_since_checkpoint >= self.checkpoint_every
-        ):
-            worker.checkpoint()
-
-    # -- failure injection ---------------------------------------------------
-
-    def fail_worker(self, worker_id: int) -> None:
-        """Crash one worker: its un-checkpointed interval state is lost.
-
-        If the worker had a checkpoint, the worker restarts *from* that
-        exact state (reservoirs, counters, RNG) and its checkpointed items
-        stay in the interval's result; everything it absorbed since the
-        checkpoint is gone (counted in ``items_lost``).
-        """
-        worker = self.workers[worker_id]
-        if not worker.alive:
-            return
-        self.failures_seen += 1
-        self.items_lost += worker.items_since_checkpoint
-        worker.crash()
-        worker.recover()
-
-    # -- interval close ----------------------------------------------------------
-
-    def close_interval(self) -> WeightedSample[T]:
-        """Merge survivors' samples for the interval (restored state included)."""
-        parts = [w.sampler.close_interval() for w in self.workers if w.alive]
-        self._index = 0
-        self.items_lost = 0
-        for worker in self.workers:
-            worker._checkpoint = None
-            worker._checkpoint_count = 0
-            worker.items_since_checkpoint = 0
-        return combine_worker_samples(parts)
-
-    def coverage(self, items_routed: int) -> float:
-        """Fraction of routed items still represented after failures."""
-        if items_routed == 0:
-            return 1.0
-        return max(0.0, 1.0 - self.items_lost / items_routed)

@@ -95,7 +95,6 @@ class Pipeline:
         aggregate: Callable,
         charge_processing: bool = True,
         preload: Optional[List[Tuple[float, object]]] = None,
-        state_hook: Optional[Callable] = None,
     ) -> "Pipeline":
         return self._append(
             SampleWindowOperator(
@@ -104,7 +103,6 @@ class Pipeline:
                 aggregate,
                 charge_processing,
                 preload=preload,
-                state_hook=state_hook,
             )
         )
 

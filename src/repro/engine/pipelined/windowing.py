@@ -25,12 +25,13 @@ __all__ = ["SlidingWindowOperator", "SampleWindowOperator"]
 
 
 class SlidingWindowOperator(Operator[T], Generic[T, A]):
-    """Buffer items; on each slide boundary emit ``aggregate(window_items)``.
+    """Buffer items; on each slide boundary emit ``aggregate(fire_time, pane)``.
 
-    ``aggregate`` receives the list of ``(timestamp, item)`` pairs currently
-    inside ``[fire_time − length, fire_time)`` and its return value is
-    emitted downstream stamped with the fire time.  Processing cost for the
-    aggregation is charged per buffered item (one pass per pane).
+    ``aggregate`` receives the fire time and the list of ``(timestamp,
+    item)`` pairs currently inside ``[fire_time − length, fire_time)``; its
+    return value is emitted downstream stamped with the fire time.
+    Processing cost for the aggregation is charged per buffered item (one
+    pass per pane).
 
     ``preload`` seeds the buffer with items from before ``start`` — the
     checkpointed window content a resumed run carries across the restart
@@ -42,7 +43,7 @@ class SlidingWindowOperator(Operator[T], Generic[T, A]):
         cluster: SimulatedCluster,
         length: float,
         slide: float,
-        aggregate: Callable[[List[Tuple[float, T]]], A],
+        aggregate: Callable[[float, List[Tuple[float, T]]], A],
         start: float = 0.0,
         charge_processing: bool = True,
         preload: Optional[Sequence[Tuple[float, T]]] = None,
@@ -74,7 +75,7 @@ class SlidingWindowOperator(Operator[T], Generic[T, A]):
         pane = [(ts, item) for ts, item in self._buffer if ts < fire_time]
         if self._charge:
             self._cluster.process_items(len(pane))
-        self.emit(fire_time, self._aggregate(pane))
+        self.emit(fire_time, self._aggregate(fire_time, pane))
 
     def on_close(self) -> None:
         if self._buffer:
@@ -87,24 +88,23 @@ class SampleWindowOperator(Operator[T], Generic[T, A]):
 
     Each upstream record is one slide-interval `WeightedSample`; a pane of
     length ``w`` spanning ``k = w / slide`` intervals merges the last ``k``
-    samples and aggregates the merge.  Processing is charged per *sampled*
-    item only — the pipelined StreamApprox saving.
+    samples and emits ``aggregate(fire_time, merged, recent)`` — ``recent``
+    being the ``(timestamp, sample)`` records the merge covers, the
+    checkpoint layer's window into pane-boundary state.  Processing is
+    charged per *sampled* item only — the pipelined StreamApprox saving.
 
     ``preload`` seeds the recent-interval deque with checkpointed
-    ``(timestamp, sample)`` records so a resumed run's first panes merge
-    across the restart boundary; ``state_hook`` (if given) is called after
-    every emit with ``(fire_time, recent_records)`` — the checkpoint
-    layer's window into pane-boundary state.
+    ``recent`` records so a resumed run's first panes merge across the
+    restart boundary.
     """
 
     def __init__(
         self,
         cluster: SimulatedCluster,
         intervals_per_window: int,
-        aggregate: Callable[[object], A],
+        aggregate: Callable[[float, object, Tuple[Tuple[float, object], ...]], A],
         charge_processing: bool = True,
         preload: Optional[Sequence[Tuple[float, object]]] = None,
-        state_hook: Optional[Callable[[float, Tuple[Tuple[float, object], ...]], None]] = None,
     ) -> None:
         super().__init__()
         if intervals_per_window <= 0:
@@ -116,13 +116,10 @@ class SampleWindowOperator(Operator[T], Generic[T, A]):
         self._recent: Deque[Tuple[float, object]] = deque(maxlen=intervals_per_window)
         if preload:
             self._recent.extend(preload)
-        self._state_hook = state_hook
 
     def on_item(self, timestamp: float, sample: object) -> None:
         self._recent.append((timestamp, sample))
         merged = combine_worker_samples([recent for _ts, recent in self._recent])
         if self._charge:
             self._cluster.process_items(merged.total_items)
-        self.emit(timestamp, self._aggregate(merged))
-        if self._state_hook is not None:
-            self._state_hook(timestamp, tuple(self._recent))
+        self.emit(timestamp, self._aggregate(timestamp, merged, tuple(self._recent)))

@@ -67,19 +67,6 @@ class RunTelemetry:
     def pane_timer(self) -> "PaneTimer":
         return PaneTimer(self)
 
-    def note_stage(self, stage: str, start: float, end: float) -> None:
-        """Credit ``[start, end)`` to ``stage`` on the most recent pane.
-
-        For driver paths where a stage runs outside the pane timer's
-        open/close window (the pipelined engine's checkpoint hook fires
-        after its pane aggregation closed) — adds the duration to the last
-        pane row and emits a span under whatever span is currently open.
-        """
-        if self.pane_stages:
-            stages = self.pane_stages[-1]["stages"]
-            stages[stage] = stages.get(stage, 0.0) + (end - start)
-        self.tracer.add_span(stage, start, end)
-
     def stage_seconds(self) -> Dict[str, float]:
         """Total seconds per stage, summed across panes (stable key order)."""
         totals: Dict[str, float] = {}

@@ -21,7 +21,7 @@ from ..obs import RunTelemetry, TelemetryConfig
 from .checkpoint import CheckpointPolicy, CheckpointStore, PaneCheckpoint
 from .config import QueryBudget, StreamQuery, SystemConfig, WindowConfig
 from .control import AdaptationPoint, BudgetController
-from .driver import execute_plan, run_batched, run_direct, run_pipelined
+from .driver import execute_plan
 from .plan import ENGINES, ExecutionPlan, PlanError, build_plan
 from .report import (
     SystemReport,
@@ -79,7 +79,4 @@ __all__ = [
     "get_strategy",
     "join_ground_truth",
     "register_strategy",
-    "run_batched",
-    "run_direct",
-    "run_pipelined",
 ]

@@ -1,32 +1,38 @@
-"""The unified driver — one run loop per engine, shared by every system.
+"""The unified driver — one run context, one pane close, three ingest loops.
 
 `execute_plan` takes a validated `ExecutionPlan` and runs it end to end:
 drain the plan's source, window the stream, drive the bound sampling
-strategy, estimate each pane, and return ``(results, cluster)``.  Before
-the runtime existed, each of the seven ``repro.system`` classes carried
-its own copy of this loop; they are now thin declarative configs and the
-three loops below are the only ones in the codebase:
+strategy, estimate each pane, and return ``(results, cluster)``.  The
+paper's claim (§4.2, §5) is that one step — sample the slide interval,
+estimate the pane, feed the error back into the next budget — drops
+unchanged into a micro-batch engine and a pipelined engine; here that
+step is written once:
 
-* `run_batched` — micro-batch skeleton (§5.5): chop the stream into
-  ``batch_interval`` batches, call the strategy's ``sample_batch`` for
-  each, fire a sliding-window pane every ``slide`` seconds by merging the
-  in-window batch samples.
-* `run_pipelined` — push-based dataflow: items flow through operators one
-  at a time (or in ``chunk_size`` runs); interval-sampling strategies
-  insert the OASRS operator (§4.2.2), ``none`` aggregates exact panes.
-* `run_direct` — this repo's own executor: the sampling stack straight
-  over slide-sized intervals with no engine simulation in the hot loop,
-  pooling per-interval sufficient statistics into pane estimates.
+* `_Run` — the run's state, with one owner and one lifecycle:
+  `execute_plan` builds it (everything the engines share, resume state
+  restored), hands it to the plan's engine, and releases it in its
+  ``finally``.
+* `_Run.close_pane` — how *every* engine ends a pane: control step →
+  result and ``on_pane`` → checkpoint when due → pane-timer row.
+
+What remains per engine is "ingest the next interval" and "what is in
+this pane":
+
+* `_ingest_batched` — micro-batches (§5.5, Spark-Streaming-style),
+* `_ingest_pipelined` — push-based operators (§4.2.2, Flink-style),
+* `_ingest_direct` — this repo's own executor: the sampling stack straight
+  over slide-sized intervals, no engine simulation in the hot loop.
 
 ``chunk_size`` and ``parallelism`` are honoured uniformly: the planner
 has already rejected combinations the strategy cannot support, so every
-loop here can assume its plan is runnable.
+engine can assume its plan is runnable.
 
 **Fault tolerance as a runtime service.**  With
-``SystemConfig(checkpoint=CheckpointPolicy(...))`` every loop snapshots
-its full state (bound strategy, interval sampler, budget controller,
-window history) into a `repro.runtime.checkpoint.CheckpointStore` at pane
-boundaries — the only points where the sampling stack is quiescent.
+``SystemConfig(checkpoint=CheckpointPolicy(...))`` `_Run.close_pane`
+snapshots the run's full state (bound strategy, budget controller, plus
+the engine's own interval sampler and window history) into a
+`repro.runtime.checkpoint.CheckpointStore` at pane boundaries — the only
+points where the sampling stack is quiescent.
 ``execute_plan(resume_from=a_checkpoint)`` restores that state and
 replays the source from the checkpointed offset (exact re-ordering
 guaranteed by the source's replayability contract — the broker's
@@ -68,11 +74,12 @@ from .checkpoint import (
 from .control import AdaptationPoint, BudgetController
 from .plan import ExecutionPlan, PlanError
 from .report import WindowResult, estimate_pane, estimate_pane_stats
-from .strategies import full_weight_sample, get_strategy
+from .strategies import BoundStrategy, full_weight_sample, get_strategy
 
-__all__ = ["execute_plan", "run_batched", "run_pipelined", "run_direct"]
+__all__ = ["execute_plan"]
 
 HandleBatch = Callable[[StreamingContext, Sequence[object]], WeightedSample]
+_timestamp_of = itemgetter(0)
 
 #: Items scanned to estimate the stratum count for the first interval's
 #: budget split — a prefix only, because scanning every item of a large
@@ -112,35 +119,6 @@ def _interval_budget(stream, window, config) -> int:
     the same `SystemConfig` always samples at the same fraction.
     """
     return max(1, int(config.sampling_fraction * _per_slide_items(stream, window)))
-
-
-def _make_controller(plan: ExecutionPlan, telemetry=None) -> Optional[BudgetController]:
-    """The run's budget controller, or None for fixed-fraction plans."""
-    if plan.config.budget is None:
-        return None
-    controller = BudgetController(plan.config.budget, plan.config, plan.window)
-    if telemetry is not None:
-        controller.attach_telemetry(telemetry)
-    return controller
-
-
-def _telemetry_setup(plan: ExecutionPlan, run_info: Optional[dict]):
-    """Resolve the plan's telemetry into ``(collector, pane timer, tracer)``.
-
-    Returns ``(None, NULL_PANE_TIMER, NULL_TRACER)`` when telemetry is off,
-    so the run loops instrument unconditionally: every timer/tracer call on
-    the disabled path is a no-op method on a shared singleton — no branches
-    and no dict lookups inside the loops, per-interval granularity only.
-    The live collector is surfaced through ``run_info["telemetry"]``, the
-    same channel as ``parallel_fallback``/``columnar_fallback``, and lands
-    on ``SystemReport.telemetry``.
-    """
-    telemetry = run_telemetry(plan.config.telemetry)
-    if telemetry is None:
-        return None, NULL_PANE_TIMER, NULL_TRACER
-    if run_info is not None:
-        run_info["telemetry"] = telemetry
-    return telemetry, telemetry.pane_timer(), telemetry.tracer
 
 
 def _strata_hint(stream, key_fn) -> int:
@@ -189,102 +167,60 @@ def _record_stream(source) -> RecordBatch:
     return merged
 
 
-def _columnar_reason(stream, query) -> Optional[str]:
-    """Why this run cannot take the columnar record path (None when it can).
+def _columnar_gate(stream, plan: ExecutionPlan, intern: bool):
+    """The run's one columnar decision: ``(stream, plan, fallback reason)``.
 
     The columnar path is on by default and engages when NumPy is present,
     the stream's item columns built (plain ``(hashable key, float)``
     2-tuples), and the query's projections are the canonical
     `repro.core.records.item_key` / `repro.core.records.item_value`
     (identity comparison — a custom callable could observe anything about
-    the item object, so it forces the per-item shim).  The returned reason
+    the item object, so it forces the per-item shim).  A non-None reason
     is surfaced as ``SystemReport.columnar_fallback``, mirroring
     ``parallel_fallback``: the run still completes, identically, via the
     per-item shim.
-    """
-    if os.environ.get("REPRO_NO_COLUMNAR"):
-        return "columnar path disabled via REPRO_NO_COLUMNAR"
-    if _np is None:
-        return "numpy unavailable"
-    if not isinstance(stream, RecordBatch):
-        return "stream is not a RecordBatch"
-    if not (query.key_fn is item_key and query.value_fn is item_value):
-        return "custom key/value projections (per-item shim)"
-    return stream.columnar_reason
 
-
-def _note_columnar(run_info: Optional[dict], reason: Optional[str]) -> None:
-    """Record the columnar-fallback reason in the run diagnostics."""
-    if run_info is not None and reason:
-        run_info["columnar_fallback"] = reason
-
-
-def _intern_projections(stream, plan: ExecutionPlan):
-    """Intern custom query projections so the run takes the columnar path.
-
-    Custom ``key_fn``/``value_fn`` callables (the Spark/Flink baselines'
-    ``flow_protocol``-style accessors) historically forced the per-item
-    shim.  When the stream is a `RecordBatch`, this applies both
-    projections once up front (`RecordBatch.project`, cached on the batch)
-    and rewrites the plan to the canonical projections over the projected
-    events — after which every driver, sampler, and estimator sees a plain
+    **Interning.**  Custom ``key_fn``/``value_fn`` callables (the
+    Spark/Flink baselines' ``flow_protocol``-style accessors) historically
+    forced the shim.  With ``intern`` set this applies both projections
+    once up front (`RecordBatch.project`, cached on the batch) and
+    rewrites the plan to the canonical projections over the projected
+    events — after which every engine, sampler, and estimator sees a plain
     ``(hashable, float)`` columnar stream.  Sampling decisions and
     estimates are bitwise identical: the RNG stream depends only on
     stratum membership order and counts, both unchanged, and the floats
     aggregated are the very objects the shim's per-item calls would have
-    produced.
-
-    Returns ``(stream, plan)`` untouched whenever interning cannot apply:
-    canonical projections already (nothing to do), the columnar path is
-    off (``REPRO_NO_COLUMNAR`` / no NumPy), a ``group_fn`` other than the
+    produced.  Interning cannot apply when a ``group_fn`` other than the
     key projection is set (a third independent projection the two interned
-    columns cannot express), or the projections themselves are not
-    columnar-representable (`RecordBatch.project` returned None) — in
-    which case the per-item shim proceeds exactly as before, with
-    ``columnar_fallback`` surfacing the reason.
+    columns cannot express) or the projections themselves are not
+    columnar-representable (`RecordBatch.project` returned None) — the
+    per-item shim then proceeds exactly as before.
     """
     query = plan.query
-    if query.key_fn is item_key and query.value_fn is item_value:
-        return stream, plan
-    if _np is None or os.environ.get("REPRO_NO_COLUMNAR"):
-        return stream, plan
+    if os.environ.get("REPRO_NO_COLUMNAR"):
+        return stream, plan, "columnar path disabled via REPRO_NO_COLUMNAR"
+    if _np is None:
+        return stream, plan, "numpy unavailable"
     if not isinstance(stream, RecordBatch):
-        return stream, plan
-    if query.group_fn is not None and query.group_fn is not query.key_fn:
-        return stream, plan
-    projected = stream.project(query.key_fn, query.value_fn)
-    if projected is None:
-        return stream, plan
-    interned = replace(
-        query,
-        key_fn=item_key,
-        value_fn=item_value,
-        group_fn=item_key if query.group_fn is not None else None,
-    )
-    return projected, replace(plan, query=interned)
-
-
-def _checkpoint_setup(
-    plan: ExecutionPlan, checkpoint_store: Optional[CheckpointStore]
-) -> Tuple[Optional[CheckpointStore], int]:
-    """Resolve the run's checkpoint store and cadence from the plan.
-
-    Returns ``(None, 1)`` when checkpointing is off.  Re-validates source
-    replayability here as a backstop: `ExecutionPlan.with_source` swaps
-    sources through ``dataclasses.replace`` without re-running the
-    planner's checks.
-    """
-    policy = plan.config.checkpoint
-    if policy is None:
-        return None, 1
-    if not plan.source.replayable:
-        raise PlanError(
-            "checkpointing requires a replayable source: resume replays the "
-            "stream from the checkpointed offset, which a "
-            f"{type(plan.source).__name__} cannot reproduce"
-        )
-    store = checkpoint_store if checkpoint_store is not None else CheckpointStore()
-    return store, policy.every
+        return stream, plan, "stream is not a RecordBatch"
+    canonical = query.key_fn is item_key and query.value_fn is item_value
+    if (
+        intern
+        and not canonical
+        and (query.group_fn is None or query.group_fn is query.key_fn)
+    ):
+        projected = stream.project(query.key_fn, query.value_fn)
+        if projected is not None:
+            interned = replace(
+                query,
+                key_fn=item_key,
+                value_fn=item_value,
+                group_fn=item_key if query.group_fn is not None else None,
+            )
+            stream, plan, canonical = projected, replace(plan, query=interned), True
+    if not canonical:
+        return stream, plan, "custom key/value projections (per-item shim)"
+    return stream, plan, stream.columnar_reason
 
 
 def _validate_resume(
@@ -303,6 +239,218 @@ def _validate_resume(
             f"beyond the source's {n_events} events; the replayed source must "
             "cover at least the checkpointed prefix"
         )
+
+
+class _AdHocBatchStrategy(BoundStrategy):
+    """A ``handle_batch`` override standing in as the run's bound strategy.
+
+    The hook samples the micro-batches; the rest is the inert base
+    behaviour — except snapshots: the hook carries state the runtime cannot
+    see, so checkpoint and resume are refused.
+    """
+
+    def __init__(self, plan: ExecutionPlan, handle_batch: HandleBatch) -> None:
+        super().__init__(get_strategy(plan.strategy), plan)
+        self.sample_batch = handle_batch
+
+    def state(self) -> dict:
+        raise PlanError(
+            "checkpoint/resume requires a registered sampling strategy; an "
+            "ad-hoc handle_batch override carries state the runtime cannot "
+            "snapshot"
+        )
+
+    def restore(self, state: dict) -> None:
+        self.state()
+
+
+class _Run:
+    """One run's state: built by `execute_plan`, handed to the engine.
+
+    What the three engines used to set up separately lives here once.
+    They read ``stream`` / ``plan`` (after projection interning),
+    ``columnar`` (the gate's verdict), ``strategy``, ``timer`` (a no-op
+    singleton when telemetry is off, so loops instrument unconditionally —
+    no branches and no dict lookups per interval), ``resume`` (the
+    checkpoint being resumed; its common part — strategy, controller,
+    emitted panes, pane index — is already restored) and ``info`` (the
+    caller's ``run_info``).
+    """
+
+    def __init__(
+        self, plan, handle_batch, checkpoint_store, resume_from, run_info, on_pane
+    ) -> None:
+        stream = _record_stream(plan.source)
+        # An ad-hoc handle_batch observes raw items — anything about them —
+        # so only strategy-driven runs may substitute the projected stream,
+        # and the hook gets the classic tuple-of-items micro-batches.
+        stream, plan, reason = _columnar_gate(stream, plan, handle_batch is None)
+        if handle_batch is not None and reason is None:
+            reason = "ad-hoc handle_batch override (per-item shim)"
+        self.stream, self.plan, self.columnar = stream, plan, reason is None
+        self.info = run_info if run_info is not None else {}
+        if reason:
+            self.info["columnar_fallback"] = reason
+        self.on_pane = on_pane
+
+        telemetry = run_telemetry(plan.config.telemetry)
+        if telemetry is None:
+            self.timer, self.trace, metrics = NULL_PANE_TIMER, NULL_TRACER, NULL_METRICS
+        else:
+            # Same channel as the fallback reasons; → SystemReport.telemetry.
+            self.info["telemetry"] = telemetry
+            self.timer, self.trace = telemetry.pane_timer(), telemetry.tracer
+            metrics = telemetry.metrics
+        self._observed = metrics.counter("items.observed")
+        self._kept = metrics.counter("items.sampled")
+        self._panes = metrics.counter("panes")
+        #: Items the sampling stage kept so far (``run_info["sampled_total"]``).
+        self.sampled_total = 0
+
+        if handle_batch is None:
+            self.strategy = get_strategy(plan.strategy).bind(plan)
+        else:
+            self.strategy = _AdHocBatchStrategy(plan, handle_batch)
+        self.strategy.attach_telemetry(telemetry)
+        self.controller: Optional[BudgetController] = None
+        if plan.config.budget is None:
+            self.first_budget = _interval_budget(stream, plan.window, plan.config)
+        else:
+            self.controller = BudgetController(
+                plan.config.budget, plan.config, plan.window
+            )
+            if telemetry is not None:
+                self.controller.attach_telemetry(telemetry)
+            # Latency and resource budgets bind before any pane has been
+            # observed.  Micro-batches take the seed as a fraction now; the
+            # interval engines' sampler is built from ``first_budget`` later.
+            per_slide = _per_slide_items(stream, plan.window)
+            self.first_budget = self.controller.initial_total(int(per_slide))
+            self._retarget(self.first_budget, per_slide)
+
+        self.store, self._every = None, 1
+        policy = plan.config.checkpoint
+        if policy is not None:
+            # Replayability is re-validated here as a backstop:
+            # `ExecutionPlan.with_source` swaps sources through
+            # ``dataclasses.replace`` without re-running the planner's checks.
+            if not plan.source.replayable:
+                raise PlanError(
+                    "checkpointing requires a replayable source: resume replays "
+                    "the stream from the checkpointed offset, which a "
+                    f"{type(plan.source).__name__} cannot reproduce"
+                )
+            self.store, self._every = checkpoint_store, policy.every
+            if checkpoint_store is None:
+                self.store = CheckpointStore()
+        self.results: List[WindowResult] = []
+        self.pane_index = 0
+        self.resume: Optional[PaneCheckpoint] = resume_from
+        if resume_from is not None:
+            _validate_resume(plan, resume_from, len(stream))
+            state = resume_from.state
+            self.strategy.restore(state["strategy"])
+            if self.controller is not None and state["controller"] is not None:
+                restore_controller(self.controller, state["controller"])
+            self.results = list(resume_from.results)
+            self.pane_index = resume_from.pane_index
+
+    def _retarget(self, total: int, interval_items: float) -> None:
+        """Actuate a budget decision through the bound strategy.
+
+        Micro-batches re-express the per-interval total as the sampling
+        fraction of the following batches; the interval engines re-target
+        the shared water-filling policy, which propagates to the
+        in-process and sharded samplers alike.
+        """
+        if self.plan.engine == "batched":
+            self.strategy.set_sampling_fraction(total / max(1, interval_items))
+        else:
+            self.strategy.set_interval_budget(total)
+
+    def interval_sampler(self):
+        """The interval engines' sampler, resumed if the run is.
+
+        §2.3: sub-stream sources are declared at the aggregator; the
+        allocator gets the stratum count so the first interval splits its
+        budget fairly.
+        """
+        sampler = self.strategy.interval_sampler(
+            self.first_budget, _strata_hint(self.stream, self.plan.query.key_fn)
+        )
+        if self.resume is not None:
+            restore_interval_sampler(sampler, self.resume.state["sampler"])
+        return sampler
+
+    def count(self, observed: int, kept: int) -> None:
+        """Account items the sampling stage saw and kept."""
+        self._observed.inc(observed)
+        self._kept.inc(kept)
+        self.sampled_total += kept
+
+    def close_pane(
+        self,
+        end: float,
+        estimate,
+        bound,
+        groups,
+        strata: Sequence[StratumStats],
+        sampled: int,
+        population: int,
+        stream_position: int,
+        engine_state: Callable[[], dict],
+    ) -> None:
+        """End the pane that fires at ``end`` — the same way on every engine.
+
+        In order: the §4.2 control step (the pane's stratum statistics and
+        measured margin re-derive the next interval's budget), the
+        worker-loss drain, the pane's `WindowResult`, ``on_pane``, and — when
+        the cadence says so — a checkpoint of the strategy, the controller
+        and whatever ``engine_state()`` adds (called only then) at
+        ``stream_position``, the first event with ``ts >= end``.  Closes
+        the pane's timer row and opens the next.
+        """
+        strategy, controller, timer = self.strategy, self.controller, self.timer
+        if controller is not None:
+            total = controller.on_pane(strata, bound, population)
+            self._retarget(total, controller.last_point.observed_items)
+        result = WindowResult(
+            end=end,
+            estimate=estimate,
+            exact=None,
+            error=bound,
+            groups=groups,
+            sampled_items=sampled,
+            total_items=population,
+            recovery=tuple(strategy.drain_recovery_events()),
+        )
+        self.results.append(result)
+        if self.on_pane is not None:
+            self.on_pane(result)
+        self.pane_index += 1
+        self._panes.inc()
+        timer.lap("estimate")
+        if self.store is not None and self.pane_index % self._every == 0:
+            state = engine_state()
+            state["strategy"] = strategy.state()
+            state["controller"] = (
+                controller_state(controller) if controller is not None else None
+            )
+            self.store.save(
+                PaneCheckpoint(
+                    plan_name=self.plan.name,
+                    engine=self.plan.engine,
+                    strategy=self.plan.strategy,
+                    pane_index=self.pane_index,
+                    pane_end=end,
+                    stream_position=stream_position,
+                    results=tuple(self.results),
+                    state=state,
+                )
+            )
+            timer.lap("checkpoint")
+        timer.close(self.pane_index, end=end)
+        timer.open()
 
 
 def execute_plan(
@@ -328,14 +476,17 @@ def execute_plan(
     bitwise identical to the uninterrupted run's.
 
     ``run_info``, when given, collects run diagnostics the result tuple
-    has no room for — currently ``"parallel_fallback"``, the reason a
+    has no room for — ``"parallel_fallback"``, the reason a
     ``parallelism > 1`` plan degraded to in-process sampling (absent when
     the worker pool stayed healthy), ``"columnar_fallback"``,
     ``"telemetry"`` (the live `repro.obs.RunTelemetry` when the config
-    enables it), and ``"sampled_total"`` — the items the sampling stage
+    enables it), ``"sampled_total"`` — the items the sampling stage
     actually kept across the run's intervals, the measured actual the
     serving layer's settle-up reconciles against its pre-run cost
-    estimate.
+    estimate — and, on the direct engine, ``"sampling_seconds"``: the wall
+    time spent inside the sampling path itself (the
+    offer/process_chunk/shard section), the number the chunked and sharded
+    fast paths improve.
 
     ``on_pane``, when given, is called with each `WindowResult` the moment
     its pane closes — the streaming hook the serving layer
@@ -344,88 +495,44 @@ def execute_plan(
     from the checkpoint.  The callback runs inline on the driver's thread;
     it must not block.
     """
-    if plan.engine == "batched":
-        return run_batched(
-            plan,
-            handle_batch=handle_batch,
-            adaptation_log=adaptation_log,
-            checkpoint_store=checkpoint_store,
-            resume_from=resume_from,
-            run_info=run_info,
-            on_pane=on_pane,
-        )
-    if handle_batch is not None:
+    ingest = _INGEST.get(plan.engine)
+    if ingest is None:
+        raise PlanError(f"unknown engine {plan.engine!r}")
+    if handle_batch is not None and plan.engine != "batched":
         raise PlanError("handle_batch overrides only apply to the batched engine")
-    if plan.engine == "pipelined":
-        return run_pipelined(
-            plan,
-            adaptation_log=adaptation_log,
-            checkpoint_store=checkpoint_store,
-            resume_from=resume_from,
-            run_info=run_info,
-            on_pane=on_pane,
+    run = _Run(plan, handle_batch, checkpoint_store, resume_from, run_info, on_pane)
+    try:
+        run.trace.begin(
+            "run", system=plan.name, engine=plan.engine, strategy=plan.strategy
         )
-    if plan.engine == "direct":
-        results, cluster, _sampling_seconds = run_direct(
-            plan,
-            adaptation_log=adaptation_log,
-            checkpoint_store=checkpoint_store,
-            resume_from=resume_from,
-            run_info=run_info,
-            on_pane=on_pane,
-        )
-        return results, cluster
-    raise PlanError(f"unknown engine {plan.engine!r}")
-
-
-def _finish_run(bound_strategy, run_info: Optional[dict]) -> None:
-    """Shared driver epilogue: report diagnostics, drain worker pools.
-
-    Runs in each loop's ``finally`` so the persistent shard pool is
-    released on success *and* on error/crash paths; the fallback reason is
-    read first because ``close`` is allowed to forget it.
-    """
-    if bound_strategy is None:
-        return
-    if run_info is not None:
-        reason = bound_strategy.parallel_fallback()
+        run.timer.open()
+        cluster = ingest(run)
+    finally:
+        # Runs on success *and* on error/crash paths so the persistent shard
+        # pool is always released; the fallback reason is read first because
+        # ``close`` is allowed to forget it.
+        reason = run.strategy.parallel_fallback()
         if reason:
-            run_info["parallel_fallback"] = reason
-    bound_strategy.close()
+            run.info["parallel_fallback"] = reason
+        run.strategy.close()
+        run.trace.close()
+    run.info["sampled_total"] = run.sampled_total
+    if run.controller is not None and adaptation_log is not None:
+        adaptation_log.extend(run.controller.trajectory)
+    return run.results, cluster
 
 
-# ---------------------------------------------------------------------------
-# Batched engine (Spark-Streaming-style micro-batches)
-# ---------------------------------------------------------------------------
+def _ingest_batched(run: _Run) -> SimulatedCluster:
+    """Micro-batch skeleton (§5.5): chop the stream into ``batch_interval``
+    batches, call the strategy's ``sample_batch`` for each, and close a
+    sliding-window pane every ``slide`` seconds over the merged in-window
+    batch samples.
 
-
-def run_batched(
-    plan: ExecutionPlan,
-    handle_batch: Optional[HandleBatch] = None,
-    adaptation_log: Optional[List[AdaptationPoint]] = None,
-    checkpoint_store: Optional[CheckpointStore] = None,
-    resume_from: Optional[PaneCheckpoint] = None,
-    run_info: Optional[dict] = None,
-    on_pane: Optional[Callable[[WindowResult], None]] = None,
-) -> Tuple[List[WindowResult], SimulatedCluster]:
-    """Micro-batch loop: per-batch sampling, per-slide pane estimation.
-
-    Budget-driven plans add a control step at every pane close: the pane's
-    stratum statistics and measured margin go through the
-    `BudgetController`, and the resulting per-interval sample budget is
-    re-expressed as the sampling fraction the strategy applies to the
-    following micro-batches.
-
-    Checkpoints capture the bound strategy (RNG + policy + sampler), the
-    controller, and the in-window batch-sample history; resume replays
+    Its checkpoints add the in-window batch-sample history; resume replays
     micro-batches from the checkpointed pane boundary (``Batcher`` started
     at ``pane_end`` over the unconsumed stream suffix).
     """
-    stream = _record_stream(plan.source)
-    if handle_batch is None:
-        # An ad-hoc handle_batch observes raw items; only strategy-driven
-        # runs may substitute the projected stream.
-        stream, plan = _intern_projections(stream, plan)
+    stream, plan, timer = run.stream, run.plan, run.timer
     config, window, query = plan.config, plan.window, plan.query
     ctx = StreamingContext(
         batch_interval=config.batch_interval,
@@ -433,473 +540,148 @@ def run_batched(
         cores_per_node=config.cores_per_node,
         costs=config.costs,
     )
-    bound_strategy = None
-    columnar_reason = _columnar_reason(stream, query)
-    if handle_batch is None:
-        bound_strategy = get_strategy(plan.strategy).bind(plan)
-        handle_batch = bound_strategy.sample_batch
-    elif columnar_reason is None:
-        # An ad-hoc sampling hook can observe anything about its items, so
-        # it gets the classic tuple-of-items micro-batches.
-        columnar_reason = "ad-hoc handle_batch override (per-item shim)"
-    _note_columnar(run_info, columnar_reason)
-    telemetry, timer, trace = _telemetry_setup(plan, run_info)
-    if bound_strategy is not None:
-        bound_strategy.attach_telemetry(telemetry)
-    metrics = telemetry.metrics if telemetry is not None else NULL_METRICS
-    observed_counter = metrics.counter("items.observed")
-    kept_counter = metrics.counter("items.sampled")
-    pane_counter = metrics.counter("panes")
-    store, every = _checkpoint_setup(plan, checkpoint_store)
-    if (store is not None or resume_from is not None) and bound_strategy is None:
-        raise PlanError(
-            "checkpoint/resume requires a registered sampling strategy; an "
-            "ad-hoc handle_batch override carries state the runtime cannot "
-            "snapshot"
-        )
-    controller = _make_controller(plan, telemetry)
-    if controller is not None and bound_strategy is not None:
-        # Seed the first interval's fraction from the budget (latency and
-        # resource budgets bind before any pane has been observed).
-        per_slide_est = _per_slide_items(stream, window)
-        initial_total = controller.initial_total(int(per_slide_est))
-        bound_strategy.set_sampling_fraction(initial_total / max(1.0, per_slide_est))
     per_slide = int(round(window.slide / config.batch_interval))
     per_window = int(round(window.length / config.batch_interval))
-
     history: List[WeightedSample] = []
-    results: List[WindowResult] = []
     consumed = 0
-    pane_index = 0
-    if resume_from is not None:
-        _validate_resume(plan, resume_from, len(stream))
-        state = resume_from.state
-        bound_strategy.restore(state["strategy"])
-        if controller is not None and state["controller"] is not None:
-            restore_controller(controller, state["controller"])
-        history = list(state["history"])
-        results = list(resume_from.results)
-        consumed = resume_from.stream_position
-        pane_index = resume_from.pane_index
+    if run.resume is not None:
+        history = list(run.resume.state["history"])
+        consumed = run.resume.stream_position
         # Micro-batches restart at the checkpointed pane boundary: batch
         # ends stay absolute (Batcher's start offsets them) and the pane
         # fires every per_slide batches exactly as the uninterrupted run's
-        # global batch indexing would.
-        batcher = Batcher(config.batch_interval, start=resume_from.pane_end)
-        feed = stream[consumed:]
+        # global batch indexing would.  The replayed suffix is a plain
+        # list, so it goes through the classic per-item batcher.
+        batcher = Batcher(config.batch_interval, start=run.resume.pane_end)
+        batches = batcher.batches(stream[consumed:])
+    elif run.columnar:
+        # Boundaries via searchsorted on the cached timestamp column,
+        # micro-batch items as zero-copy column views — bitwise-identical
+        # batch tiling (see `Batcher.batches_columnar`).
+        batches = ctx.batcher().batches_columnar(stream)
     else:
-        batcher = ctx.batcher()
-        feed = stream
-    # Columnar micro-batching: boundaries via searchsorted on the cached
-    # timestamp column, micro-batch items as zero-copy column views —
-    # bitwise-identical batch tiling (see `Batcher.batches_columnar`).
-    # Resume replays the stream suffix (a plain list) through the classic
-    # per-item batcher; results are identical either way.
-    if columnar_reason is None and resume_from is None:
-        batch_iter = batcher.batches_columnar(feed)
-    else:
-        batch_iter = batcher.batches(feed)
-    sampled_total = 0
-    try:
-        trace.begin(
-            "run", system=plan.name, engine="batched", strategy=plan.strategy
-        )
-        timer.open()
-        for batch in batch_iter:
-            timer.lap("ingest")
-            batch_sample = handle_batch(ctx, batch.items)
-            history.append(batch_sample)
-            timer.lap("offer")
-            sampled_total += batch_sample.total_items
-            observed_counter.inc(len(batch.items))
-            kept_counter.inc(batch_sample.total_items)
-            consumed += len(batch.items)
-            if len(history) > per_window:
-                del history[: len(history) - per_window]
-            if (batch.index + 1) % per_slide == 0:
-                pane_sample = combine_worker_samples(history[-per_window:])
-                estimate, bound, groups, strata = estimate_pane_stats(
-                    pane_sample, query, config.confidence
-                )
-                if controller is not None:
-                    next_total = controller.on_pane(
-                        strata, bound, pane_sample.total_count
-                    )
-                    if bound_strategy is not None:
-                        observed = controller.last_point.observed_items
-                        bound_strategy.set_sampling_fraction(
-                            min(1.0, next_total / max(1, observed))
-                        )
-                recovery = (
-                    tuple(bound_strategy.drain_recovery_events())
-                    if bound_strategy is not None
-                    else ()
-                )
-                results.append(
-                    WindowResult(
-                        end=batch.end,
-                        estimate=estimate,
-                        exact=None,
-                        error=bound,
-                        groups=groups,
-                        sampled_items=pane_sample.total_items,
-                        total_items=pane_sample.total_count,
-                        recovery=recovery,
-                    )
-                )
-                # Released before the next micro-batch is sampled; the batch
-                # samples it was merged from live on in history.
-                del pane_sample
-                if on_pane is not None:
-                    on_pane(results[-1])
-                pane_index += 1
-                pane_counter.inc()
-                timer.lap("estimate")
-                if store is not None and pane_index % every == 0:
-                    # ``consumed`` counts only items in yielded batches; the
-                    # boundary-crossing trigger item sits in the batcher's
-                    # buffer, so the position is exactly the first event with
-                    # ts >= this pane's end.
-                    store.save(
-                        PaneCheckpoint(
-                            plan_name=plan.name,
-                            engine=plan.engine,
-                            strategy=plan.strategy,
-                            pane_index=pane_index,
-                            pane_end=batch.end,
-                            stream_position=consumed,
-                            results=tuple(results),
-                            state={
-                                "strategy": bound_strategy.state(),
-                                "controller": (
-                                    controller_state(controller)
-                                    if controller is not None
-                                    else None
-                                ),
-                                "history": tuple(history),
-                            },
-                        )
-                    )
-                    timer.lap("checkpoint")
-                timer.close(pane_index, end=batch.end)
-                timer.open()
-    finally:
-        _finish_run(bound_strategy, run_info)
-        trace.close()
-    if run_info is not None:
-        run_info["sampled_total"] = sampled_total
-    if controller is not None and adaptation_log is not None:
-        adaptation_log.extend(controller.trajectory)
-    return results, ctx.cluster
+        batches = ctx.batcher().batches(stream)
+    for batch in batches:
+        timer.lap("ingest")
+        sample = run.strategy.sample_batch(ctx, batch.items)
+        history.append(sample)
+        timer.lap("offer")
+        run.count(len(batch.items), sample.total_items)
+        consumed += len(batch.items)
+        if len(history) > per_window:
+            del history[: len(history) - per_window]
+        if (batch.index + 1) % per_slide == 0:
+            pane = combine_worker_samples(history[-per_window:])
+            estimate, bound, groups, strata = estimate_pane_stats(
+                pane, query, config.confidence
+            )
+            sampled, population = pane.total_items, pane.total_count
+            # Released before the next micro-batch is sampled; the batch
+            # samples it was merged from live on in history.
+            del pane
+            # ``consumed`` counts only items in yielded batches; the
+            # boundary-crossing trigger item sits in the batcher's buffer,
+            # so the position is exactly the first event with
+            # ts >= this pane's end.
+            run.close_pane(
+                batch.end, estimate, bound, groups, strata, sampled, population,
+                consumed, lambda: {"history": tuple(history)},
+            )
+    return ctx.cluster
 
 
-# ---------------------------------------------------------------------------
-# Pipelined engine (Flink-style push-based operators)
-# ---------------------------------------------------------------------------
+def _ingest_pipelined(run: _Run) -> SimulatedCluster:
+    """Operator pipeline: per-item (or ``chunk_size``-run) flow, panes at
+    watermarks.  Interval-sampling strategies insert the OASRS operator
+    (§4.2.2); ``none`` aggregates exact panes.
 
-
-def run_pipelined(
-    plan: ExecutionPlan,
-    adaptation_log: Optional[List[AdaptationPoint]] = None,
-    checkpoint_store: Optional[CheckpointStore] = None,
-    resume_from: Optional[PaneCheckpoint] = None,
-    run_info: Optional[dict] = None,
-    on_pane: Optional[Callable[[WindowResult], None]] = None,
-) -> Tuple[List[WindowResult], SimulatedCluster]:
-    """Operator pipeline: per-item (or chunked) flow, panes at watermarks.
-
-    Budget-driven plans run the control step inside the pane aggregation:
-    each fired pane's statistics re-derive the shared water-filling
-    policy's budget before the sampling operator opens the next interval.
-
-    Checkpoints are taken in the window operator's pane hook (sampled
-    path) or the pane aggregation itself (exact path); resume preloads the
-    operator's window state and restarts the dataflow at the checkpointed
-    pane boundary over the unconsumed stream suffix.
+    The window operator hands each fired pane to a callback that estimates
+    it and calls `_Run.close_pane`, so the control step runs before the
+    sampling operator opens the next interval.  Checkpoints add the
+    interval sampler and the operator's window state (recent interval
+    samples, or the exact path's buffered items); resume preloads it and
+    restarts the dataflow at the checkpointed pane boundary over the
+    unconsumed stream suffix.
     """
-    stream = _record_stream(plan.source)
-    stream, plan = _intern_projections(stream, plan)
+    stream, plan, timer = run.stream, run.plan, run.timer
     config, window, query = plan.config, plan.window, plan.query
     cluster = SimulatedCluster(
         nodes=config.nodes, cores_per_node=config.cores_per_node, costs=config.costs
     )
-    confidence = config.confidence
-    columnar_reason = _columnar_reason(stream, query)
-    _note_columnar(run_info, columnar_reason)
-    use_columns = columnar_reason is None
-    telemetry, timer, trace = _telemetry_setup(plan, run_info)
-    metrics = telemetry.metrics if telemetry is not None else NULL_METRICS
-    observed_counter = metrics.counter("items.observed")
-    kept_counter = metrics.counter("items.sampled")
-    pane_counter = metrics.counter("panes")
-    bound_strategy = get_strategy(plan.strategy).bind(plan)
-    bound_strategy.attach_telemetry(telemetry)
-    controller = _make_controller(plan, telemetry)
-    store, every = _checkpoint_setup(plan, checkpoint_store)
-    if resume_from is not None:
-        _validate_resume(plan, resume_from, len(stream))
     last_ts = stream[-1][0] if stream else 0.0
-    timestamp_of = itemgetter(0)
-    prior_results: List[WindowResult] = (
-        list(resume_from.results) if resume_from is not None else []
+    start, feed, window_state = 0.0, stream, {}
+    if run.resume is not None:
+        start, window_state = run.resume.pane_end, run.resume.state
+        feed = stream[run.resume.stream_position :]
+    pipeline = Pipeline(cluster)
+    if run.strategy.samples_intervals:
+        sampler = run.interval_sampler()
+
+        def count_kept(sample):
+            kept = sample.total_items
+            run.count(0, kept)
+            return kept
+
+        def close_sampled(end, merged, recent):
+            # The end-of-stream flush pane covers a partial interval beyond
+            # the last watermark; the batched engine emits no such pane, so
+            # keeping it would skew cross-system accuracy comparisons.
+            if end > last_ts:
+                return
+            timer.lap("offer")
+            estimate, bound, groups, strata = estimate_pane_stats(
+                merged, query, config.confidence
+            )
+            run.close_pane(
+                end, estimate, bound, groups, strata,
+                merged.total_items, merged.total_count,
+                bisect_left(stream, end, key=_timestamp_of),
+                lambda: {
+                    "sampler": interval_sampler_state(sampler), "recent": recent,
+                },
+            )
+
+        run.count(len(feed), 0)
+        pipeline.sample_oasrs(sampler, slide=window.slide, start=start).charge(
+            count_fn=count_kept
+        ).window_samples(
+            intervals_per_window=window.intervals_per_window,
+            aggregate=close_sampled,
+            charge_processing=False,
+            preload=window_state.get("recent"),
+        )
+    else:
+
+        def close_exact(end, pane_items):
+            if end > last_ts:
+                return  # the flush pane, as above
+            timer.lap("ingest")
+            sample = full_weight_sample(
+                [item for _ts, item in pane_items], query.key_fn
+            )
+            estimate, bound, groups = estimate_pane(sample, query, config.confidence)
+            kept = sample.total_items
+            run.close_pane(
+                end, estimate, bound, groups, (), kept, kept,
+                bisect_left(stream, end, key=_timestamp_of),
+                lambda: {"pane_items": tuple(pane_items)},
+            )
+
+        # The exact path consumes every item at full weight: its sample
+        # cost *is* the stream.
+        run.count(len(feed), len(feed))
+        pipeline.charge().window(  # per-item query processing, charged once
+            length=window.length,
+            slide=window.slide,
+            aggregate=close_exact,
+            start=start,
+            charge_processing=False,
+            preload=window_state.get("pane_items"),
+        )
+    pipeline.sink_collect().run(
+        feed, chunk_size=config.chunk_size, columnar=run.columnar
     )
-    # Pane bookkeeping shared by the operator hooks (closures cannot rebind
-    # locals of this frame).
-    pane_meta = {
-        "index": resume_from.pane_index if resume_from is not None else 0,
-        "emitted": list(prior_results),
-        "value": None,
-    }
-    # Telemetry cells shared by the operator hooks: pane ordinal for the
-    # pane timer, kept-count accumulator for the settle-up ledger.
-    tel_pane = [0]
-    kept_cell = [0]
-
-    try:
-        trace.begin(
-            "run", system=plan.name, engine="pipelined", strategy=plan.strategy
-        )
-        if bound_strategy.samples_intervals:
-            if controller is not None:
-                initial = controller.initial_total(int(_per_slide_items(stream, window)))
-            else:
-                initial = _interval_budget(stream, window, config)
-            # §2.3: sub-stream sources are declared at the aggregator; give the
-            # allocator the stratum count so the first interval splits fairly.
-            sampler = bound_strategy.interval_sampler(
-                initial,
-                _strata_hint(stream, query.key_fn) if stream else 1,
-            )
-            op_start = 0.0
-            preload = None
-            feed = stream
-            if resume_from is not None:
-                state = resume_from.state
-                bound_strategy.restore(state["strategy"])
-                restore_interval_sampler(sampler, state["sampler"])
-                if controller is not None and state["controller"] is not None:
-                    restore_controller(controller, state["controller"])
-                preload = list(state["recent"])
-                op_start = resume_from.pane_end
-                feed = stream[resume_from.stream_position :]
-
-            def count_kept(sample):
-                kept = sample.total_items
-                kept_cell[0] += kept
-                kept_counter.inc(kept)
-                return kept
-
-            def aggregate_samples(merged):
-                timer.open()
-                estimate, bound, groups, strata = estimate_pane_stats(
-                    merged, query, confidence
-                )
-                if controller is not None:
-                    bound_strategy.set_interval_budget(
-                        controller.on_pane(strata, bound, merged.total_count)
-                    )
-                recovery = tuple(bound_strategy.drain_recovery_events())
-                timer.lap("estimate")
-                tel_pane[0] += 1
-                pane_counter.inc()
-                timer.close(tel_pane[0])
-                value = (
-                    estimate, bound, groups, merged.total_items, merged.total_count,
-                    recovery,
-                )
-                pane_meta["value"] = value
-                return value
-
-            state_hook = None
-            if store is not None or on_pane is not None:
-
-                def state_hook(ts, recent):
-                    if ts > last_ts:
-                        return  # end-of-stream flush pane: dropped below too
-                    estimate, bound, groups, kept, total, recovery = pane_meta["value"]
-                    pane_meta["index"] += 1
-                    pane_meta["emitted"].append(
-                        WindowResult(
-                            end=ts,
-                            estimate=estimate,
-                            exact=None,
-                            error=bound,
-                            groups=groups,
-                            sampled_items=kept,
-                            total_items=total,
-                            recovery=recovery,
-                        )
-                    )
-                    if on_pane is not None:
-                        on_pane(pane_meta["emitted"][-1])
-                    if store is None or pane_meta["index"] % every:
-                        return
-                    save_started = (
-                        time.perf_counter() if telemetry is not None else 0.0
-                    )
-                    store.save(
-                        PaneCheckpoint(
-                            plan_name=plan.name,
-                            engine=plan.engine,
-                            strategy=plan.strategy,
-                            pane_index=pane_meta["index"],
-                            pane_end=ts,
-                            stream_position=bisect_left(stream, ts, key=timestamp_of),
-                            results=tuple(pane_meta["emitted"]),
-                            state={
-                                "strategy": bound_strategy.state(),
-                                "sampler": interval_sampler_state(sampler),
-                                "controller": (
-                                    controller_state(controller)
-                                    if controller is not None
-                                    else None
-                                ),
-                                "recent": tuple(recent),
-                            },
-                        )
-                    )
-                    if telemetry is not None:
-                        telemetry.note_stage(
-                            "checkpoint", save_started, time.perf_counter()
-                        )
-
-            observed_counter.inc(len(feed))
-            raw = (
-                Pipeline(cluster)
-                .sample_oasrs(sampler, slide=window.slide, start=op_start)
-                .charge(count_fn=count_kept)
-                .window_samples(
-                    intervals_per_window=window.intervals_per_window,
-                    aggregate=aggregate_samples,
-                    charge_processing=False,
-                    preload=preload,
-                    state_hook=state_hook,
-                )
-                .sink_collect()
-                .run(feed, chunk_size=config.chunk_size, columnar=use_columns)
-            )
-            records = [
-                (ts, estimate, bound, groups, kept, total, recovery)
-                for ts, (estimate, bound, groups, kept, total, recovery) in raw
-            ]
-        else:
-            op_start = 0.0
-            preload = None
-            feed = stream
-            if resume_from is not None:
-                state = resume_from.state
-                bound_strategy.restore(state["strategy"])
-                preload = list(state["pane_items"])
-                op_start = resume_from.pane_end
-                feed = stream[resume_from.stream_position :]
-
-            def aggregate_exact(pane_items):
-                timer.open()
-                sample = full_weight_sample([item for _ts, item in pane_items], query.key_fn)
-                estimate, bound, groups = estimate_pane(sample, query, confidence)
-                timer.lap("estimate")
-                if store is not None or on_pane is not None:
-                    # Sliding-window panes fire at consecutive slide multiples
-                    # from the operator's start, so the pane count recovers the
-                    # absolute fire time the aggregate callback never sees.
-                    pane_meta["index"] += 1
-                    end = op_start + (pane_meta["index"] - pane_meta["base"]) * window.slide
-                    if end <= last_ts:
-                        pane_meta["emitted"].append(
-                            WindowResult(
-                                end=end,
-                                estimate=estimate,
-                                exact=None,
-                                error=bound,
-                                groups=groups,
-                                sampled_items=sample.total_items,
-                                total_items=sample.total_items,
-                            )
-                        )
-                        if on_pane is not None:
-                            on_pane(pane_meta["emitted"][-1])
-                        if store is not None and pane_meta["index"] % every == 0:
-                            store.save(
-                                PaneCheckpoint(
-                                    plan_name=plan.name,
-                                    engine=plan.engine,
-                                    strategy=plan.strategy,
-                                    pane_index=pane_meta["index"],
-                                    pane_end=end,
-                                    stream_position=bisect_left(
-                                        stream, end, key=timestamp_of
-                                    ),
-                                    results=tuple(pane_meta["emitted"]),
-                                    state={
-                                        "strategy": bound_strategy.state(),
-                                        "pane_items": tuple(pane_items),
-                                    },
-                                )
-                            )
-                            timer.lap("checkpoint")
-                tel_pane[0] += 1
-                pane_counter.inc()
-                timer.close(tel_pane[0])
-                return estimate, bound, groups, sample.total_items
-
-            pane_meta["base"] = pane_meta["index"]
-            # The exact path consumes every item at full weight: its sample
-            # cost *is* the stream.
-            kept_cell[0] = len(feed)
-            observed_counter.inc(len(feed))
-            kept_counter.inc(len(feed))
-            raw = (
-                Pipeline(cluster)
-                .charge()  # per-item query processing, charged exactly once
-                .window(
-                    length=window.length,
-                    slide=window.slide,
-                    aggregate=aggregate_exact,
-                    start=op_start,
-                    charge_processing=False,
-                    preload=preload,
-                )
-                .sink_collect()
-                .run(feed, chunk_size=config.chunk_size, columnar=use_columns)
-            )
-            records = [
-                (ts, estimate, bound, groups, n, n, ())
-                for ts, (estimate, bound, groups, n) in raw
-            ]
-
-    finally:
-        _finish_run(bound_strategy, run_info)
-        trace.close()
-    if run_info is not None:
-        run_info["sampled_total"] = kept_cell[0]
-
-    # Drop the end-of-stream flush pane (it covers a partial interval beyond
-    # the last watermark); the batched engine emits no such pane, so keeping
-    # it would skew cross-system accuracy comparisons.
-    results: List[WindowResult] = list(prior_results)
-    for ts, estimate, bound, groups, kept, total, recovery in records:
-        if ts > last_ts:
-            continue
-        results.append(
-            WindowResult(
-                end=ts,
-                estimate=estimate,
-                exact=None,
-                error=bound,
-                groups=groups,
-                sampled_items=kept,
-                total_items=total,
-                recovery=recovery,
-            )
-        )
-    if controller is not None and adaptation_log is not None:
-        adaptation_log.extend(controller.trajectory[: len(results)])
-    return results, cluster
-
-
-# ---------------------------------------------------------------------------
-# Direct engine (the repo's own chunked/sharded executor)
-# ---------------------------------------------------------------------------
+    return cluster
 
 
 def _interval_moments(sample, value_fn):
@@ -976,78 +758,41 @@ def _pane_stats(moment_sets) -> List[StratumStats]:
     return strata
 
 
-def run_direct(
-    plan: ExecutionPlan,
-    adaptation_log: Optional[List[AdaptationPoint]] = None,
-    checkpoint_store: Optional[CheckpointStore] = None,
-    resume_from: Optional[PaneCheckpoint] = None,
-    run_info: Optional[dict] = None,
-    on_pane: Optional[Callable[[WindowResult], None]] = None,
-) -> Tuple[List[WindowResult], SimulatedCluster, float]:
+def _ingest_direct(run: _Run) -> SimulatedCluster:
     """Interval loop over the raw sampling stack; no engine in the hot path.
 
-    Returns ``(results, cluster, sampling_seconds)`` where the last element
-    is the wall time spent inside the sampling path itself (the
-    offer/process_chunk/shard section) — the number the chunked and sharded
-    fast paths improve, reported by
-    `repro.system.native.NativeStreamApproxSystem.timed_execute`.
+    Leaves ``run_info["sampling_seconds"]`` (see `execute_plan`), reported by
+    `repro.system.native.NativeStreamApproxSystem.last_sampling_seconds`.
 
     Sharded samplers get the stream pinned up front (``pin_source``), so
     the persistent worker pool forks with the stream already in memory and
     each interval crosses the process boundary as a ``[lo, hi)`` index
     span; the pool spawns on the first parallel interval and is drained in
-    the loop's ``finally``.
+    `execute_plan`'s ``finally``.
 
-    Checkpoints capture the interval sampler (in-process or sharded), the
-    bound strategy, the controller, and the in-window interval history;
-    resume restarts the interval loop at the checkpointed boundary.
+    Checkpoints add the interval sampler (in-process or sharded) and the
+    in-window interval history; resume restarts the interval loop at the
+    checkpointed boundary.
     """
-    stream = _record_stream(plan.source)
-    stream, plan = _intern_projections(stream, plan)
+    stream, plan, timer = run.stream, run.plan, run.timer
     config, window, query = plan.config, plan.window, plan.query
     cluster = SimulatedCluster(
         nodes=config.nodes, cores_per_node=config.cores_per_node, costs=config.costs
     )
-    results: List[WindowResult] = []
-    if not stream:
-        if resume_from is not None:
-            results = list(resume_from.results)
-        return results, cluster, 0.0
-    columnar_reason = _columnar_reason(stream, query)
-    _note_columnar(run_info, columnar_reason)
     # Columnar hot loop: interval boundaries from searchsorted on the
     # timestamp column, chunk feeding through zero-copy column views.
-    ts_col = stream.ts if columnar_reason is None else None
-    telemetry, timer, trace = _telemetry_setup(plan, run_info)
-    metrics = telemetry.metrics if telemetry is not None else NULL_METRICS
-    observed_counter = metrics.counter("items.observed")
-    kept_counter = metrics.counter("items.sampled")
-    pane_counter = metrics.counter("panes")
-    controller = _make_controller(plan, telemetry)
-    if controller is not None:
-        initial = controller.initial_total(int(_per_slide_items(stream, window)))
-    else:
-        initial = _interval_budget(stream, window, config)
-    # Per-interval budget shared with the pipelined engine, with the
-    # declared strata splitting the first interval's allocation.
-    bound_strategy = get_strategy(plan.strategy).bind(plan)
-    bound_strategy.attach_telemetry(telemetry)
-    sampler = bound_strategy.interval_sampler(
-        initial, _strata_hint(stream, query.key_fn)
-    )
-    # Sharded samplers expose whole-interval entry points; use them to skip
+    ts_col = stream.ts if run.columnar else None
+    sampler = run.interval_sampler()
+    # Sharded samplers expose a whole-interval entry point; use it to skip
     # the per-item offer buffering (the executor chunks internally).  With
     # the stream pinned before the pool spawns, forked workers inherit it
     # and an interval is addressed by its index span alone.
-    run_interval = getattr(sampler, "run_interval", None)
     run_span = getattr(sampler, "run_interval_span", None)
     if run_span is not None:
         sampler.pin_source(stream)
-    # Stage label for the sampling section: the sharded entry points cross
+    # Stage label for the sampling section: the sharded entry point crosses
     # the worker-pool transport; the in-process paths are plain offers.
-    sampling_stage = "transport" if run_interval is not None else "offer"
-    store, every = _checkpoint_setup(plan, checkpoint_store)
-
+    sampling_stage = "transport" if run_span is not None else "offer"
     chunk = config.chunk_size
     history = deque(maxlen=window.intervals_per_window)
     sampling_seconds = 0.0
@@ -1057,165 +802,99 @@ def run_direct(
     # interval, final partial interval keeps its nominal end).
     n = len(stream)
     slide = window.slide
-    timestamp_of = itemgetter(0)
     start_idx = 0
     boundary = slide
-    pane_index = 0
-    if resume_from is not None:
-        _validate_resume(plan, resume_from, n)
-        state = resume_from.state
-        bound_strategy.restore(state["strategy"])
-        restore_interval_sampler(sampler, state["sampler"])
-        if controller is not None and state["controller"] is not None:
-            restore_controller(controller, state["controller"])
-        history.extend(state["history"])
-        results = list(resume_from.results)
-        start_idx = resume_from.stream_position
-        boundary = resume_from.pane_end + slide
-        pane_index = resume_from.pane_index
-    sampled_total = 0
-    try:
-        trace.begin(
-            "run", system=plan.name, engine="direct", strategy=plan.strategy
-        )
-        while start_idx < n:
-            timer.open()
+    if run.resume is not None:
+        history.extend(run.resume.state["history"])
+        start_idx = run.resume.stream_position
+        boundary = run.resume.pane_end + slide
+    while start_idx < n:
+        if ts_col is not None:
+            # Equivalent to the bisect below: the column holds the very
+            # same float timestamps, "left" matches bisect_left.
+            end_idx = int(_np.searchsorted(ts_col, boundary, side="left"))
+        else:
+            end_idx = bisect_left(stream, boundary, lo=start_idx, key=_timestamp_of)
+        lo = start_idx
+        start_idx = end_idx
+        pane_end = boundary
+        boundary += slide
+        cluster.sample_items(end_idx - lo, "oasrs")
+        timer.lap("ingest")
+        sampling_started = time.perf_counter()
+        if run_span is not None:
+            # Span-addressed sharding: no item materialization here at all;
+            # pooled workers slice their shard from the pinned stream.
+            sample = run_span(lo, end_idx)
+        elif chunk > 1 and end_idx - lo > 1:
+            process_chunk = sampler.process_chunk
             if ts_col is not None:
-                # Equivalent to the bisect below: the column holds the very
-                # same float timestamps, "left" matches bisect_left.
-                end_idx = int(_np.searchsorted(ts_col, boundary, side="left"))
+                # Column hand-off: each chunk is a zero-copy view; the
+                # sampler's columnar kernel groups strata by interned
+                # code with the same first-appearance order (and RNG
+                # stream) as the per-item dict grouping.
+                view = stream.item_slice(lo, end_idx)
+                for start in range(0, end_idx - lo, chunk):
+                    process_chunk(view[start : start + chunk])
             else:
-                end_idx = bisect_left(
-                    stream, boundary, lo=start_idx, key=timestamp_of
-                )
-            lo = start_idx
-            start_idx = end_idx
-            pane_end = boundary
-            boundary += slide
-            cluster.sample_items(end_idx - lo, "oasrs")
-            timer.lap("ingest")
-            sampling_started = time.perf_counter()
-            if run_span is not None:
-                # Span-addressed sharding: no item materialization here at all;
-                # pooled workers slice their shard from the pinned stream.
-                sample = run_span(lo, end_idx)
-            elif run_interval is not None:
-                if ts_col is not None:
-                    sample = run_interval(stream.item_slice(lo, end_idx))
-                else:
-                    sample = run_interval([item for _ts, item in stream[lo:end_idx]])
-            elif chunk > 1 and end_idx - lo > 1:
-                process_chunk = sampler.process_chunk
-                if ts_col is not None:
-                    # Column hand-off: each chunk is a zero-copy view; the
-                    # sampler's columnar kernel groups strata by interned
-                    # code with the same first-appearance order (and RNG
-                    # stream) as the per-item dict grouping.
-                    view = stream.item_slice(lo, end_idx)
-                    for start in range(0, end_idx - lo, chunk):
-                        process_chunk(view[start : start + chunk])
-                else:
-                    items = [item for _ts, item in stream[lo:end_idx]]
-                    for start in range(0, len(items), chunk):
-                        process_chunk(items[start : start + chunk])
-                sample = sampler.close_interval()
+                items = [item for _ts, item in stream[lo:end_idx]]
+                for start in range(0, len(items), chunk):
+                    process_chunk(items[start : start + chunk])
+            sample = sampler.close_interval()
+        else:
+            offer = sampler.offer
+            for _ts, item in stream[lo:end_idx]:
+                offer(item)
+            sample = sampler.close_interval()
+        sampling_seconds += time.perf_counter() - sampling_started
+        timer.lap(sampling_stage)
+        run.count(end_idx - lo, sample.total_items)
+        cluster.process_items(sample.total_items)
+        if query.group_fn is None and query.kind != "quantile":
+            # Moment path: pool per-interval sufficient statistics — no
+            # per-pane re-scan of the sampled items.  Quantiles need the
+            # kept values themselves (an order statistic has no pooled
+            # sufficient statistics), so they take the merge path below.
+            history.append(_interval_moments(sample, query.value_fn))
+            strata = _pane_stats(history)
+            population = sum(s.c for s in strata)
+            weighted_total = math.fsum(s.total * s.weight for s in strata)
+            if query.kind == "sum":
+                value = weighted_total
             else:
-                offer = sampler.offer
-                for _ts, item in stream[lo:end_idx]:
-                    offer(item)
-                sample = sampler.close_interval()
-            sampling_seconds += time.perf_counter() - sampling_started
-            timer.lap(sampling_stage)
-            sampled_total += sample.total_items
-            observed_counter.inc(end_idx - lo)
-            kept_counter.inc(sample.total_items)
-            cluster.process_items(sample.total_items)
-            if query.group_fn is None and query.kind != "quantile":
-                # Moment path: pool per-interval sufficient statistics — no
-                # per-pane re-scan of the sampled items.  Quantiles need the
-                # kept values themselves (an order statistic has no pooled
-                # sufficient statistics), so they take the merge path below.
-                history.append(_interval_moments(sample, query.value_fn))
-                strata = _pane_stats(history)
-                population = sum(s.c for s in strata)
-                weighted_total = math.fsum(s.total * s.weight for s in strata)
-                if query.kind == "sum":
-                    value = weighted_total
-                else:
-                    value = weighted_total / population if population else 0.0
-                bound = estimate_error(
-                    QueryResult(value=value, strata=strata, kind=query.kind),
-                    confidence=config.confidence,
-                )
-                groups = {}
-                sampled = sum(s.y for s in strata)
-            else:
-                # Grouped queries need the items themselves: merge samples
-                # and evaluate through the shared estimation path.
-                history.append(sample)
-                merged = combine_worker_samples(list(history))
-                value, bound, groups, strata = estimate_pane_stats(
-                    merged, query, config.confidence
-                )
-                population = merged.total_count
-                sampled = merged.total_items
-                # The pane's merged arrays are dead weight while the next
-                # interval is sampled; the interval runs live on in history.
-                del merged
-            if controller is not None:
-                # §4.2 feedback: re-derive the next interval's budget from this
-                # pane's statistics; the shared water-filling policy propagates
-                # it to the in-process and sharded samplers alike.
-                bound_strategy.set_interval_budget(
-                    controller.on_pane(strata, bound, population)
-                )
-            recovery = tuple(bound_strategy.drain_recovery_events())
-            timer.lap("estimate")
-            results.append(
-                WindowResult(
-                    end=pane_end,
-                    estimate=value,
-                    exact=None,
-                    error=bound,
-                    groups=groups,
-                    sampled_items=sampled,
-                    total_items=population,
-                    recovery=recovery,
-                )
+                value = weighted_total / population if population else 0.0
+            bound = estimate_error(
+                QueryResult(value=value, strata=strata, kind=query.kind),
+                confidence=config.confidence,
             )
-            if on_pane is not None:
-                on_pane(results[-1])
-            pane_index += 1
-            pane_counter.inc()
-            if store is not None and pane_index % every == 0:
-                store.save(
-                    PaneCheckpoint(
-                        plan_name=plan.name,
-                        engine=plan.engine,
-                        strategy=plan.strategy,
-                        pane_index=pane_index,
-                        pane_end=pane_end,
-                        stream_position=start_idx,
-                        results=tuple(results),
-                        state={
-                            "strategy": bound_strategy.state(),
-                            "sampler": interval_sampler_state(sampler),
-                            "controller": (
-                                controller_state(controller)
-                                if controller is not None
-                                else None
-                            ),
-                            "history": tuple(history),
-                        },
-                    )
-                )
-                timer.lap("checkpoint")
-            timer.close(pane_index, end=pane_end)
-    finally:
-        _finish_run(bound_strategy, run_info)
-        trace.close()
-    if run_info is not None:
-        run_info["sampled_total"] = sampled_total
-    if controller is not None and adaptation_log is not None:
-        adaptation_log.extend(controller.trajectory)
-    return results, cluster, sampling_seconds
+            groups = {}
+            sampled = sum(s.y for s in strata)
+        else:
+            # Grouped queries need the items themselves: merge samples
+            # and evaluate through the shared estimation path.
+            history.append(sample)
+            merged = combine_worker_samples(list(history))
+            value, bound, groups, strata = estimate_pane_stats(
+                merged, query, config.confidence
+            )
+            population = merged.total_count
+            sampled = merged.total_items
+            # The pane's merged arrays are dead weight while the next
+            # interval is sampled; the interval runs live on in history.
+            del merged
+        run.close_pane(
+            pane_end, value, bound, groups, strata, sampled, population, start_idx,
+            lambda: {
+                "sampler": interval_sampler_state(sampler), "history": tuple(history),
+            },
+        )
+    run.info["sampling_seconds"] = sampling_seconds
+    return cluster
+
+
+#: The per-engine part of a run: ingest intervals, say what is in each pane.
+_INGEST = {
+    "batched": _ingest_batched,
+    "pipelined": _ingest_pipelined,
+    "direct": _ingest_direct,
+}

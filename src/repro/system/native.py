@@ -11,7 +11,7 @@ Two kinds of "native" live here:
   are the ``none`` strategy on the batched and pipelined engines.
 * `NativeStreamApproxSystem` — *this repo's* native execution path: the
   ``oasrs`` strategy on the runtime's **direct** engine
-  (`repro.runtime.driver.run_direct`), which runs the sampling stack
+  (`repro.runtime.driver.execute_plan`), which runs the sampling stack
   straight over slide-sized intervals with no engine simulation in the
   hot loop.  Its **wall-clock** speed therefore reflects the sampling
   stack itself — the system the chunked (``SystemConfig.chunk_size``) and
@@ -23,8 +23,6 @@ from __future__ import annotations
 import time
 from typing import List, Tuple
 
-from ..runtime.driver import run_direct
-from ..runtime.source import ListSource
 from .base import StreamSystem
 
 __all__ = ["NativeSparkSystem", "NativeFlinkSystem", "NativeStreamApproxSystem"]
@@ -102,19 +100,10 @@ class NativeStreamApproxSystem(StreamSystem):
     engine = "direct"
     strategy = "oasrs"
 
-    #: Wall seconds the last ``_execute`` spent inside the sampling path.
-    last_sampling_seconds = 0.0
-
-    def _execute(self, stream: List[Tuple[float, object]]):
-        results, cluster, sampling_seconds = run_direct(
-            self.plan(ListSource(stream)),
-            adaptation_log=self.adaptation,
-            checkpoint_store=getattr(self, "checkpoints", None),
-            resume_from=getattr(self, "_resume_from", None),
-            run_info=getattr(self, "_run_info", None),
-        )
-        self.last_sampling_seconds = sampling_seconds
-        return results, cluster
+    @property
+    def last_sampling_seconds(self) -> float:
+        """Wall seconds the last run spent inside the sampling path."""
+        return self._run_info.get("sampling_seconds", 0.0)
 
     def timed_execute(self, stream: List[Tuple[float, object]]):
         """Wall-clock-measured run of the processing path alone.

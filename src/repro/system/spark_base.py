@@ -3,10 +3,11 @@
 The four shipping Spark-style systems (native, SRS, STS, StreamApprox) are
 declarative configs over the unified runtime — their per-batch sampling
 lives in `repro.runtime.strategies` and the micro-batch skeleton in
-`repro.runtime.driver.run_batched`.  `BatchedSystem` remains as the
-extension point for one-off experimental systems (e.g. the drift-ablation
-baselines) that want to plug a custom ``_handle_batch`` into that same
-skeleton without registering a full `SamplingStrategy`.
+`repro.runtime.driver` (``execute_plan`` on the batched engine).
+`BatchedSystem` remains as the extension point for one-off experimental
+systems (e.g. the drift-ablation baselines) that want to plug a custom
+``_handle_batch`` into that same skeleton without registering a full
+`SamplingStrategy`.
 
 `full_weight_sample` is re-exported from `repro.runtime.strategies` for
 compatibility.
@@ -18,7 +19,7 @@ from typing import List, Sequence, Tuple
 
 from ..core.strata import WeightedSample
 from ..engine.batched.context import StreamingContext
-from ..runtime.driver import run_batched
+from ..runtime.driver import execute_plan
 from ..runtime.source import ListSource
 from ..runtime.strategies import full_weight_sample  # noqa: F401  (re-export)
 from .base import StreamSystem
@@ -51,4 +52,6 @@ class BatchedSystem(StreamSystem):
         raise NotImplementedError
 
     def _execute(self, stream: List[Tuple[float, object]]):
-        return run_batched(self.plan(ListSource(stream)), handle_batch=self._handle_batch)
+        return execute_plan(
+            self.plan(ListSource(stream)), handle_batch=self._handle_batch
+        )

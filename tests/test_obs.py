@@ -259,16 +259,6 @@ def test_pane_timer_builds_stage_rows_and_interval_spans():
     assert telemetry.stage_seconds()["offer"] == row["stages"]["offer"]
 
 
-def test_note_stage_credits_last_pane():
-    telemetry = RunTelemetry(TelemetryConfig())
-    timer = telemetry.pane_timer()
-    timer.open()
-    timer.lap("estimate")
-    timer.close(1)
-    telemetry.note_stage("checkpoint", 10.0, 10.5)
-    assert telemetry.pane_stages[-1]["stages"]["checkpoint"] == pytest.approx(0.5)
-
-
 def test_null_pane_timer_is_inert():
     NULL_PANE_TIMER.open()
     NULL_PANE_TIMER.lap("ingest")

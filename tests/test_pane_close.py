@@ -1,0 +1,161 @@
+"""One pane-close contract for all three engines.
+
+Every engine ends a pane through `repro.runtime.driver._Run.close_pane`,
+so what a caller can observe about a pane boundary — the ``on_pane``
+stream, the checkpoints, the telemetry rows and counters, the budget
+trajectory — must line up with the returned results the same way
+whatever the engine, strategy, budget mode or checkpoint cadence.  The
+stream ends mid-interval on purpose: the pipelined engine then drops an
+end-of-stream flush pane, which must leave no trace in any of them.
+"""
+
+import random
+
+import pytest
+
+from repro.core.budget import AccuracyBudget
+from repro.obs import TelemetryConfig
+from repro.runtime import (
+    CheckpointPolicy,
+    CheckpointStore,
+    ListSource,
+    PlanError,
+    StreamQuery,
+    SystemConfig,
+    WindowConfig,
+    build_plan,
+    execute_plan,
+    full_weight_sample,
+)
+
+QUERY = StreamQuery(key_fn=lambda it: it[0], value_fn=lambda it: it[1], kind="mean")
+WINDOW = WindowConfig(10.0, 5.0)
+
+#: (engine, strategy) pairs the planner accepts.
+PAIRS = [
+    ("batched", "oasrs"),
+    ("batched", "none"),
+    ("pipelined", "oasrs"),
+    ("pipelined", "none"),
+    ("direct", "oasrs"),
+]
+
+
+def stream_30s():
+    """~29.9 s of three strata: the sixth slide interval is partial."""
+    rng = random.Random(5)
+    return [
+        (i / 100.0, (rng.choice("abc"), rng.gauss(10.0, 2.0))) for i in range(2990)
+    ]
+
+
+def plan_for(engine, strategy, budget, every, **config):
+    return build_plan(
+        QUERY, WINDOW,
+        SystemConfig(
+            sampling_fraction=0.3,
+            seed=3,
+            budget=AccuracyBudget(target_margin=0.2) if budget else None,
+            checkpoint=CheckpointPolicy(every=every) if every else None,
+            telemetry=TelemetryConfig(),
+            **config,
+        ),
+        engine=engine, strategy=strategy,
+        source=ListSource(stream_30s()), name="contract",
+    )
+
+
+#: ... × {fixed fraction, budget}; ``none`` has nothing to adapt, so the
+#: planner rejects it with a budget.
+ROWS = [
+    pytest.param(engine, strategy, budget, id=f"{engine}-{strategy}-{mode}")
+    for engine, strategy in PAIRS
+    for budget, mode in ((False, "fraction"), (True, "budget"))
+    if not (budget and strategy == "none")
+]
+
+
+@pytest.mark.parametrize("every", [1, 2, 0], ids=["every1", "every2", "off"])
+@pytest.mark.parametrize("engine,strategy,budget", ROWS)
+def test_pane_close_contract(engine, strategy, budget, every):
+    delivered, log, info, store = [], [], {}, CheckpointStore()
+    results, _cluster = execute_plan(
+        plan_for(engine, strategy, budget, every),
+        adaptation_log=log,
+        checkpoint_store=store,
+        run_info=info,
+        on_pane=delivered.append,
+    )
+    assert len(results) >= 5
+    assert delivered == results
+
+    telemetry = info["telemetry"]
+    counters = telemetry.metrics.snapshot()["counters"]
+    assert counters["panes"] == len(results)
+    assert [(row["index"], row["end"]) for row in telemetry.pane_stages] == [
+        (i + 1, pane.end) for i, pane in enumerate(results)
+    ]
+    assert info["sampled_total"] == counters["items.sampled"]
+    assert len(log) == (len(results) if budget else 0)
+
+    assert len(store) == (len(results) // every if every else 0)
+    for index in store.indices():
+        checkpoint = store.get(index)
+        assert index % every == 0
+        assert list(checkpoint.results) == results[:index]
+        assert checkpoint.pane_end == results[index - 1].end
+
+
+@pytest.mark.parametrize("engine,strategy", PAIRS)
+def test_resumed_run_delivers_and_counts_only_its_own_panes(engine, strategy):
+    store = CheckpointStore()
+    base, _ = execute_plan(plan_for(engine, strategy, False, 1), checkpoint_store=store)
+    delivered, info = [], {}
+    resumed, _ = execute_plan(
+        plan_for(engine, strategy, False, 1),
+        resume_from=store.get(2), run_info=info, on_pane=delivered.append,
+    )
+    assert resumed == base
+    assert delivered == base[2:]
+    telemetry = info["telemetry"]
+    assert telemetry.metrics.snapshot()["counters"]["panes"] == len(base) - 2
+    assert [row["index"] for row in telemetry.pane_stages] == list(
+        range(3, len(base) + 1)
+    )
+
+
+def test_exact_pipelined_pane_ends_are_the_operators_fire_times():
+    """A slide with no exact binary form: what ``on_pane`` and the
+    checkpoints see must be the very ends the results carry (the window
+    operator's accumulated fire times), and resume must continue them."""
+    rng = random.Random(9)
+    stream = [(i / 200.0, (rng.choice("ab"), rng.gauss(5.0, 1.0))) for i in range(1500)]
+    plan = build_plan(
+        QUERY, WindowConfig(0.9, 0.3),
+        SystemConfig(seed=1, checkpoint=CheckpointPolicy(every=5)),
+        engine="pipelined", strategy="none", source=ListSource(stream),
+    )
+    delivered, store = [], CheckpointStore()
+    base, _ = execute_plan(plan, checkpoint_store=store, on_pane=delivered.append)
+    assert delivered == base
+    for index in store.indices():
+        assert store.get(index).pane_end == base[index - 1].end
+        resumed, _ = execute_plan(plan, resume_from=store.get(index))
+        assert resumed == base
+
+
+def test_adhoc_handle_batch_cannot_checkpoint_or_resume():
+    def handle(ctx, items):
+        return full_weight_sample(items, QUERY.key_fn)
+
+    results, _ = execute_plan(plan_for("batched", "none", False, 0), handle_batch=handle)
+    assert results
+    with pytest.raises(PlanError, match="cannot snapshot"):
+        execute_plan(plan_for("batched", "none", False, 1), handle_batch=handle)
+    store = CheckpointStore()
+    execute_plan(plan_for("batched", "none", False, 1), checkpoint_store=store)
+    with pytest.raises(PlanError, match="cannot snapshot"):
+        execute_plan(
+            plan_for("batched", "none", False, 0),
+            handle_batch=handle, resume_from=store.latest(),
+        )

@@ -68,7 +68,7 @@ class TestSlidingWindowOperator:
         stream = [(float(t), 1) for t in range(1, 21)]
         out = (
             Pipeline(cluster)
-            .window(length=10.0, slide=5.0, aggregate=lambda pane: len(pane))
+            .window(length=10.0, slide=5.0, aggregate=lambda _end, pane: len(pane))
             .sink_collect()
             .run(stream)
         )
@@ -80,7 +80,7 @@ class TestSlidingWindowOperator:
         stream = [(0.5, "old")] + [(float(t), "new") for t in range(20, 25)]
         out = (
             Pipeline(cluster)
-            .window(length=5.0, slide=5.0, aggregate=lambda pane: [v for _t, v in pane])
+            .window(length=5.0, slide=5.0, aggregate=lambda _end, pane: [v for _t, v in pane])
             .sink_collect()
             .run(stream)
         )
@@ -90,7 +90,7 @@ class TestSlidingWindowOperator:
     def test_window_charges_processing_per_pane_item(self, cluster):
         stream = [(float(t), t) for t in range(1, 11)]
         Pipeline(cluster).window(
-            length=5.0, slide=5.0, aggregate=len
+            length=5.0, slide=5.0, aggregate=lambda _end, pane: len(pane)
         ).sink_collect().run(stream)
         assert cluster.stats.items_processed > 0
 
@@ -148,7 +148,7 @@ class TestSampleWindowOperator:
         out = (
             Pipeline(cluster)
             .sample_oasrs(sampler, slide=5.0)
-            .window_samples(intervals_per_window=2, aggregate=lambda s: s.total_count)
+            .window_samples(intervals_per_window=2, aggregate=lambda _end, s, _recent: s.total_count)
             .sink_collect()
             .run(stream)
         )

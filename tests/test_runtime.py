@@ -12,7 +12,6 @@ from repro.runtime import (
     execute_plan,
     get_strategy,
 )
-from repro.runtime.driver import run_direct
 from repro.system import (
     ALL_SYSTEMS,
     FlinkStreamApproxSystem,
@@ -248,15 +247,17 @@ class TestStrataHint:
 
 
 class TestDirectDriver:
-    def test_run_direct_reports_sampling_seconds(self, stream):
+    def test_direct_run_reports_sampling_seconds(self, stream):
         plan = build_plan(
             query=QUERY, window=WINDOW, engine="direct", strategy="oasrs",
             config=SystemConfig(sampling_fraction=0.5),
             source=ListSource(stream),
         )
-        results, cluster, sampling_seconds = run_direct(plan)
+        info = {}
+        results, cluster = execute_plan(plan, run_info=info)
         assert results
-        assert sampling_seconds > 0
+        assert info["sampling_seconds"] > 0
+        assert 0 < info["sampled_total"] <= len(stream)
         assert cluster.elapsed() > 0
 
     def test_empty_stream(self):
@@ -264,8 +265,9 @@ class TestDirectDriver:
             query=QUERY, window=WINDOW, engine="direct", strategy="oasrs",
             source=ListSource([]),
         )
-        results, _cluster, sampling_seconds = run_direct(plan)
-        assert results == [] and sampling_seconds == 0.0
+        info = {}
+        results, _cluster = execute_plan(plan, run_info=info)
+        assert results == [] and info["sampling_seconds"] == 0.0
 
 
 class TestBatchedHook:
@@ -283,8 +285,6 @@ class TestBatchedHook:
             assert pane.accuracy_loss == pytest.approx(0.0, abs=1e-9)
 
     def test_handle_batch_rejected_off_engine(self, stream):
-        from repro.runtime.driver import run_pipelined
-
         plan = build_plan(
             query=QUERY, window=WINDOW, engine="pipelined", strategy="none",
             source=ListSource(stream),

@@ -1,9 +1,11 @@
 """Tests for the real multi-process `ShardedExecutor` (§3.2 on actual cores).
 
 Covers the merge-weight semantics (counters sum, reservoirs concatenate,
-Equation-1 weights re-derive), the process/fallback execution modes, and
-the accuracy acceptance bar: 4 sharded workers estimate within the same
-error bounds as single-process OASRS on the synthetic workload.
+Equation-1 weights re-derive), the process/fallback execution modes,
+worker loss at the executor boundary (discard-and-rewiden; the plan-level
+view is ``tests/chaos/test_shard_kill.py``), and the accuracy acceptance
+bar: 4 sharded workers estimate within the same error bounds as
+single-process OASRS on the synthetic workload.
 """
 
 import os
@@ -16,6 +18,7 @@ from repro.core.distributed import ShardedExecutor
 from repro.core.oasrs import FixedPerStratum, WaterFillingAllocation, oasrs_sample
 from repro.core.query import approximate_mean
 from repro.core.error import estimate_error
+from repro.core.recovery import FaultSchedule, ShardKill
 
 KEY = lambda item: item[0]  # noqa: E731
 VAL = lambda item: item[1]  # noqa: E731
@@ -70,6 +73,13 @@ class TestMergeWeights:
         assert "rare" in merged
         assert merged["rare"].sample_size == 2
 
+    def test_intervals_are_independent(self):
+        """Nothing carries over: each run's counters cover that run alone."""
+        ex = ShardedExecutor(2, FixedPerStratum(5), key_fn=KEY, seed=4)
+        assert ex.run(make_stream({"a": 50}))["a"].count == 50
+        assert ex.run(make_stream({"a": 30}))["a"].count == 30
+        assert ex.run([]).total_count == 0
+
     def test_custom_route_fn(self):
         stream = make_stream({"a": 200, "b": 200}, seed=5)
         ex = ShardedExecutor(
@@ -121,6 +131,66 @@ class TestExecutionModes:
         ex = ShardedExecutor(4, policy, key_fn=KEY, seed=10)
         ex.run(make_stream({"a": 3000, "b": 300}, seed=10))
         assert policy._capacities  # rebalanced from the merged counters
+
+
+class TestWorkerLoss:
+    """A dead worker loses only its own reservoir and counter (§3.2)."""
+
+    @pytest.fixture(autouse=True)
+    def in_process_shards(self, monkeypatch):
+        # Kills are applied to the partitioned shards before they reach a
+        # worker, so the in-process mode sees exactly what the pool would.
+        monkeypatch.setenv("REPRO_NO_MP", "1")
+
+    @staticmethod
+    def executor(*kills, workers=4, capacity=50):
+        return ShardedExecutor(
+            workers, FixedPerStratum(capacity), key_fn=KEY, seed=1,
+            faults=FaultSchedule(kills=kills),
+        )
+
+    def test_loss_is_confined_to_the_dead_worker(self):
+        ex = self.executor(ShardKill(interval=0, worker=0, after_fraction=1.0))
+        merged = ex.run(make_stream({"A": 1000}))
+        # Worker 0 held 250 items; the rest survive with exact counters.
+        assert merged["A"].count == 750
+        (event,) = ex.drain_recovery_events()
+        assert (event.worker, event.items_lost, event.items_rerouted) == (0, 250, 0)
+        assert ex.drain_recovery_events() == []
+
+    def test_unprocessed_suffix_reroutes_over_survivors(self):
+        ex = self.executor(ShardKill(interval=0, worker=1, after_fraction=0.2))
+        merged = ex.run(make_stream({"A": 1000}))
+        (event,) = ex.drain_recovery_events()
+        assert (event.items_lost, event.items_rerouted) == (50, 200)
+        assert merged["A"].count == 950
+        # The transient kill is over: the next interval is whole again.
+        assert ex.run(make_stream({"A": 1000}))["A"].count == 1000
+
+    def test_estimate_unbiased_over_survivors(self):
+        ex = self.executor(ShardKill(interval=0, worker=2), capacity=100)
+        merged = ex.run(make_stream({"A": 4000}, seed=2))
+        assert abs(approximate_mean(merged, VAL).value - 100.0) < 3.0
+
+    def test_permanent_kill_shrinks_the_live_set(self):
+        ex = self.executor(ShardKill(interval=0, worker=3, permanent=True))
+        ex.run(make_stream({"A": 400}))
+        assert ex.live_workers == [0, 1, 2]
+        # Survivors re-widen: capacity is split three ways from now on.
+        assert ex.run(make_stream({"A": 4000}))["A"].sample_size == 51
+
+    def test_all_workers_dead_is_loud(self):
+        ex = self.executor(
+            ShardKill(interval=0, worker=0, permanent=True),
+            ShardKill(interval=0, worker=1, permanent=True),
+            workers=2,
+        )
+        # Nobody is left to take the re-route: the interval is lost whole...
+        assert ex.run(make_stream({"A": 10})).total_count == 0
+        assert ex.live_workers == []
+        # ...and the next one has no worker to run on.
+        with pytest.raises(RuntimeError, match="all shard workers"):
+            ex.run(make_stream({"A": 10}))
 
 
 class TestAccuracy:
