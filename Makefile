@@ -9,21 +9,23 @@
 #                     BENCH_fig6a.json under benchmarks/results/);
 #                     includes the budget-loop convergence gate
 #                     (REPRO_ADAPT_MAX_INTERVALS tunes its deadline),
-#                     the columnar-vs-shim wall-clock gate
-#                     (REPRO_FIG4A_MIN_COLUMNAR_SPEEDUP, default 1.0)
-#                     and, when REPRO_FIG6A_MIN_SHARD_SPEEDUP is set, the
-#                     multi-core shard-scaling gate
+#                     and the columnar-vs-shim wall-clock gate
+#                     (REPRO_FIG4A_MIN_COLUMNAR_SPEEDUP, default 1.0);
+#                     the shard=4 row of fig6a is reported, not gated
+#   make shard-modes — the worker-pool and sharded-executor tests twice:
+#                     in-process (REPRO_NO_MP=1) and on the fork pool
 #   make chaos      — fault-tolerance chaos suite (crash/resume + shard
 #                     kills); REPRO_CHAOS_SEEDS selects the seed matrix,
 #                     e.g. make chaos REPRO_CHAOS_SEEDS="7,19,23"
-#   make check      — test + smoke (what CI runs on every push/PR)
+#   make check      — test + smoke + shard-modes (what CI runs on every
+#                     push/PR)
 
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH),)
 
 BENCH_JSON ?= benchmarks/results/bench.json
 
-.PHONY: test smoke bench bench-json chaos check
+.PHONY: test smoke bench bench-json chaos shard-modes check
 
 # Extra pytest flags, e.g. make check PYTEST_ARGS=--benchmark-json=out.json
 PYTEST_ARGS ?=
@@ -45,4 +47,9 @@ REPRO_CHAOS_SEEDS ?= 7
 chaos:
 	REPRO_CHAOS_SEEDS="$(REPRO_CHAOS_SEEDS)" $(PYTHON) -m pytest -x -q tests/chaos
 
-check: test smoke
+SHARD_TESTS = tests/test_worker_pool.py tests/test_sharded_executor.py
+shard-modes:
+	REPRO_NO_MP=1 $(PYTHON) -m pytest -x -q $(SHARD_TESTS)
+	env -u REPRO_NO_MP $(PYTHON) -m pytest -x -q $(SHARD_TESTS)
+
+check: test smoke shard-modes

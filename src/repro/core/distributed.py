@@ -9,19 +9,23 @@ just one O(sample-size) merge:
 
 * `ShardedExecutor` — **real parallel execution**: spawns ``workers``
   operating-system processes *once per run* (fork start method, so
-  closure-based key functions and the pinned stream reach the children
+  closure-based key functions and the run's stream reach the children
   without pickling), keeps them alive across intervals, and drives them
-  with small per-interval control messages.  Chunk transport is zero-copy
-  where the items allow it: ``(key, float)`` records travel as NumPy
-  ``(int32 code, float64 value)`` arrays through reusable per-worker
-  `multiprocessing.shared_memory` buffers, and drivers that hold the
-  whole timestamped stream pin it before the pool spawns so an interval
-  is described by a ``[lo, hi)`` index span alone — the forked workers
-  slice their shard out of the inherited stream themselves.  Only budget
-  re-targets (the policy snapshot in each interval message),
-  fault-injection reroutes, and the merged per-shard sample payloads
-  cross the process boundary as messages.  This is the executor behind
-  ``SystemConfig(parallelism=N)``.
+  with small per-interval control messages.  The process boundary carries
+  one format per direction:
+
+  - **in** — an interval that is a contiguous row range of the run's
+    stream (every interval of a column-backed run: direct slide
+    intervals, batched micro-batches, pipelined chunk segments) is named
+    by its ``[lo, hi)`` index span; each forked worker slices its own
+    round-robin shard out of the inherited stream.  Anything else —
+    fault-injection reroutes, records the columns cannot represent —
+    crosses as a pickled item list.
+  - **out** — a stratum sampled from column views comes back as its
+    ``float64`` value array (no per-item tuple is built on either side);
+    only strata that really hold item tuples return them.
+
+  This is the executor behind ``SystemConfig(parallelism=N)``.
 * `ShardedIntervalSampler` — adapts the executor to the interval-sampler
   duck type the pipelined and direct engines drive.
 
@@ -31,10 +35,10 @@ verify is statistically indistinguishable from a single global reservoir.
 Determinism contract: the coordinator draws one seed per *configured*
 worker per interval and each live worker rebuilds its shard sampler from
 its seed, so a pooled run, the in-process fallback (``REPRO_NO_MP``, no
-fork support, or a mid-run pool failure), and the historical
-fork-per-interval executor all produce bitwise-identical samples.  When
-the pool degrades, the reason is recorded in ``fallback_reason`` and
-surfaced as ``SystemReport.parallel_fallback`` instead of being swallowed.
+fork support, one live worker, or a mid-run pool failure) and a resumed
+run all produce bitwise-identical samples.  When the pool degrades, the
+reason is recorded in ``fallback_reason`` and surfaced as
+``SystemReport.parallel_fallback`` instead of being swallowed.
 """
 
 from __future__ import annotations
@@ -43,13 +47,13 @@ import math
 import multiprocessing
 import os
 import random
-from multiprocessing import shared_memory
 from time import perf_counter
 from typing import (
-    Callable,
+    Collection,
     Generic,
     Iterable,
     List,
+    NamedTuple,
     Optional,
     Sequence,
     Tuple,
@@ -59,7 +63,7 @@ from typing import (
 from ..obs import NULL_METRICS
 from ._vector import np as _np
 from .oasrs import AllocationPolicy, KeyFn, OASRSSampler
-from .records import ColumnSlice, item_key
+from .records import _StratumMembers, item_key
 from .recovery import FaultSchedule, RecoveryEvent, restore_attrs, snapshot_attrs
 from .strata import StratumSample, WeightedSample, combine_worker_samples, stratum_weight
 
@@ -87,166 +91,45 @@ def _run_shard(
     n_live: int,
     seed: int,
     chunk_size: int,
-) -> List[Tuple[object, List[object], int]]:
+) -> List[Tuple[object, object, int]]:
     """Sample one shard for one interval; return a picklable payload.
 
     The sampler is rebuilt from ``seed`` every interval — that is what
     keeps pooled, in-process, and resumed executions bitwise identical:
     no RNG state survives inside a worker, only in the coordinator.
+
+    One ``(key, kept, count)`` row per stratum.  ``kept`` is the stratum's
+    ``float64`` value array when the sampler fed on column views (the key
+    is constant over the stratum, so the values are the whole sample), and
+    the list of kept items otherwise; `ShardedExecutor._decode` reads both.
     """
     sampler: OASRSSampler = OASRSSampler(
         _ScaledPolicy(policy, n_live), key_fn=key_fn, rng=random.Random(seed)
     )
     for start in range(0, len(shard), chunk_size):
         sampler.process_chunk(shard[start : start + chunk_size])
-    sample = sampler.close_interval()
-    return [(s.key, list(s.items), s.count) for s in sample]
+    return [
+        (
+            s.key,
+            s.items.value_array() if type(s.items) is _StratumMembers else list(s.items),
+            s.count,
+        )
+        for s in sampler.close_interval()
+    ]
 
 
-# ---------------------------------------------------------------------------
-# Shared-memory chunk transport
-# ---------------------------------------------------------------------------
+def _span_shard(source, key_fn: KeyFn, lo: int, hi: int, slot: int, n_live: int):
+    """Shard ``slot`` of ``n_live`` (round-robin) over rows ``[lo, hi)`` of
+    the run's ``(timestamp, item)`` stream.
 
-
-class _ChunkCodec:
-    """Encode ``(hashable, float)`` records as (int32 codes, float64 values).
-
-    The coordinator interns stratum keys into a grow-only table; only the
-    codes cross the process boundary (through shared memory), plus the
-    table *extension* each worker has not seen yet in its interval
-    message.  Records that are not plain two-tuples with float payloads
-    fall back to pickled-list transport — correctness never depends on
-    the codec, only throughput does.
+    With the canonical key projection over a column-backed stream the
+    shard is a strided zero-copy view, which the shard sampler's columnar
+    kernel consumes bitwise-identically to per-item grouping; otherwise it
+    is the list of the shard's items.
     """
-
-    __slots__ = ("key_list", "key_code", "_translations")
-
-    def __init__(self) -> None:
-        self.key_list: List[object] = []
-        self.key_code: dict = {}
-        #: Per-key-table translation arrays (batch code -> codec code),
-        #: keyed by table identity with the table itself kept referenced.
-        self._translations: dict = {}
-
-    def _translate(self, key_table: List[object]):
-        """Batch-code → codec-code translation array for one key table.
-
-        A `repro.core.records.RecordBatch` interned its keys already; a
-        column chunk therefore re-encodes as one fancy-indexed gather
-        instead of a per-item hash loop.  Tables only grow, so a cached
-        translation is refreshed when the table has new entries.
-        """
-        entry = self._translations.get(id(key_table))
-        if entry is not None and len(entry[1]) >= len(key_table):
-            return entry[1]
-        key_code, key_list = self.key_code, self.key_list
-        trans = _np.empty(len(key_table), dtype=_np.int32)
-        for batch_code, key in enumerate(key_table):
-            code = key_code.get(key)
-            if code is None:
-                code = len(key_list)
-                key_code[key] = code
-                key_list.append(key)
-            trans[batch_code] = code
-        self._translations[id(key_table)] = (key_table, trans)
-        return trans
-
-    def encode(self, chunks: Sequence[Sequence[T]], total: int):
-        """Return ``(codes, values)`` arrays over the concatenated chunks,
-        or None when any record does not fit the codec.
-
-        Column chunks (`repro.core.records.ColumnSlice`) hand their arrays
-        over without touching a single item: the chunk's interned codes are
-        gathered through the cached table translation and its value column
-        is copied wholesale — zero-conversion transport.
-        """
-        if _np is None:
-            return None
-        codes = _np.empty(total, dtype=_np.int32)
-        values = _np.empty(total, dtype=_np.float64)
-        key_code, key_list = self.key_code, self.key_list
-        pos = 0
-        for chunk in chunks:
-            n = len(chunk)
-            if n == 0:
-                continue
-            chunk_codes = getattr(chunk, "codes", None)
-            if chunk_codes is not None:
-                trans = self._translate(chunk.key_table)
-                codes[pos : pos + n] = trans[chunk_codes]
-                values[pos : pos + n] = chunk.values
-                pos += n
-                continue
-            for item in chunk:
-                if (
-                    type(item) is not tuple
-                    or len(item) != 2
-                    or type(item[1]) is not float
-                ):
-                    return None
-            ks, vs = zip(*chunk)
-            try:
-                for k in ks:
-                    if k not in key_code:
-                        key_code[k] = len(key_list)
-                        key_list.append(k)
-                codes[pos : pos + n] = _np.fromiter(
-                    map(key_code.__getitem__, ks), dtype=_np.int32, count=n
-                )
-            except TypeError:  # unhashable key
-                return None
-            values[pos : pos + n] = vs
-            pos += n
-        return codes, values
-
-    @staticmethod
-    def decode(key_list: List[object], codes, values) -> List[Tuple[object, float]]:
-        """Rebuild the record list a shard sampler consumes (worker side)."""
-        return list(zip(map(key_list.__getitem__, codes.tolist()), values.tolist()))
-
-
-class _ShmChannel:
-    """One reusable coordinator→worker shared-memory buffer.
-
-    Grows (with headroom) when an interval outsizes it; growth allocates a
-    fresh segment under a new name, which the worker detects and
-    re-attaches to.  Layout: ``n`` int32 codes at offset 0, ``n`` float64
-    values at the next 8-byte boundary.
-    """
-
-    __slots__ = ("shm", "_grow_counter")
-
-    def __init__(self, grow_counter=None) -> None:
-        self.shm: Optional[shared_memory.SharedMemory] = None
-        #: Counts *re*-allocations (an interval outsizing a live segment),
-        #: not the initial allocation — the cost worth watching is churn.
-        self._grow_counter = grow_counter
-
-    def write(self, codes, values) -> Tuple[str, int]:
-        n = int(codes.shape[0])
-        offset = (4 * n + 7) & ~7
-        need = offset + 8 * n
-        shm = self.shm
-        if shm is None or shm.size < need:
-            if shm is not None and self._grow_counter is not None:
-                self._grow_counter.inc()
-            self.close()
-            shm = shared_memory.SharedMemory(
-                create=True, size=max(4096, need + need // 2)
-            )
-            self.shm = shm
-        _np.ndarray(n, dtype=_np.int32, buffer=shm.buf)[:] = codes
-        _np.ndarray(n, dtype=_np.float64, buffer=shm.buf, offset=offset)[:] = values
-        return shm.name, n
-
-    def close(self) -> None:
-        if self.shm is not None:
-            try:
-                self.shm.close()
-                self.shm.unlink()
-            except (FileNotFoundError, OSError):
-                pass
-            self.shm = None
+    if _np is not None and key_fn is item_key and getattr(source, "has_columns", False):
+        return source.item_slice(lo, hi)[slot::n_live]
+    return [item for _ts, item in source[lo:hi][slot::n_live]]
 
 
 # ---------------------------------------------------------------------------
@@ -258,26 +141,17 @@ def _pool_worker_main(conn, policy, key_fn, chunk_size, source) -> None:
     """Long-lived shard worker: serve one interval per control message.
 
     Runs in a forked child, so ``policy`` (a copy-on-write snapshot),
-    ``key_fn`` (closures included), and ``source`` (the pinned timestamped
-    stream, when the driver pinned one before the pool spawned) arrive by
-    memory inheritance, never by pickle.  Each ``interval`` message carries
-    the seed, the live-worker count, the coordinator policy's attribute
-    snapshot (the budget re-target channel), any new key-table entries,
-    and a transport descriptor; the reply is the shard's
-    ``(key, items, count)`` sample payload plus the worker's locally
+    ``key_fn`` (closures included), and ``source`` (the run's timestamped
+    stream, when the executor was given one) arrive by memory inheritance,
+    never by pickle.  Each ``interval`` message carries the seed, the
+    live-worker count, the coordinator policy's attribute snapshot (the
+    budget re-target channel) and the shard — ``("span", lo, hi, slot)``
+    over the inherited stream or ``("items", shard)`` pickled; the reply
+    is the shard's `_run_shard` payload plus the worker's locally
     accumulated ``(items_seen, items_kept, shard_seconds)`` stats — the
     telemetry channel for costs the coordinator cannot observe from
     outside the process.
     """
-    key_list: List[object] = []
-    shm: Optional[shared_memory.SharedMemory] = None
-    shm_name: Optional[str] = None
-    # With the canonical key projection the shard sampler consumes column
-    # views directly (its columnar kernel is bitwise-identical to per-item
-    # grouping), so shm arrays and pinned column batches are never expanded
-    # into per-item tuples.  Safe because the worker finishes its interval
-    # before the coordinator rewrites the channel.
-    columnar_ok = _np is not None and key_fn is item_key
     try:
         while True:
             try:
@@ -286,62 +160,31 @@ def _pool_worker_main(conn, policy, key_fn, chunk_size, source) -> None:
                 break
             if message[0] != "interval":
                 break  # "stop"
-            _cmd, seed, n_live, policy_state, new_keys, transport = message
-            if new_keys:
-                key_list.extend(new_keys)
+            _cmd, seed, n_live, policy_state, transport = message
             restore_attrs(policy, policy_state)
-            kind = transport[0]
-            if kind == "span":
-                _k, lo, hi, slot = transport
-                if columnar_ok and getattr(source, "has_columns", False):
-                    # Strided zero-copy view over the fork-inherited columns.
-                    shard = source.item_slice(lo, hi)[slot::n_live]
-                else:
-                    shard = [item for _ts, item in source[lo:hi][slot::n_live]]
-            elif kind == "shm":
-                _k, name, n = transport
-                if name != shm_name:
-                    if shm is not None:
-                        shm.close()
-                    shm = shared_memory.SharedMemory(name=name)
-                    shm_name = name
-                codes = _np.ndarray(n, dtype=_np.int32, buffer=shm.buf)
-                offset = (4 * n + 7) & ~7
-                values = _np.ndarray(
-                    n, dtype=_np.float64, buffer=shm.buf, offset=offset
-                )
-                if columnar_ok:
-                    shard = ColumnSlice(codes, values, key_list)
-                else:
-                    shard = _ChunkCodec.decode(key_list, codes, values)
-            else:  # "items": pickled shard (fault reroutes, exotic records)
+            if transport[0] == "span":
+                _kind, lo, hi, slot = transport
+                shard = _span_shard(source, key_fn, lo, hi, slot, n_live)
+            else:  # "items": fault reroutes, records off the pinned columns
                 shard = transport[1]
             started = perf_counter()
             payload = _run_shard(shard, policy, key_fn, n_live, seed, chunk_size)
-            kept = sum(len(items) for _key, items, _count in payload)
+            kept = sum(len(members) for _key, members, _count in payload)
             conn.send((payload, (len(shard), kept, perf_counter() - started)))
     except KeyboardInterrupt:
         pass
     finally:
-        if shm is not None:
-            shm.close()
         try:
             conn.close()
         except OSError:
             pass
 
 
-class _PoolWorker:
+class _PoolWorker(NamedTuple):
     """Coordinator-side handle for one live worker process."""
 
-    __slots__ = ("process", "conn", "channel", "keys_sent")
-
-    def __init__(self, process, conn, grow_counter=None) -> None:
-        self.process = process
-        self.conn = conn
-        self.channel = _ShmChannel(grow_counter)
-        #: Key-table prefix already shipped to this worker.
-        self.keys_sent = 0
+    process: object
+    conn: object
 
 
 class ShardedExecutor(Generic[T]):
@@ -351,11 +194,17 @@ class ShardedExecutor(Generic[T]):
     stays up for the whole run — no per-interval ``Pool`` construction.
     Each interval the coordinator draws the shard seeds, snapshots the
     allocation policy (so budget re-targets reach workers without their
-    ever re-reading shared state), describes the shard transport (index
-    span over the pinned stream, shared-memory arrays, or a pickled list),
-    and merges the returned shard samples by summing counters and
-    re-deriving Equation-1 weights — the paper's synchronization-free
-    distributed execution, on actual cores.
+    ever re-reading shared state), names each worker's shard (an index
+    span over ``source``, or a pickled item list), and merges the returned
+    shard samples by summing counters and re-deriving Equation-1 weights —
+    the paper's synchronization-free distributed execution, on actual
+    cores.
+
+    ``source`` is the run's ``(timestamp, item)`` stream.  Workers fork
+    with it inherited, so `run_span` — and `run` / `run_chunks` whenever
+    their input is one contiguous run of located
+    `repro.core.records.ColumnSlice` views of it — ship two integers
+    instead of the items.
 
     Adaptive policies stay adaptive: after each merge the *coordinator's*
     policy observes the merged per-stratum counters, and the next
@@ -386,9 +235,9 @@ class ShardedExecutor(Generic[T]):
         key_fn: KeyFn,
         seed: Optional[int] = None,
         chunk_size: int = 1024,
-        route_fn: Optional[Callable[[T, int], int]] = None,
         faults: Optional[FaultSchedule] = None,
         metrics=None,
+        source: Optional[Sequence] = None,
     ) -> None:
         if workers <= 0:
             raise ValueError(f"workers must be positive, got {workers}")
@@ -399,8 +248,8 @@ class ShardedExecutor(Generic[T]):
         self._policy = policy
         self._key_fn = key_fn
         self._rng = random.Random(seed)
-        self._route_fn = route_fn
         self._faults = faults
+        self._source = source
         self._live: List[int] = list(range(workers))
         self._intervals_run = 0
         self._recovery_log: List[RecoveryEvent] = []
@@ -409,9 +258,6 @@ class ShardedExecutor(Generic[T]):
         #: pool is healthy.  First cause wins; never cleared mid-run.
         self.fallback_reason: Optional[str] = None
         self._pool: Optional[dict] = None
-        self._codec = _ChunkCodec()
-        self._source: Optional[Sequence] = None
-        self._pool_source: Optional[Sequence] = None
         # Bound once here so the interval loop never does a registry
         # lookup; with metrics=None every instrument is a shared no-op.
         metrics = metrics if metrics is not None else NULL_METRICS
@@ -422,11 +268,8 @@ class ShardedExecutor(Generic[T]):
         self._m_worker_kept = metrics.counter("pool.worker_kept")
         self._m_shard_seconds = metrics.histogram("pool.shard_seconds")
         self._m_span = metrics.counter("transport.span_intervals")
-        self._m_shm = metrics.counter("transport.shm_intervals")
         self._m_pickled = metrics.counter("transport.pickle_intervals")
         self._m_inprocess = metrics.counter("transport.inprocess_intervals")
-        self._m_codec_fallbacks = metrics.counter("transport.codec_fallbacks")
-        self._m_shm_grows = metrics.counter("transport.shm_grows")
 
     # -- availability ------------------------------------------------------
 
@@ -437,10 +280,6 @@ class ShardedExecutor(Generic[T]):
         if "fork" not in multiprocessing.get_all_start_methods():
             return "platform lacks the fork start method"
         return None
-
-    @staticmethod
-    def _fork_available() -> bool:
-        return ShardedExecutor._parallel_blocker() is None
 
     def _note_fallback(self, reason: str) -> None:
         if self.fallback_reason is None:
@@ -458,7 +297,7 @@ class ShardedExecutor(Generic[T]):
 
     @property
     def source(self) -> Optional[Sequence]:
-        """The pinned ``(timestamp, item)`` stream, if any."""
+        """The run's ``(timestamp, item)`` stream, if the executor has one."""
         return self._source
 
     def drain_recovery_events(self) -> List[RecoveryEvent]:
@@ -492,7 +331,7 @@ class ShardedExecutor(Generic[T]):
         the spawned processes (a resumed run replays kills itself), so the
         next parallel interval re-spawns workers from the restored state.
         """
-        self._close_pool()
+        self.close()
         self._rng.setstate(state["rng"])
         self._live = list(state["live"])
         self._intervals_run = state["intervals_run"]
@@ -501,34 +340,12 @@ class ShardedExecutor(Generic[T]):
 
     # -- pool lifecycle ----------------------------------------------------
 
-    def pin_source(self, events: Sequence) -> None:
-        """Pin the run's timestamped stream for span-addressed transport.
-
-        Must happen before the pool spawns (the direct driver pins before
-        its interval loop) so forked workers inherit the stream and an
-        interval message can carry just a ``[lo, hi)`` index span.
-        Re-pinning a different stream closes any existing pool.
-        """
-        if events is self._source:
-            return
-        if self._pool is not None and self._pool_source is not events:
-            self._close_pool()
-        self._source = events
-
     def _ensure_pool(self) -> bool:
         if self._pool is not None:
             return True
         pool: dict = {}
         try:
             ctx = multiprocessing.get_context("fork")
-            # Start the shared-memory resource tracker *before* forking:
-            # workers attach segments (which registers them on Python < 3.13),
-            # and must inherit the coordinator's tracker rather than spawn
-            # their own — a child-owned tracker would warn about "leaked"
-            # segments the coordinator unlinks perfectly well.
-            from multiprocessing import resource_tracker
-
-            resource_tracker.ensure_running()
             for worker_id in self._live:
                 parent_conn, child_conn = ctx.Pipe()
                 process = ctx.Process(
@@ -544,51 +361,34 @@ class ShardedExecutor(Generic[T]):
                 )
                 process.start()
                 child_conn.close()
-                pool[worker_id] = _PoolWorker(
-                    process, parent_conn, self._m_shm_grows
-                )
+                pool[worker_id] = _PoolWorker(process, parent_conn)
                 self._m_spawned.inc()
         except (OSError, ValueError, RuntimeError) as exc:
-            for worker in pool.values():
-                self._stop_worker(worker, graceful=False)
+            self._stop_workers(pool.values(), graceful=False)
             self._note_fallback(
                 f"worker pool spawn failed ({type(exc).__name__}: {exc}); "
                 "running in-process"
             )
             return False
         self._pool = pool
-        self._pool_source = self._source
         return True
 
     @staticmethod
-    def _stop_worker(worker: _PoolWorker, graceful: bool = True) -> None:
-        if graceful:
-            try:
-                worker.conn.send(("stop",))
-            except (OSError, ValueError):
-                pass
-            worker.process.join(timeout=1.0)
-        if worker.process.is_alive():
-            worker.process.terminate()
-            worker.process.join(timeout=1.0)
-        try:
-            worker.conn.close()
-        except OSError:
-            pass
-        worker.channel.close()
+    def _stop_workers(workers: Collection[_PoolWorker], graceful: bool = True) -> None:
+        """Stop worker processes: ask (``graceful``), join, terminate stragglers.
 
-    def _close_pool(self) -> None:
-        pool, self._pool = self._pool, None
-        self._pool_source = None
-        if not pool:
-            return
-        for worker in pool.values():
-            try:
-                worker.conn.send(("stop",))
-            except (OSError, ValueError):
-                pass
-        for worker in pool.values():
-            worker.process.join(timeout=1.0)
+        Every worker is asked before any is joined, so a pool drains in
+        parallel rather than one join timeout after another.
+        """
+        if graceful:
+            for worker in workers:
+                try:
+                    worker.conn.send(("stop",))
+                except (OSError, ValueError):
+                    pass
+        for worker in workers:
+            if graceful:
+                worker.process.join(timeout=1.0)
             if worker.process.is_alive():
                 worker.process.terminate()
                 worker.process.join(timeout=1.0)
@@ -596,15 +396,16 @@ class ShardedExecutor(Generic[T]):
                 worker.conn.close()
             except OSError:
                 pass
-            worker.channel.close()
 
     def close(self) -> None:
         """Drain the worker pool; idempotent, safe on never-spawned pools."""
-        self._close_pool()
+        pool, self._pool = self._pool, None
+        if pool:
+            self._stop_workers(pool.values())
 
     def __del__(self):  # pragma: no cover - interpreter-shutdown safety net
         try:
-            self._close_pool()
+            self.close()
         except Exception:
             pass
 
@@ -616,28 +417,18 @@ class ShardedExecutor(Generic[T]):
         follows the shrunken live count.
         """
         self._live = [w for w in self._live if w not in worker_ids]
-        if self._pool is None:
-            return
-        for worker_id in worker_ids:
-            worker = self._pool.pop(worker_id, None)
-            if worker is not None:
-                self._stop_worker(worker, graceful=False)
+        if self._pool is not None:
+            self._stop_workers(
+                [self._pool.pop(w) for w in worker_ids if w in self._pool],
+                graceful=False,
+            )
 
-    # -- partitioning and fault injection ---------------------------------
-
-    def _partition(self, items: Sequence[T], shard_count: int) -> List[List[T]]:
-        if self._route_fn is None:
-            # Strided slices == round-robin, without a per-item Python loop.
-            return [list(items[w::shard_count]) for w in range(shard_count)]
-        shards: List[List[T]] = [[] for _ in range(shard_count)]
-        for index, item in enumerate(items):
-            shards[self._route_fn(item, index) % shard_count].append(item)
-        return shards
+    # -- fault injection ---------------------------------------------------
 
     def _inject_faults(
-        self, interval: int, live: List[int], shards: List[List[T]]
+        self, kills, interval: int, live: List[int], shards: List[List[T]]
     ) -> List[int]:
-        """Apply this interval's scheduled kills to the partitioned shards.
+        """Apply this interval's scheduled ``kills`` to the partitioned shards.
 
         Discard-and-rewiden (§3.2): the doomed worker's already-processed
         prefix is lost outright — its reservoir and counter die with it —
@@ -648,9 +439,6 @@ class ShardedExecutor(Generic[T]):
         widens.  Returns worker ids to remove from the live set after the
         interval (permanent kills).
         """
-        kills = self._faults.kills_for(interval) if self._faults is not None else []
-        if not kills:
-            return []
         killed_slots: set = set()
         remove: List[int] = []
         for kill in kills:
@@ -696,55 +484,59 @@ class ShardedExecutor(Generic[T]):
         """
         if not hasattr(items, "__len__"):
             items = list(items)
-        return self._run_interval(flat=items)
+        return self.run_chunks((items,))
 
     def run_chunks(self, chunks: Sequence[Sequence[T]]) -> WeightedSample[T]:
-        """Sample one interval delivered as intact chunks (no flatten copy).
+        """Sample one interval delivered as chunks, in order.
 
-        The shared-memory codec encodes chunk by chunk straight into the
-        transport arrays; only transports that need a flat item list
-        (fault reroutes, non-codec records, in-process fallback) pay the
-        concatenation.
+        Chunks that are one contiguous run of located views of ``source``
+        (the column-backed engines deliver exactly those) go out as that
+        run's index span; anything else is concatenated and pickled.
         """
-        if not hasattr(chunks, "__len__"):
-            chunks = list(chunks)
-        return self._run_interval(chunks=chunks)
+        span = self._located_span(chunks)
+        if span is not None:
+            return self._run_interval(span=span)
+        if len(chunks) == 1:
+            return self._run_interval(items=chunks[0])
+        return self._run_interval(items=[item for chunk in chunks for item in chunk])
 
     def run_span(self, lo: int, hi: int) -> WeightedSample[T]:
-        """Sample the pinned stream's ``[lo, hi)`` span as one interval.
+        """Sample rows ``[lo, hi)`` of ``source`` as one interval.
 
-        The cheapest transport: pooled workers slice their shard out of
-        the fork-inherited stream themselves, so the interval message is a
-        few integers regardless of how many items the span covers.
+        Pooled workers slice their shard out of the fork-inherited stream
+        themselves, so the interval message is a few integers regardless
+        of how many items the span covers.
         """
         if self._source is None:
-            raise RuntimeError("run_span requires a pin_source-pinned stream")
+            raise RuntimeError("run_span requires the executor's source stream")
         return self._run_interval(span=(lo, hi))
 
-    def _materialize(self, flat, chunks, span) -> Sequence[T]:
-        if flat is not None:
-            return flat
-        if chunks is not None:
-            if len(chunks) == 1:
-                only = chunks[0]
-                return only if isinstance(only, (list, tuple)) else list(only)
-            return [item for chunk in chunks for item in chunk]
-        lo, hi = span
-        return [item for _ts, item in self._source[lo:hi]]
+    def _located_span(self, chunks) -> Optional[Tuple[int, int]]:
+        """``(lo, hi)`` when ``chunks`` tile one row range of ``source``."""
+        source = self._source
+        if source is None or not chunks:
+            return None
+        lo = hi = getattr(chunks[0], "start", 0)
+        for chunk in chunks:
+            if getattr(chunk, "batch", None) is not source or chunk.start != hi:
+                return None
+            hi += len(chunk)
+        return lo, hi
 
-    def _run_interval(
-        self, flat=None, chunks=None, span=None
-    ) -> WeightedSample[T]:
+    def _partition(self, items, span, n_live: int) -> list:
+        """Round-robin shards of the interval: strided slices, no per-item loop."""
+        if span is None:
+            return [items[slot::n_live] for slot in range(n_live)]
+        return [
+            _span_shard(self._source, self._key_fn, *span, slot, n_live)
+            for slot in range(n_live)
+        ]
+
+    def _run_interval(self, items=None, span=None) -> WeightedSample[T]:
         interval = self._intervals_run
         self._intervals_run += 1
         self.last_run_parallel = False
-        if flat is not None:
-            total = len(flat)
-        elif chunks is not None:
-            total = sum(len(chunk) for chunk in chunks)
-        else:
-            total = span[1] - span[0]
-        if total == 0:
+        if (span[1] - span[0] if span is not None else len(items)) == 0:
             # Nothing to shard — do not wake the pool for an empty merge.
             return WeightedSample()
         live = self._live
@@ -756,16 +548,17 @@ class ShardedExecutor(Generic[T]):
         # no-fault path is bitwise identical to a fault-free executor.
         all_seeds = [self._rng.getrandbits(64) for _ in range(self.workers)]
         seeds = [all_seeds[worker_id] for worker_id in live]
-        has_kills = bool(
-            self._faults is not None and self._faults.kills_for(interval)
-        )
+        # Explicit shards (pickled when pooled); None leaves the span to be
+        # sliced by whoever samples it.
         shards = None
         remove: List[int] = []
-        if has_kills or self._route_fn is not None:
-            shards = self._partition(
-                self._materialize(flat, chunks, span), n_live
-            )
-            remove = self._inject_faults(interval, live, shards)
+        kills = self._faults.kills_for(interval) if self._faults is not None else []
+        if kills:
+            # Reroutes move single items between shards: plain lists.
+            shards = [list(shard) for shard in self._partition(items, span, n_live)]
+            remove = self._inject_faults(kills, interval, live, shards)
+        elif span is None:
+            shards = self._partition(items, None, n_live)
         use_pool = False
         if n_live > 1:
             blocker = self._parallel_blocker()
@@ -780,9 +573,7 @@ class ShardedExecutor(Generic[T]):
         payloads = None
         if use_pool:
             try:
-                payloads = self._run_pooled(
-                    live, seeds, shards, span, chunks, flat, total
-                )
+                payloads = self._run_pooled(live, seeds, shards, span)
                 self.last_run_parallel = True
             except (OSError, EOFError, ValueError, RuntimeError) as exc:
                 # A worker died or transport failed mid-interval.  Nothing
@@ -794,14 +585,11 @@ class ShardedExecutor(Generic[T]):
                     "interval completed in-process"
                 )
                 self._m_failures.inc()
-                self._close_pool()
-                payloads = None
+                self.close()
         if payloads is None:
             self._m_inprocess.inc()
             if shards is None:
-                shards = self._partition(
-                    self._materialize(flat, chunks, span), n_live
-                )
+                shards = self._partition(None, span, n_live)
             payloads = [
                 _run_shard(
                     shards[slot],
@@ -821,50 +609,24 @@ class ShardedExecutor(Generic[T]):
             self._retire(remove)
         return merged
 
-    def _run_pooled(self, live, seeds, shards, span, chunks, flat, total):
-        """One pooled interval: send live workers their transport, collect.
+    def _run_pooled(self, live, seeds, shards, span):
+        """One pooled interval: send live workers their shard, collect.
 
         Lockstep request-response over one pipe per worker; workers block
         in ``recv`` between intervals, so an idle pool costs nothing.
         """
         pool = self._pool
         n_live = len(live)
-        if shards is not None:
-            transports = [("items", shard) for shard in shards]
-            self._m_pickled.inc()
-        elif span is not None and self._pool_source is self._source:
-            lo, hi = span
-            transports = [("span", lo, hi, slot) for slot in range(n_live)]
+        if shards is None:
+            transports = [("span", *span, slot) for slot in range(n_live)]
             self._m_span.inc()
         else:
-            if chunks is None:
-                chunks = (self._materialize(flat, None, span),)
-            encoded = self._codec.encode(chunks, total)
-            if encoded is None:
-                shards = self._partition(
-                    self._materialize(flat, chunks, None), n_live
-                )
-                transports = [("items", shard) for shard in shards]
-                self._m_pickled.inc()
-                self._m_codec_fallbacks.inc()
-            else:
-                codes, values = encoded
-                transports = [
-                    ("shm", *pool[worker_id].channel.write(
-                        codes[slot::n_live], values[slot::n_live]
-                    ))
-                    for slot, worker_id in enumerate(live)
-                ]
-                self._m_shm.inc()
+            transports = [("items", shard) for shard in shards]
+            self._m_pickled.inc()
         policy_state = snapshot_attrs(self._policy)
-        key_list = self._codec.key_list
         for slot, worker_id in enumerate(live):
-            worker = pool[worker_id]
-            new_keys = key_list[worker.keys_sent :]
-            worker.keys_sent = len(key_list)
-            worker.conn.send(
-                ("interval", seeds[slot], n_live, policy_state, new_keys,
-                 transports[slot])
+            pool[worker_id].conn.send(
+                ("interval", seeds[slot], n_live, policy_state, transports[slot])
             )
         self._m_snapshots.inc(n_live)
         payloads = []
@@ -879,11 +641,13 @@ class ShardedExecutor(Generic[T]):
         return payloads
 
     @staticmethod
-    def _decode(payload: List[Tuple[object, List[object], int]]) -> WeightedSample[T]:
+    def _decode(payload: List[Tuple[object, object, int]]) -> WeightedSample[T]:
+        """A `_run_shard` payload as the shard's `WeightedSample`."""
         sample: WeightedSample[T] = WeightedSample()
         for key, kept, count in payload:
+            members = tuple(kept) if type(kept) is list else _StratumMembers(key, kept)
             sample.add(
-                StratumSample(key, tuple(kept), count, stratum_weight(count, len(kept)))
+                StratumSample(key, members, count, stratum_weight(count, len(kept)))
             )
         return sample
 
@@ -895,12 +659,11 @@ class ShardedIntervalSampler(Generic[T]):
     drive samplers through ``offer`` / ``process_chunk`` /
     ``close_interval``.  This adapter buffers the interval's chunks
     *intact* — ``process_chunk`` stores the chunk reference instead of
-    re-buffering items one by one, so producers that already deliver
-    fresh chunk lists (the chunked dataflow, RDD partitions) reach the
-    executor without a per-item copy — and fans the buffer out across the
-    worker pool in one ``run_chunks`` at interval close.  Drivers that
-    know the interval as a span of the pinned stream skip buffering
-    entirely through ``run_interval_span``.
+    re-buffering items one by one, so located column views reach the
+    executor still located (and leave it as an index span) — and fans the
+    buffer out across the worker pool in one ``run_chunks`` at interval
+    close.  Drivers that know the interval as a span of the executor's
+    stream skip buffering entirely through ``run_interval_span``.
 
     Example
     -------
@@ -943,10 +706,6 @@ class ShardedIntervalSampler(Generic[T]):
     def drain_recovery_events(self):
         return self._executor.drain_recovery_events()
 
-    def pin_source(self, events) -> None:
-        """Pin the stream on the executor (span-addressed transport)."""
-        self._executor.pin_source(events)
-
     def close(self) -> None:
         """Drain the executor's worker pool."""
         self._executor.close()
@@ -972,31 +731,15 @@ class ShardedIntervalSampler(Generic[T]):
         chunks, self._chunks, self._tail = self._chunks, [], None
         return self._executor.run_chunks(chunks)
 
-    def run_interval(self, items: Sequence[T]) -> WeightedSample[T]:
-        """Sample one whole interval in a single executor call.
-
-        Drivers that already hold the interval's items as a list use this
-        to skip the offer/close buffering — no per-item Python call, no
-        buffer copy — exactly the `ShardedExecutor.run` hot path.  Any
-        previously buffered chunks are prepended so mixed use stays
-        correct.
-        """
-        if self._chunks:
-            chunks, self._chunks, self._tail = self._chunks, [], None
-            chunks.append(items)
-            return self._executor.run_chunks(chunks)
-        return self._executor.run(items)
-
     def run_interval_span(self, lo: int, hi: int) -> WeightedSample[T]:
-        """Sample the pinned stream's ``[lo, hi)`` span as one interval.
+        """Sample rows ``[lo, hi)`` of the executor's stream as one interval.
 
-        The direct driver's fast path: with the stream pinned before the
-        pool spawned, the interval crosses the process boundary as two
-        integers.  Falls back to materialized execution when chunks are
-        already buffered (mixed use).
+        The direct driver's path: the interval crosses the process boundary
+        as two integers.  With chunks already buffered (mixed use) the
+        span's items join them and the interval closes through
+        ``run_chunks``.
         """
         if self._chunks:
-            source = self._executor.source
-            return self.run_interval([item for _ts, item in source[lo:hi]])
+            self.process_chunk([item for _ts, item in self._executor.source[lo:hi]])
+            return self.close_interval()
         return self._executor.run_span(lo, hi)
-

@@ -20,9 +20,10 @@ every layer speaks:
   items.  Slicing (including strided slicing, which is how round-robin
   sharding partitions work) returns another view; integer indexing and
   iteration materialize genuine Python ``(key, float)`` tuples, so
-  anything downstream — reservoir fills, the shared-memory codec's
-  ``type(value) is float`` check — sees exactly the objects the per-item
-  path would have produced.
+  anything downstream sees exactly the objects the per-item path would
+  have produced.  A view cut by `RecordBatch.item_slice` also remembers
+  which rows of which batch it covers, which is how the sharded executor
+  names an interval to its workers as two integers.
 * `item_key` / `item_value` — the canonical projections of the classic
   ``(key, value)`` item shape.  Queries default to them
   (`repro.runtime.config.StreamQuery`), and the drivers enable the
@@ -92,23 +93,34 @@ class ColumnSlice:
     The materialized values are genuine Python ``float`` objects (via
     ``ndarray.tolist()`` / ``.item()``), preserving the exact object shapes
     the per-item path produces.
+
+    ``batch``/``start`` are the view's row origin: it covers rows
+    ``[start, start + len(view))`` of ``batch``'s item columns.
+    `RecordBatch.item_slice` sets them, unit-step slicing carries them
+    along, and a strided slice (no longer a row range) has ``batch`` None.
     """
 
-    __slots__ = ("codes", "values", "key_table")
+    __slots__ = ("codes", "values", "key_table", "batch", "start")
 
-    def __init__(self, codes, values, key_table: List[Hashable]) -> None:
+    def __init__(
+        self, codes, values, key_table: List[Hashable], batch=None, start: int = 0
+    ) -> None:
         self.codes = codes
         self.values = values
         self.key_table = key_table
+        self.batch = batch
+        self.start = start
 
     def __len__(self) -> int:
         return len(self.codes)
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return ColumnSlice(
-                self.codes[index], self.values[index], self.key_table
-            )
+            view = ColumnSlice(self.codes[index], self.values[index], self.key_table)
+            if self.batch is not None and index.step in (None, 1):
+                view.batch = self.batch
+                view.start = self.start + index.indices(len(self.codes))[0]
+            return view
         return (
             self.key_table[self.codes[index]],
             self.values.item(index),
@@ -130,9 +142,9 @@ class ColumnSlice:
         return list(self)
 
     def __reduce__(self):
-        # Pickling (e.g. the sharded executor's fallback transport) ships
-        # the materialized items; the arrays may be views into buffers that
-        # do not exist on the other side (shared memory, a parent batch).
+        # Pickling (e.g. the sharded executor's fault-reroute transport)
+        # ships the materialized items; the arrays are views into a parent
+        # batch that does not exist on the other side.
         return (_rebuild_column_slice, (self.materialize(),))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -243,7 +255,7 @@ class RecordBatch(list):
     * ``ts`` (``float64``) — always built when NumPy is available,
     * ``codes`` (``int32``) / ``values`` (``float64``) / ``key_table`` —
       built only when every item is a plain 2-tuple of a hashable key and
-      a ``float`` payload (the shared-memory codec's representable set);
+      a ``float`` payload (the set the columns can represent);
       otherwise `columnar_reason` records why and the per-item shim is the
       only path,
     * ``seq`` (``int64``) — optional broker production sequence, attached
@@ -407,17 +419,20 @@ class RecordBatch(list):
 
     def item_slice(self, lo: int, hi: int) -> ColumnSlice:
         """Zero-copy `ColumnSlice` over the items of events ``[lo, hi)``."""
-        _ts, codes, values, key_table, _n, reason = self._columns()
+        _ts, codes, values, key_table, n, reason = self._columns()
         if codes is None:
             raise ValueError(f"batch has no item columns: {reason}")
-        return ColumnSlice(codes[lo:hi], values[lo:hi], key_table)
+        # The view's origin must be the row it really starts at, also for
+        # negative or out-of-range bounds.
+        lo, hi, _step = slice(lo, hi).indices(n)
+        return ColumnSlice(codes[lo:hi], values[lo:hi], key_table, self, lo)
 
     def iter_items(self):
         """The per-item compatibility shim: iterate ``(timestamp, item)``.
 
         Identical to plain iteration — the method exists to mark call sites
         that deliberately take the legacy per-item path (non-columnar
-        payloads, ``route_fn`` sharding, custom projections).
+        payloads, custom projections).
         """
         return iter(self)
 

@@ -129,8 +129,12 @@ class Pipeline:
         stream: Iterable[Tuple[float, T]],
         chunk_size: int = 0,
         columnar: bool = False,
+        start: int = 0,
     ) -> List[Tuple[float, object]]:
         """Push a time-ordered stream through; return the sink's results.
+
+        ``start`` skips that many leading events of a sequence ``stream``
+        (a resumed run's already-consumed prefix).
 
         With ``chunk_size > 1`` consecutive records are delivered as chunks
         through the operators' ``on_chunk`` fast path; watermarks advance at
@@ -143,15 +147,22 @@ class Pipeline:
         column-backed `repro.core.records.RecordBatch`) delivers each chunk
         as a zero-copy column view instead of buffering per item; chunk
         boundaries, watermarks, and results are identical.
+
+        Chunks sit on the stream-global ``[i, i + chunk_size)`` grid
+        whatever ``start`` is — the first chunk of a resumed run is the
+        short one ending on it — because the sampler decides one-row and
+        multi-row segments from different generators: a shifted grid would
+        cut different segments and so draw a different sample.
         """
         if self._sink is None:
             raise RuntimeError("pipeline has no sink; call sink_process/sink_collect")
+        events = stream[start:] if start else stream
         if chunk_size and chunk_size > 1:
             if columnar and getattr(stream, "has_columns", False):
-                return self._run_chunked_columnar(stream, chunk_size)
-            return self._run_chunked(stream, chunk_size)
+                return self._run_chunked_columnar(stream, chunk_size, start)
+            return self._run_chunked(events, chunk_size, start)
         last_ts = None
-        for timestamp, item in stream:
+        for timestamp, item in events:
             if last_ts is not None and timestamp < last_ts:
                 raise ValueError(
                     f"stream is not time-ordered: {timestamp} after {last_ts}"
@@ -167,11 +178,14 @@ class Pipeline:
         return list(self._sink.results)  # type: ignore[attr-defined]
 
     def _run_chunked(
-        self, stream: Iterable[Tuple[float, T]], chunk_size: int
+        self, stream: Iterable[Tuple[float, T]], chunk_size: int, start: int
     ) -> List[Tuple[float, object]]:
+        """Chunked run over ``stream``, whose first event is row ``start``."""
         buf_ts: List[float] = []
         buf_items: List[T] = []
         last_ts = None
+        # Items until the next grid line: a short first chunk after a resume.
+        room = chunk_size - start % chunk_size
 
         def flush() -> None:
             # Watermark advances to the chunk's first timestamp, then the
@@ -190,8 +204,9 @@ class Pipeline:
             buf_ts.append(timestamp)
             buf_items.append(item)
             last_ts = timestamp
-            if len(buf_items) >= chunk_size:
+            if len(buf_items) >= room:
                 flush()
+                room = chunk_size
         if buf_items:
             flush()
         if last_ts is not None:
@@ -200,12 +215,12 @@ class Pipeline:
         return list(self._sink.results)  # type: ignore[attr-defined]
 
     def _run_chunked_columnar(
-        self, batch, chunk_size: int
+        self, batch, chunk_size: int, start: int
     ) -> List[Tuple[float, object]]:
         """Chunked run over a column-backed batch: no per-item buffering.
 
-        Chunks are exactly the ``[i, i + chunk_size)`` runs the buffering
-        loop of ``_run_chunked`` flushes; timestamps are materialised per
+        Chunks are exactly the grid runs the buffering loop of
+        ``_run_chunked`` flushes; timestamps are materialised per
         chunk via ``tolist()`` (Python floats, bit-identical to the stream's
         own), and item payloads stay zero-copy
         `repro.core.records.ColumnSlice` views until an operator touches
@@ -216,12 +231,14 @@ class Pipeline:
         n = len(batch)
         if n > 1 and bool((ts_col[1:] < ts_col[:-1]).any()):
             raise ValueError("stream is not time-ordered")
-        for i in range(0, n, chunk_size):
-            j = min(i + chunk_size, n)
+        i = start
+        while i < n:
+            j = min(i - i % chunk_size + chunk_size, n)
             chunk_ts = ts_col[i:j].tolist()
             source.on_watermark(chunk_ts[0])
             source.on_chunk(chunk_ts, batch.item_slice(i, j))
-        if n:
+            i = j
+        if n > start:
             source.on_watermark(float(ts_col[n - 1]) + 1e-9)
         source.on_close()
         return list(self._sink.results)  # type: ignore[attr-defined]

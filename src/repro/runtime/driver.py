@@ -311,7 +311,7 @@ class _Run:
             self.strategy = get_strategy(plan.strategy).bind(plan)
         else:
             self.strategy = _AdHocBatchStrategy(plan, handle_batch)
-        self.strategy.attach_telemetry(telemetry)
+        self.strategy.attach_run(telemetry, stream)
         self.controller: Optional[BudgetController] = None
         if plan.config.budget is None:
             self.first_budget = _interval_budget(stream, plan.window, plan.config)
@@ -600,8 +600,10 @@ def _ingest_pipelined(run: _Run) -> SimulatedCluster:
     sampling operator opens the next interval.  Checkpoints add the
     interval sampler and the operator's window state (recent interval
     samples, or the exact path's buffered items); resume preloads it and
-    restarts the dataflow at the checkpointed pane boundary over the
-    unconsumed stream suffix.
+    restarts the dataflow at the checkpointed pane boundary, feeding the
+    same stream from the checkpointed position (`Pipeline.run`'s ``start``
+    keeps the chunk grid, and with it every sampling decision, where the
+    uninterrupted run had it).
     """
     stream, plan, timer = run.stream, run.plan, run.timer
     config, window, query = plan.config, plan.window, plan.query
@@ -609,10 +611,11 @@ def _ingest_pipelined(run: _Run) -> SimulatedCluster:
         nodes=config.nodes, cores_per_node=config.cores_per_node, costs=config.costs
     )
     last_ts = stream[-1][0] if stream else 0.0
-    start, feed, window_state = 0.0, stream, {}
+    start, position, window_state = 0.0, 0, {}
     if run.resume is not None:
         start, window_state = run.resume.pane_end, run.resume.state
-        feed = stream[run.resume.stream_position :]
+        position = run.resume.stream_position
+    fed = len(stream) - position
     pipeline = Pipeline(cluster)
     if run.strategy.samples_intervals:
         sampler = run.interval_sampler()
@@ -641,7 +644,7 @@ def _ingest_pipelined(run: _Run) -> SimulatedCluster:
                 },
             )
 
-        run.count(len(feed), 0)
+        run.count(fed, 0)
         pipeline.sample_oasrs(sampler, slide=window.slide, start=start).charge(
             count_fn=count_kept
         ).window_samples(
@@ -669,7 +672,7 @@ def _ingest_pipelined(run: _Run) -> SimulatedCluster:
 
         # The exact path consumes every item at full weight: its sample
         # cost *is* the stream.
-        run.count(len(feed), len(feed))
+        run.count(fed, fed)
         pipeline.charge().window(  # per-item query processing, charged once
             length=window.length,
             slide=window.slide,
@@ -679,7 +682,7 @@ def _ingest_pipelined(run: _Run) -> SimulatedCluster:
             preload=window_state.get("pane_items"),
         )
     pipeline.sink_collect().run(
-        feed, chunk_size=config.chunk_size, columnar=run.columnar
+        stream, chunk_size=config.chunk_size, columnar=run.columnar, start=position
     )
     return cluster
 
@@ -764,11 +767,10 @@ def _ingest_direct(run: _Run) -> SimulatedCluster:
     Leaves ``run_info["sampling_seconds"]`` (see `execute_plan`), reported by
     `repro.system.native.NativeStreamApproxSystem.last_sampling_seconds`.
 
-    Sharded samplers get the stream pinned up front (``pin_source``), so
-    the persistent worker pool forks with the stream already in memory and
-    each interval crosses the process boundary as a ``[lo, hi)`` index
-    span; the pool spawns on the first parallel interval and is drained in
-    `execute_plan`'s ``finally``.
+    Sharded samplers take each interval as a ``[lo, hi)`` index span of
+    the stream the run context gave the strategy (the worker pool forks
+    with it inherited); the pool spawns on the first parallel interval and
+    is drained in `execute_plan`'s ``finally``.
 
     Checkpoints add the interval sampler (in-process or sharded) and the
     in-window interval history; resume restarts the interval loop at the
@@ -784,12 +786,8 @@ def _ingest_direct(run: _Run) -> SimulatedCluster:
     ts_col = stream.ts if run.columnar else None
     sampler = run.interval_sampler()
     # Sharded samplers expose a whole-interval entry point; use it to skip
-    # the per-item offer buffering (the executor chunks internally).  With
-    # the stream pinned before the pool spawns, forked workers inherit it
-    # and an interval is addressed by its index span alone.
+    # the per-item offer buffering (the executor chunks internally).
     run_span = getattr(sampler, "run_interval_span", None)
-    if run_span is not None:
-        sampler.pin_source(stream)
     # Stage label for the sampling section: the sharded entry point crosses
     # the worker-pool transport; the in-process paths are plain offers.
     sampling_stage = "transport" if run_span is not None else "offer"
@@ -824,7 +822,7 @@ def _ingest_direct(run: _Run) -> SimulatedCluster:
         sampling_started = time.perf_counter()
         if run_span is not None:
             # Span-addressed sharding: no item materialization here at all;
-            # pooled workers slice their shard from the pinned stream.
+            # pooled workers slice their shard from the inherited stream.
             sample = run_span(lo, end_idx)
         elif chunk > 1 and end_idx - lo > 1:
             process_chunk = sampler.process_chunk

@@ -158,17 +158,21 @@ class BoundStrategy:
         self.plan = plan
         self._fraction_override: float = None  # type: ignore[assignment]
         self.telemetry = None
+        self.source = None
 
-    def attach_telemetry(self, telemetry) -> None:
-        """Give the run's `repro.obs.RunTelemetry` to the strategy.
+    def attach_run(self, telemetry, source) -> None:
+        """Give the run's `repro.obs.RunTelemetry` and stream to the strategy.
 
-        Drivers call this right after ``bind`` (before any sampler or
-        executor is built) so sharded strategies can hand the metrics
-        registry to their worker pools — cross-process costs (spawn,
-        policy-snapshot ship, shm grow, pickle fallback) are then
-        attributed per transport tier.  ``None`` means telemetry is off.
+        The run context calls this right after ``bind`` (before any sampler
+        or executor is built) so sharded strategies can hand both to their
+        worker pools: the metrics registry attributes cross-process costs
+        (spawn, policy-snapshot ship, pickled intervals) per transport kind,
+        and the pool forks with ``source`` inherited, so intervals cross the
+        process boundary as index spans.  ``telemetry`` None means
+        telemetry is off.
         """
         self.telemetry = telemetry
+        self.source = source
 
     @property
     def samples_intervals(self) -> bool:
@@ -249,6 +253,24 @@ class BoundStrategy:
         return None
 
 
+class _SeededBound(BoundStrategy):
+    """A bound strategy drawing from one ``config.seed``-seeded RNG, which
+    checkpoints and restores with it."""
+
+    def __init__(self, strategy: SamplingStrategy, plan: ExecutionPlan) -> None:
+        super().__init__(strategy, plan)
+        self._rng = random.Random(plan.config.seed)
+
+    def state(self) -> dict:
+        state = super().state()
+        state["rng"] = self._rng.getstate()
+        return state
+
+    def restore(self, state: dict) -> None:
+        super().restore(state)
+        self._rng.setstate(state["rng"])
+
+
 @register_strategy
 class NoSamplingStrategy(SamplingStrategy):
     """Process everything: the exact, full-cost baseline stage.
@@ -298,20 +320,7 @@ class SRSStrategy(SamplingStrategy):
         return _BoundSRS(self, plan)
 
 
-class _BoundSRS(BoundStrategy):
-    def __init__(self, strategy: SamplingStrategy, plan: ExecutionPlan) -> None:
-        super().__init__(strategy, plan)
-        self._rng = random.Random(plan.config.seed)
-
-    def state(self) -> dict:
-        state = super().state()
-        state["rng"] = self._rng.getstate()
-        return state
-
-    def restore(self, state: dict) -> None:
-        super().restore(state)
-        self._rng.setstate(state["rng"])
-
+class _BoundSRS(_SeededBound):
     def sample_batch(self, ctx: StreamingContext, items: Sequence[object]) -> WeightedSample:
         config = self.plan.config
         rdd = ctx.rdd_of(items)
@@ -346,20 +355,7 @@ class STSStrategy(SamplingStrategy):
         return _BoundSTS(self, plan)
 
 
-class _BoundSTS(BoundStrategy):
-    def __init__(self, strategy: SamplingStrategy, plan: ExecutionPlan) -> None:
-        super().__init__(strategy, plan)
-        self._rng = random.Random(plan.config.seed)
-
-    def state(self) -> dict:
-        state = super().state()
-        state["rng"] = self._rng.getstate()
-        return state
-
-    def restore(self, state: dict) -> None:
-        super().restore(state)
-        self._rng.setstate(state["rng"])
-
+class _BoundSTS(_SeededBound):
     def sample_batch(self, ctx: StreamingContext, items: Sequence[object]) -> WeightedSample:
         config = self.plan.config
         key_fn = self.plan.query.key_fn
@@ -420,10 +416,9 @@ class OASRSStrategy(SamplingStrategy):
         return _BoundOASRS(self, plan)
 
 
-class _BoundOASRS(BoundStrategy):
+class _BoundOASRS(_SeededBound):
     def __init__(self, strategy: SamplingStrategy, plan: ExecutionPlan) -> None:
         super().__init__(strategy, plan)
-        self._rng = random.Random(plan.config.seed)
         self._sampler: OASRSSampler = None  # type: ignore[assignment]
         self._executor: ShardedExecutor = None  # type: ignore[assignment]
         self._policy: WaterFillingAllocation = None  # type: ignore[assignment]
@@ -434,7 +429,6 @@ class _BoundOASRS(BoundStrategy):
 
     def state(self) -> dict:
         state = super().state()
-        state["rng"] = self._rng.getstate()
         state["policy"] = (
             snapshot_attrs(self._policy) if self._policy is not None else None
         )
@@ -456,12 +450,10 @@ class _BoundOASRS(BoundStrategy):
         if state["policy"] is not None:
             restore_attrs(self._policy, state["policy"])
         if state["sampler"] is not None and self._sampler is not None:
+            # Rewinds the shared RNG once more, to the same snapshot.
             restore_sampler(self._sampler, state["sampler"])
         if state["executor"] is not None and self._executor is not None:
             self._executor.restore(state["executor"])
-        # Last: the sampler restore rewinds the shared RNG to the same
-        # snapshot, but setting it here keeps the order-independence explicit.
-        self._rng.setstate(state["rng"])
 
     def drain_recovery_events(self) -> list:
         events: list = []
@@ -589,4 +581,5 @@ class _BoundOASRS(BoundStrategy):
             chunk_size=config.chunk_size if config.chunk_size > 1 else 1024,
             faults=config.faults,
             metrics=self.telemetry.metrics if self.telemetry is not None else None,
+            source=self.source,
         )

@@ -12,7 +12,7 @@ these tests pin the contract that makes that safe:
   (``REPRO_NO_COLUMNAR=1``, the per-item shim),
 * checkpoint/resume over batched sources — resuming a chunked columnar run
   from any pane checkpoint reproduces the uninterrupted panes exactly,
-* fallback surfacing — batches the codec cannot represent (non-float
+* fallback surfacing — batches the columns cannot represent (non-float
   payloads, unhashable keys) and queries with custom projections report a
   ``columnar_fallback`` reason instead of silently degrading.
 """
@@ -100,6 +100,39 @@ class TestRoundTrip:
             materialized = view[i]
             assert materialized == items[lo + i]
             assert type(materialized[1]) is float
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        events=events_strategy,
+        cuts=st.lists(
+            st.tuples(
+                st.none() | st.integers(-90, 90),
+                st.none() | st.integers(-90, 90),
+                st.sampled_from([None, 1]),
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+        stride=st.sampled_from([2, 3, -1]),
+    )
+    def test_unit_step_views_know_their_rows(self, events, cuts, stride):
+        """A view's origin names the very rows it holds, however it was cut:
+        nested, empty, open-ended or negative-index unit-step slices all keep
+        ``batch.item_slice(start, start + len)`` equal to the view."""
+        batch = RecordBatch(events)
+        view = batch.item_slice(0, len(events))
+        for lo, hi, step in cuts:
+            view = view[lo:hi:step]
+            assert view.batch is batch
+            again = batch.item_slice(view.start, view.start + len(view))
+            assert again.start == view.start
+            assert np.array_equal(again.codes, view.codes)
+            assert np.array_equal(again.values, view.values)
+            assert again.key_table is view.key_table
+        # A strided view is no row range; a pickled one is a plain list.
+        assert view[::stride].batch is None
+        assert view[::stride][0:2].batch is None
+        assert type(pickle.loads(pickle.dumps(view))) is list
 
     @settings(max_examples=25, deadline=None)
     @given(events=events_strategy)
@@ -231,6 +264,45 @@ def test_chunked_columnar_resume_matches_uninterrupted(seed, chunk):
             resume_from=store.get(index),
         )
         assert _fingerprint(resumed) == _fingerprint(base)
+
+
+@pytest.mark.parametrize("shim", [False, True], ids=["columnar", "shim"])
+def test_chunked_pipelined_resume_keeps_the_chunk_grid(shim, monkeypatch):
+    """Resume from every checkpoint of a run whose fire boundaries leave
+    one-row chunk segments.
+
+    One-row segments are decided on the Python RNG and longer ones on the
+    NumPy generator, so a resumed feed must cut the stream where the
+    uninterrupted run did: on the stream-global chunk grid, not on one
+    shifted to the checkpointed position.
+    """
+    if shim:
+        monkeypatch.setenv("REPRO_NO_COLUMNAR", "1")
+    stream = stream_by_rates({"A": 640, "B": 160, "C": 8}, duration=30, seed=7)
+    query = StreamQuery(kind="mean", name="grid")
+
+    def plan(**overrides):
+        config = SystemConfig(sampling_fraction=0.4, seed=3, chunk_size=256, **overrides)
+        return build_plan(
+            query, WindowConfig(0.6, 0.3), config, engine="pipelined",
+            strategy="oasrs", source=ListSource(stream), name="grid",
+        )
+
+    base, _ = execute_plan(plan())
+    store = CheckpointStore()
+    execute_plan(plan(checkpoint=CheckpointPolicy(every=1)), checkpoint_store=store)
+    assert len(store) >= 90
+    diverged = [
+        index
+        for index in store.indices()
+        if _fingerprint(
+            execute_plan(
+                plan(checkpoint=CheckpointPolicy(every=1)), resume_from=store.get(index)
+            )[0]
+        )
+        != _fingerprint(base)
+    ]
+    assert not diverged, f"resume diverged from checkpoints {diverged}"
 
 
 # ---------------------------------------------------------------------------

@@ -80,25 +80,12 @@ class TestMergeWeights:
         assert ex.run(make_stream({"a": 30}))["a"].count == 30
         assert ex.run([]).total_count == 0
 
-    def test_custom_route_fn(self):
-        stream = make_stream({"a": 200, "b": 200}, seed=5)
-        ex = ShardedExecutor(
-            2,
-            FixedPerStratum(10),
-            key_fn=KEY,
-            seed=5,
-            route_fn=lambda item, index: 0 if item[0] == "a" else 1,
-        )
-        merged = ex.run(stream)
-        assert merged["a"].count == 200
-        assert merged["b"].count == 200
-
 
 class TestExecutionModes:
     def test_multiprocess_path_used_when_available(self):
         ex = ShardedExecutor(4, FixedPerStratum(10), key_fn=KEY, seed=6)
         ex.run(make_stream({"a": 2000}))
-        if ex._fork_available():
+        if ex._parallel_blocker() is None:
             assert ex.last_run_parallel
 
     def test_inline_fallback_with_env_flag(self, monkeypatch):

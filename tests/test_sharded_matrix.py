@@ -1,0 +1,186 @@
+"""The sharded plan matrix: one answer from every way of running it.
+
+72 ``parallelism=3`` plans — 2 streams × 3 engines × mean / p90 /
+grouped-sum × ``chunk_size`` 0 / 256 × with / without a permanent
+`ShardKill` — each run on the worker pool and again in-process
+(``REPRO_NO_MP``).  Both must reproduce, pane for pane and bit for bit,
+the digests in ``tests/golden/sharded_digest.json``, which were captured
+at the commit *before* the process boundary was reduced to index spans in
+and value columns out (``python tests/test_sharded_matrix.py --capture``
+rewrites the file; it needs only the public plan API, so it runs on any
+commit).
+
+The pooled run also pins which message kind carried each interval:
+every fault-free interval of a column-backed run is an index span on all
+three engines, and only the kill interval ships pickled items (as does
+every interval of the item-at-a-time pipelined dataflow, ``chunk_size``
+0, whose operators hand the sampler tuples one by one).
+"""
+
+import hashlib
+import itertools
+import json
+import os
+import sys
+from pathlib import Path
+
+import pytest
+
+from repro.core.records import item_key
+from repro.core.recovery import FaultSchedule, ShardKill
+from repro.runtime import (
+    ListSource,
+    StreamQuery,
+    SystemConfig,
+    TelemetryConfig,
+    WindowConfig,
+    build_plan,
+    execute_plan,
+)
+from repro.workloads.synthetic import SubStreamSpec, make_stream, stream_by_rates
+
+DIGESTS = Path(__file__).parent / "golden" / "sharded_digest.json"
+
+# Float-exact widths, so "one interval per distinct floor(ts / width)" below
+# counts exactly the intervals the engines cut.
+WINDOW = WindowConfig(length=10.0, slide=5.0)
+BATCH_INTERVAL = 1.0
+KILL_INTERVAL = 2
+
+
+def skewed_stream():
+    """Three skewed Gaussian strata (the perf benchmark's S3 shape, 2 %)."""
+    return stream_by_rates({"A": 640, "B": 160, "C": 8}, duration=30, seed=7)
+
+
+def wide_stream():
+    """40 equal-rate strata: most shards see most strata."""
+    specs = [
+        SubStreamSpec(f"s{i:02d}", "gaussian", mu=10.0 * (i + 1), sigma=1.0 + i % 7)
+        for i in range(40)
+    ]
+    return make_stream(specs, {spec.source: 20.0 for spec in specs}, 30, seed=11)
+
+
+STREAMS = {"skewed": skewed_stream, "wide": wide_stream}
+QUERIES = {
+    "mean": StreamQuery(kind="mean", name="mean"),
+    "p90": StreamQuery(kind="quantile", q=0.9, name="p90"),
+    "grouped-sum": StreamQuery(kind="sum", group_fn=item_key, name="grouped-sum"),
+}
+CASES = list(
+    itertools.product(
+        STREAMS, ("direct", "pipelined", "batched"), QUERIES, (0, 256), (False, True)
+    )
+)
+
+
+def case_id(case):
+    stream, engine, query, chunk, kill = case
+    return f"{stream}-{engine}-{query}-chunk{chunk}-{'kill' if kill else 'clean'}"
+
+
+def run_case(case, stream, telemetry=False):
+    _stream, engine, query, chunk, kill = case
+    faults = None
+    if kill:
+        faults = FaultSchedule(
+            kills=(ShardKill(interval=KILL_INTERVAL, worker=1, permanent=True),)
+        )
+    config = SystemConfig(
+        sampling_fraction=0.4, seed=3, parallelism=3, chunk_size=chunk,
+        batch_interval=BATCH_INTERVAL, faults=faults,
+        telemetry=TelemetryConfig() if telemetry else None,
+    )
+    plan = build_plan(
+        QUERIES[query], WINDOW, config, engine=engine, strategy="oasrs",
+        source=ListSource(stream), name=case_id(case),
+    )
+    info = {}
+    results, _cluster = execute_plan(plan, run_info=info)
+    return results, info
+
+
+def digest(results):
+    """sha256 over every number a pane reports, ``repr``-exact."""
+    rows = [
+        (
+            r.end, r.estimate, r.sampled_items, r.total_items,
+            None if r.error is None else (r.error.margin, r.error.variance),
+            sorted(r.groups.items()),
+            [(e.interval, e.worker, e.items_lost, e.items_rerouted, e.permanent)
+             for e in r.recovery],
+        )
+        for r in results
+    ]
+    return hashlib.sha256(repr(rows).encode()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def streams():
+    return {name: make() for name, make in STREAMS.items()}
+
+
+@pytest.fixture(scope="module")
+def expected():
+    return json.loads(DIGESTS.read_text())
+
+
+@pytest.mark.parametrize("case", CASES, ids=case_id)
+def test_pooled_and_in_process_match_the_parent_digest(
+    case, streams, expected, monkeypatch
+):
+    stream = streams[case[0]]
+    monkeypatch.delenv("REPRO_NO_MP", raising=False)
+    pooled, info = run_case(case, stream, telemetry=True)
+    assert "parallel_fallback" not in info
+    assert digest(pooled) == expected[case_id(case)], "pooled run left the parent's panes"
+
+    # Intervals the engine cut: every distinct slide (micro-batch on the
+    # batched engine) the stream has items in.
+    width = BATCH_INTERVAL if case[1] == "batched" else WINDOW.slide
+    intervals = len({int(ts // width) for ts, _item in stream})
+    counters = info["telemetry"].metrics.snapshot()["counters"]
+    kills = 1 if case[4] else 0
+    if case[1] == "pipelined" and case[3] == 0:
+        # Item-at-a-time dataflow: the operator offers tuples, not views.
+        kills = intervals
+    assert counters["transport.span_intervals"] == intervals - kills
+    assert counters["transport.pickle_intervals"] == kills
+    assert counters["transport.inprocess_intervals"] == 0
+
+    monkeypatch.setenv("REPRO_NO_MP", "1")
+    in_process, info = run_case(case, stream)
+    assert "REPRO_NO_MP" in info["parallel_fallback"]
+    assert digest(in_process) == expected[case_id(case)], "in-process run diverged"
+
+
+def test_records_off_the_columns_travel_pickled():
+    """Int payloads have no value column: micro-batches ship as items."""
+    stream = [(ts, (key, int(value))) for ts, (key, value) in skewed_stream()]
+    config = SystemConfig(
+        sampling_fraction=0.4, seed=3, parallelism=3, batch_interval=BATCH_INTERVAL,
+        telemetry=TelemetryConfig(),
+    )
+    plan = build_plan(
+        QUERIES["mean"], WINDOW, config, engine="batched", strategy="oasrs",
+        source=ListSource(stream),
+    )
+    info = {}
+    execute_plan(plan, run_info=info)
+    assert "columnar_fallback" in info and "parallel_fallback" not in info
+    counters = info["telemetry"].metrics.snapshot()["counters"]
+    assert counters["transport.pickle_intervals"] == len(
+        {int(ts // BATCH_INTERVAL) for ts, _item in stream}
+    )
+    assert counters["transport.span_intervals"] == 0
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--capture"]:
+        sys.exit("usage: python tests/test_sharded_matrix.py --capture")
+    os.environ.pop("REPRO_NO_MP", None)
+    made = {name: make() for name, make in STREAMS.items()}
+    captured = {case_id(case): digest(run_case(case, made[case[0]])[0]) for case in CASES}
+    DIGESTS.write_text(json.dumps(captured, indent=1, sort_keys=True) + "\n")
+    print(f"captured {len(captured)} digests -> {DIGESTS}")

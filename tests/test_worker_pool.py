@@ -1,14 +1,17 @@
 """Persistent worker pool: lifecycle, transports, and degraded paths.
 
 `repro.core.distributed.ShardedExecutor` keeps one process per shard
-alive for the whole run and moves chunk payloads over shared memory.
+alive for the whole run; an interval goes in as an index span of the
+run's stream (or pickled items) and comes back as value columns.
 These tests pin the contracts the rest of the runtime builds on:
 
 * **Bitwise determinism across execution modes** — a pooled run, the
-  ``REPRO_NO_MP`` in-process fallback, and every transport tier (flat
-  pickle, shared-memory chunk codec, pinned index span) produce the
-  exact same merged samples, because shard samplers are rebuilt from
-  coordinator-drawn seeds every interval.
+  ``REPRO_NO_MP`` in-process fallback, and both message kinds (pickled
+  items, index span — named directly or recognised from located column
+  chunks) produce the exact same merged samples, because shard samplers
+  are rebuilt from coordinator-drawn seeds every interval.
+* **The reply format** — a stratum sampled from column views returns as
+  its value array, never as per-item tuples; tuple strata round-trip.
 * **Pool lifecycle** — workers spawn once (lazily, on the first parallel
   interval), survive across intervals without respawning, die on
   ``close``, and a permanent `ShardKill` terminates the real process
@@ -19,13 +22,17 @@ These tests pin the contracts the rest of the runtime builds on:
   ``execute_plan`` matches the uninterrupted run bitwise.
 """
 
+import pickle
 import random
 
+import numpy as np
 import pytest
 
-from repro.core.distributed import ShardedExecutor, ShardedIntervalSampler
+from repro.core.distributed import ShardedExecutor, ShardedIntervalSampler, _run_shard
 from repro.core.oasrs import FixedPerStratum, WaterFillingAllocation
+from repro.core.records import RecordBatch, _StratumMembers, item_key
 from repro.core.recovery import FaultSchedule, ShardKill
+from repro.obs import MetricsRegistry
 from repro.runtime import (
     CheckpointPolicy,
     CheckpointStore,
@@ -69,12 +76,30 @@ def intervals():
     return make_intervals()
 
 
-class TestBitwiseAcrossModes:
-    """Pooled, fallback, and all three transports: one identical answer."""
+#: Tests that assert on live worker processes; `make shard-modes` runs this
+#: file under ``REPRO_NO_MP=1`` too, where every run is in-process.
+needs_pool = pytest.mark.skipif(
+    ShardedExecutor._parallel_blocker() is not None,
+    reason="no worker pool on this host/run: in-process execution only",
+)
 
-    def reference_fingerprints(self, monkeypatch, intervals):
+
+def as_events(intervals):
+    """The intervals laid end to end as one stream, plus each one's row span."""
+    events, spans = [], []
+    for items in intervals:
+        lo = len(events)
+        events.extend((float(len(events) + i), item) for i, item in enumerate(items))
+        spans.append((lo, len(events)))
+    return events, spans
+
+
+class TestBitwiseAcrossModes:
+    """Pooled, fallback, and both message kinds: one identical answer."""
+
+    def reference_fingerprints(self, monkeypatch, intervals, **kwargs):
         monkeypatch.setenv("REPRO_NO_MP", "1")
-        ex = make_executor()
+        ex = make_executor(**kwargs)
         fps = [fingerprint(ex.run(items)) for items in intervals]
         assert not ex.last_run_parallel
         ex.close()
@@ -92,28 +117,10 @@ class TestBitwiseAcrossModes:
             ex.close()
         assert got == expected
 
-    def test_pooled_chunked_matches_in_process(self, monkeypatch, intervals):
-        expected = self.reference_fingerprints(monkeypatch, intervals)
-        ex = make_executor()
-        try:
-            got = []
-            for items in intervals:
-                chunks = [items[i : i + 512] for i in range(0, len(items), 512)]
-                got.append(fingerprint(ex.run_chunks(chunks)))
-            assert ex.last_run_parallel
-        finally:
-            ex.close()
-        assert got == expected
-
     def test_pooled_span_matches_in_process(self, monkeypatch, intervals):
         expected = self.reference_fingerprints(monkeypatch, intervals)
-        events, spans = [], []
-        for items in intervals:
-            lo = len(events)
-            events.extend((float(len(events) + i), item) for i, item in enumerate(items))
-            spans.append((lo, len(events)))
-        ex = make_executor()
-        ex.pin_source(events)
+        events, spans = as_events(intervals)
+        ex = make_executor(source=events)
         try:
             got = [fingerprint(ex.run_span(lo, hi)) for lo, hi in spans]
             assert ex.last_run_parallel
@@ -121,24 +128,67 @@ class TestBitwiseAcrossModes:
             ex.close()
         assert got == expected
 
-    def test_non_codec_items_match_in_process(self, monkeypatch):
-        """Int-valued records miss the shm codec; the pickle tier agrees."""
-        rng = random.Random(3)
-        intervals = [
-            [(rng.choice("xyz"), rng.randrange(50)) for _ in range(1500)]
-            for _ in range(3)
-        ]
-        expected = self.reference_fingerprints(monkeypatch, intervals)
-        ex = make_executor()
+    def test_located_chunks_cross_as_spans(self, monkeypatch, intervals):
+        """Column chunks tiling a row range of the source ship as its span —
+        and sample exactly as the same items pickled, or in-process."""
+        expected = self.reference_fingerprints(monkeypatch, intervals, key_fn=item_key)
+        events, spans = as_events(intervals)
+        batch = RecordBatch(events)
+        metrics = MetricsRegistry()
+        ex = make_executor(key_fn=item_key, source=batch, metrics=metrics)
         try:
-            got = [fingerprint(ex.run(items)) for items in intervals]
+            got = []
+            for lo, hi in spans:
+                view = batch.item_slice(lo, hi)
+                chunks = [view[i : i + 512] for i in range(0, hi - lo, 512)]
+                got.append(fingerprint(ex.run_chunks(chunks)))
             assert ex.last_run_parallel
+            counters = metrics.snapshot()["counters"]
+            assert counters["transport.span_intervals"] == len(spans)
+            assert counters["transport.pickle_intervals"] == 0
+            # A gap between the chunks is not a row range: the items travel.
+            lo, hi = spans[0]
+            ex.run_chunks([batch.item_slice(lo, lo + 10), batch.item_slice(lo + 20, hi)])
+            assert metrics.snapshot()["counters"]["transport.pickle_intervals"] == 1
         finally:
             ex.close()
         assert got == expected
 
 
+class TestReplyFormat:
+    """What `_run_shard` hands back across the process boundary."""
+
+    def test_column_shard_replies_with_value_arrays(self):
+        events, _spans = as_events(make_intervals(1))
+        shard = RecordBatch(events).item_slice(0, len(events))[1::2]
+        payload = _run_shard(shard, WaterFillingAllocation(200), item_key, 2, 5, 256)
+        assert payload, "empty payload"
+        for _key, kept, count in payload:
+            assert isinstance(kept, np.ndarray) and kept.dtype == np.float64
+            assert 0 < len(kept) <= count
+        # The bytes on the pipe hold arrays only: unpickling builds no tuple
+        # per kept item.
+        revived = pickle.loads(pickle.dumps(payload))
+        assert all(isinstance(kept, np.ndarray) for _key, kept, _count in revived)
+        sample = ShardedExecutor._decode(revived)
+        for key, kept, count in payload:
+            assert type(sample[key].items) is _StratumMembers
+            assert sample[key].items == [(key, v) for v in kept.tolist()]
+            assert sample[key].count == count
+
+    def test_tuple_strata_round_trip(self):
+        """A custom ``key_fn`` sees item tuples; they come back as they went."""
+        items = make_intervals(1)[0]
+        payload = _run_shard(items, WaterFillingAllocation(200), KEY, 2, 5, 256)
+        sample = ShardedExecutor._decode(pickle.loads(pickle.dumps(payload)))
+        for key, kept, count in payload:
+            assert type(kept) is list and set(kept) <= set(items)
+            assert sample[key].items == tuple(kept)
+            assert sample[key].count == count
+
+
 class TestPoolLifecycle:
+    @needs_pool
     def test_pool_spawns_lazily_and_once(self, intervals):
         ex = make_executor()
         try:
@@ -153,6 +203,7 @@ class TestPoolLifecycle:
         finally:
             ex.close()
 
+    @needs_pool
     def test_close_terminates_workers(self, intervals):
         ex = make_executor()
         ex.run(intervals[0])
@@ -168,6 +219,7 @@ class TestPoolLifecycle:
         ex.close()
         assert not ex.pooled
 
+    @needs_pool
     def test_permanent_kill_terminates_live_worker(self, intervals):
         faults = FaultSchedule(
             kills=(ShardKill(interval=1, worker=2, permanent=True),)
@@ -192,6 +244,7 @@ class TestPoolLifecycle:
         finally:
             ex.close()
 
+    @needs_pool
     def test_restore_tears_pool_down(self, intervals):
         ex = make_executor()
         ex.run(intervals[0])
@@ -246,6 +299,7 @@ class TestFallbackSurfacing:
         assert report.parallel_fallback is not None
         assert "REPRO_NO_MP" in report.parallel_fallback
 
+    @needs_pool
     def test_report_silent_when_pool_healthy(self):
         report = run_parallel_system()
         assert report.parallel_fallback is None
