@@ -14,10 +14,11 @@ just one O(sample-size) merge:
   with small per-interval control messages.  The process boundary carries
   one format per direction:
 
-  - **in** — an interval that is a contiguous row range of the run's
-    stream (every interval of a column-backed run: direct slide
-    intervals, batched micro-batches, pipelined chunk segments) is named
-    by its ``[lo, hi)`` index span; each forked worker slices its own
+  - **in** — an interval delivered as located column views tiling one
+    row range of the run's stream (every interval of a column-backed
+    run: direct slide intervals, batched micro-batches, pipelined chunk
+    segments) is named by its ``[lo, hi)`` index span; each forked
+    worker slices its own
     round-robin shard out of the inherited stream.  Anything else —
     fault-injection reroutes, records the columns cannot represent —
     crosses as a pickled item list.
@@ -26,8 +27,8 @@ just one O(sample-size) merge:
     only strata that really hold item tuples return them.
 
   This is the executor behind ``SystemConfig(parallelism=N)``.
-* `ShardedIntervalSampler` — adapts the executor to the interval-sampler
-  duck type the pipelined and direct engines drive.
+* `ShardedIntervalSampler` — adapts the executor to the sampler duck
+  type the runtime feeds (the sharded form of a run's one sampler).
 
 The merge is `repro.core.strata.combine_worker_samples`, which the tests
 verify is statistically indistinguishable from a single global reservoir.
@@ -51,7 +52,6 @@ from time import perf_counter
 from typing import (
     Collection,
     Generic,
-    Iterable,
     List,
     NamedTuple,
     Optional,
@@ -61,9 +61,8 @@ from typing import (
 )
 
 from ..obs import NULL_METRICS
-from ._vector import np as _np
 from .oasrs import AllocationPolicy, KeyFn, OASRSSampler
-from .records import _StratumMembers, item_key
+from .records import _StratumMembers
 from .recovery import FaultSchedule, RecoveryEvent, restore_attrs, snapshot_attrs
 from .strata import StratumSample, WeightedSample, combine_worker_samples, stratum_weight
 
@@ -118,20 +117,6 @@ def _run_shard(
     ]
 
 
-def _span_shard(source, key_fn: KeyFn, lo: int, hi: int, slot: int, n_live: int):
-    """Shard ``slot`` of ``n_live`` (round-robin) over rows ``[lo, hi)`` of
-    the run's ``(timestamp, item)`` stream.
-
-    With the canonical key projection over a column-backed stream the
-    shard is a strided zero-copy view, which the shard sampler's columnar
-    kernel consumes bitwise-identically to per-item grouping; otherwise it
-    is the list of the shard's items.
-    """
-    if _np is not None and key_fn is item_key and getattr(source, "has_columns", False):
-        return source.item_slice(lo, hi)[slot::n_live]
-    return [item for _ts, item in source[lo:hi][slot::n_live]]
-
-
 # ---------------------------------------------------------------------------
 # The persistent worker pool
 # ---------------------------------------------------------------------------
@@ -164,7 +149,9 @@ def _pool_worker_main(conn, policy, key_fn, chunk_size, source) -> None:
             restore_attrs(policy, policy_state)
             if transport[0] == "span":
                 _kind, lo, hi, slot = transport
-                shard = _span_shard(source, key_fn, lo, hi, slot, n_live)
+                # A strided zero-copy view: the columnar kernel consumes it
+                # bitwise-identically to per-item grouping.
+                shard = source.item_slice(lo, hi)[slot::n_live]
             else:  # "items": fault reroutes, records off the pinned columns
                 shard = transport[1]
             started = perf_counter()
@@ -201,10 +188,9 @@ class ShardedExecutor(Generic[T]):
     cores.
 
     ``source`` is the run's ``(timestamp, item)`` stream.  Workers fork
-    with it inherited, so `run_span` — and `run` / `run_chunks` whenever
-    their input is one contiguous run of located
-    `repro.core.records.ColumnSlice` views of it — ship two integers
-    instead of the items.
+    with it inherited, so `run` / `run_chunks` ship two integers instead
+    of the items whenever their input is one contiguous run of located
+    `repro.core.records.ColumnSlice` views of it.
 
     Adaptive policies stay adaptive: after each merge the *coordinator's*
     policy observes the merged per-stratum counters, and the next
@@ -294,11 +280,6 @@ class ShardedExecutor(Generic[T]):
     def pooled(self) -> bool:
         """True while the persistent worker pool is spawned."""
         return self._pool is not None
-
-    @property
-    def source(self) -> Optional[Sequence]:
-        """The run's ``(timestamp, item)`` stream, if the executor has one."""
-        return self._source
 
     def drain_recovery_events(self) -> List[RecoveryEvent]:
         """Return and clear the worker-loss events since the last drain."""
@@ -491,7 +472,10 @@ class ShardedExecutor(Generic[T]):
 
         Chunks that are one contiguous run of located views of ``source``
         (the column-backed engines deliver exactly those) go out as that
-        run's index span; anything else is concatenated and pickled.
+        run's index span — pooled workers slice their shard out of the
+        fork-inherited stream themselves, so the interval message is a few
+        integers however many items it covers; anything else is
+        concatenated and pickled.
         """
         span = self._located_span(chunks)
         if span is not None:
@@ -499,17 +483,6 @@ class ShardedExecutor(Generic[T]):
         if len(chunks) == 1:
             return self._run_interval(items=chunks[0])
         return self._run_interval(items=[item for chunk in chunks for item in chunk])
-
-    def run_span(self, lo: int, hi: int) -> WeightedSample[T]:
-        """Sample rows ``[lo, hi)`` of ``source`` as one interval.
-
-        Pooled workers slice their shard out of the fork-inherited stream
-        themselves, so the interval message is a few integers regardless
-        of how many items the span covers.
-        """
-        if self._source is None:
-            raise RuntimeError("run_span requires the executor's source stream")
-        return self._run_interval(span=(lo, hi))
 
     def _located_span(self, chunks) -> Optional[Tuple[int, int]]:
         """``(lo, hi)`` when ``chunks`` tile one row range of ``source``."""
@@ -525,12 +498,9 @@ class ShardedExecutor(Generic[T]):
 
     def _partition(self, items, span, n_live: int) -> list:
         """Round-robin shards of the interval: strided slices, no per-item loop."""
-        if span is None:
-            return [items[slot::n_live] for slot in range(n_live)]
-        return [
-            _span_shard(self._source, self._key_fn, *span, slot, n_live)
-            for slot in range(n_live)
-        ]
+        if span is not None:
+            items = self._source.item_slice(*span)
+        return [items[slot::n_live] for slot in range(n_live)]
 
     def _run_interval(self, items=None, span=None) -> WeightedSample[T]:
         interval = self._intervals_run
@@ -655,15 +625,13 @@ class ShardedExecutor(Generic[T]):
 class ShardedIntervalSampler(Generic[T]):
     """Adapt a `ShardedExecutor` to the interval-sampler duck type.
 
-    The pipelined sampling operator and the direct engine's interval loop
-    drive samplers through ``offer`` / ``process_chunk`` /
-    ``close_interval``.  This adapter buffers the interval's chunks
-    *intact* — ``process_chunk`` stores the chunk reference instead of
-    re-buffering items one by one, so located column views reach the
-    executor still located (and leave it as an index span) — and fans the
-    buffer out across the worker pool in one ``run_chunks`` at interval
-    close.  Drivers that know the interval as a span of the executor's
-    stream skip buffering entirely through ``run_interval_span``.
+    The runtime feeds samplers through ``offer`` / ``offer_many`` /
+    ``process_chunk`` / ``close_interval``.  This adapter buffers the
+    interval's chunks *intact* — ``process_chunk`` and ``offer_many`` store
+    the sequence they are handed by reference instead of re-buffering its
+    items one by one, so located column views reach the executor still
+    located (and leave it as an index span) — and fans the buffer out
+    across the worker pool in one ``run_chunks`` at interval close.
 
     Example
     -------
@@ -716,30 +684,14 @@ class ShardedIntervalSampler(Generic[T]):
             self._chunks.append(self._tail)
         self._tail.append(item)
 
-    def offer_many(self, items: Iterable[T]) -> None:
-        if self._tail is None:
-            self._tail = []
-            self._chunks.append(self._tail)
-        self._tail.extend(items)
-
     def process_chunk(self, items: Sequence[T]) -> None:
         """Buffer one chunk intact (by reference — hand over fresh chunks)."""
         self._tail = None
-        self._chunks.append(items)
+        self._chunks.append(items if hasattr(items, "__len__") else list(items))
+
+    #: A whole run of items is buffered the same way, whoever cut it.
+    offer_many = process_chunk
 
     def close_interval(self) -> WeightedSample[T]:
         chunks, self._chunks, self._tail = self._chunks, [], None
         return self._executor.run_chunks(chunks)
-
-    def run_interval_span(self, lo: int, hi: int) -> WeightedSample[T]:
-        """Sample rows ``[lo, hi)`` of the executor's stream as one interval.
-
-        The direct driver's path: the interval crosses the process boundary
-        as two integers.  With chunks already buffered (mixed use) the
-        span's items join them and the interval closes through
-        ``run_chunks``.
-        """
-        if self._chunks:
-            self.process_chunk([item for _ts, item in self._executor.source[lo:hi]])
-            return self.close_interval()
-        return self._executor.run_span(lo, hi)

@@ -363,8 +363,9 @@ class OASRSSampler(Generic[T]):
         Prefer `process_chunk` on hot paths — it amortises routing and RNG
         work across the whole chunk.
         """
+        offer = self.offer
         for item in items:
-            self.offer(item)
+            offer(item)
 
     def process_chunk(self, items: Sequence[T]) -> int:
         """Route and sample a whole chunk at once; returns how many rows

@@ -28,8 +28,6 @@ from .strata import StratumSample, WeightedSample
 
 # Strata smaller than this keep the exact fsum path: identical rounding for
 # the unit tests, no NumPy call overhead where it would not pay off.
-# (Deliberately larger than `_vector.VECTOR_MIN` — moments are cheaper per
-# item than RNG draws, so vectorization pays off later.)
 _VECTOR_MIN_STATS = 4096
 
 T = TypeVar("T")

@@ -88,7 +88,8 @@ class ColumnSlice:
     * ``view[a:b]`` / ``view[a:b:step]`` return another `ColumnSlice` over
       the (NumPy basic-sliced, still zero-copy) sub-range — strided slicing
       is how round-robin shard partitioning stays a view,
-    * iteration materializes Python tuples in one C-level pass.
+    * iteration materializes Python tuples in one C-level pass (a located
+      view hands out its batch's own item tuples instead).
 
     The materialized values are genuine Python ``float`` objects (via
     ``ndarray.tolist()`` / ``.item()``), preserving the exact object shapes
@@ -127,6 +128,10 @@ class ColumnSlice:
         )
 
     def __iter__(self):
+        if self.batch is not None:
+            # A located view: the batch's own item tuples, nothing rebuilt.
+            rows = self.batch[self.start : self.start + len(self.codes)]
+            return map(_item_of, rows)
         keys = self.key_table
         return iter(
             list(
@@ -149,6 +154,9 @@ class ColumnSlice:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ColumnSlice({len(self)} items, {len(self.key_table)} keys)"
+
+
+_item_of = itemgetter(1)
 
 
 def _rebuild_column_slice(items: List[Tuple[Hashable, float]]):

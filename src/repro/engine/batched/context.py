@@ -13,7 +13,7 @@ offers the two entry points the systems need:
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, TypeVar
+from typing import Optional, Sequence, TypeVar
 
 from ..cluster import SimulatedCluster
 from ..costs import CostProfile
@@ -52,24 +52,6 @@ class StreamingContext:
         """Form an RDD from a full micro-batch (all items pay the copy)."""
         self.cluster.ingest_items(len(items))
         return MiniRDD.parallelize(self.cluster, items)
-
-    def chunks_of(self, items: Sequence[T], chunk_size: int = 0) -> List[Sequence[T]]:
-        """Split a micro-batch into the chunks the vectorized samplers eat.
-
-        With ``chunk_size == 0`` the chunks mirror the RDD partitioning this
-        batch *would* get (one block of ``costs.partition_size`` items per
-        partition, at least one chunk per core) — "RDD partitions become
-        chunks".  An explicit ``chunk_size`` overrides the block size, e.g.
-        from `repro.system.config.SystemConfig.chunk_size`.
-        """
-        n = len(items)
-        if n == 0:
-            return []
-        if chunk_size <= 0:
-            blocks = -(-n // self.cluster.costs.partition_size)  # ceil
-            parts = max(1, self.cluster.total_cores, blocks)
-            chunk_size = -(-n // parts)
-        return [items[i : i + chunk_size] for i in range(0, n, chunk_size)]
 
     def rdd_of_presampled(
         self, items: Sequence[T], skipped: int

@@ -97,8 +97,9 @@ class Batcher(Generic[T]):
         if current:
             yield MicroBatch(index, boundary - self.interval, self.interval, tuple(current))
 
-    def batches_columnar(self, batch) -> Iterator[MicroBatch[T]]:
-        """Columnar counterpart of ``batches`` over a `RecordBatch`.
+    def batches_columnar(self, batch, pos: int = 0) -> Iterator[MicroBatch[T]]:
+        """Columnar counterpart of ``batches`` over a `RecordBatch`, from
+        row ``pos`` on (a resumed run's unconsumed suffix, still located).
 
         Batch boundaries come from ``searchsorted`` on the cached timestamp
         column instead of a per-item accumulation loop, and each
@@ -114,13 +115,12 @@ class Batcher(Generic[T]):
 
         ts = batch.ts
         n = len(batch)
-        if n and float(ts.min()) < self.start:
+        if pos < n and float(ts[pos:].min()) < self.start:
             raise ValueError(
-                f"timestamp {float(ts.min())} precedes stream start {self.start}"
+                f"timestamp {float(ts[pos:].min())} precedes stream start {self.start}"
             )
         index = 0
         boundary = self.start + self.interval
-        pos = 0
         while pos < n:
             end_idx = int(_np.searchsorted(ts, boundary, side="left"))
             if end_idx < n:

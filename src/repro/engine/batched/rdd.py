@@ -236,29 +236,19 @@ class MiniRDD(Generic[T]):
     # -- Spark sampling operators --------------------------------------------------
 
     def sample(
-        self,
-        fraction: float,
-        rng: Optional[random.Random] = None,
-        chunked: bool = False,
+        self, fraction: float, rng: Optional[random.Random] = None
     ) -> "MiniRDD[T]":
-        """Spark ``sample``: per-partition ScaSRS; charges keys + waitlist sort.
-
-        With ``chunked=True`` each partition runs through the vectorized
-        `ScaSRSSampler.sample_fraction_chunk` fast path ("partitions become
-        chunks"): one batched RNG draw per partition instead of one call
-        per item, identical selection semantics and cost profile.
-        """
+        """Spark ``sample``: per-partition ScaSRS; charges keys + waitlist sort."""
         cluster = self._cluster
         parent = self
         sampler = ScaSRSSampler(rng=rng)
-        draw = sampler.sample_fraction_chunk if chunked else sampler.sample_fraction
 
         def compute() -> List[List[T]]:
             parts = parent._partitions()
             out: List[List[T]] = []
             for p in parts:
                 cluster.sample_items(len(p), "srs")
-                result = draw(p, fraction)
+                result = sampler.sample_fraction(p, fraction)
                 cluster.sort(result.sort_work)
                 out.append(result.items)
             return out
@@ -271,16 +261,12 @@ class MiniRDD(Generic[T]):
         key_fn: Optional[Callable] = None,
         exact: bool = True,
         rng: Optional[random.Random] = None,
-        chunked: bool = False,
     ) -> "MiniRDD[Tuple[K, V]]":
         """Spark ``sampleByKey(Exact)``: groupBy shuffle + per-stratum SRS.
 
         Charges the shuffle of every item, the per-stratum sorts, and the
         synchronization barriers the exact variant needs — the §4.1
-        bottleneck Figure 4 measures.  With ``chunked=True`` the batch is
-        consumed partition-by-partition through the vectorized
-        `StratifiedSampler.sample_by_key_chunked` path (same samples,
-        weights, and cost profile).
+        bottleneck Figure 4 measures.
         """
         cluster = self._cluster
         parent = self
@@ -291,11 +277,8 @@ class MiniRDD(Generic[T]):
             parts = parent._partitions()
             n_items = sum(len(p) for p in parts)
             cluster.sample_items(n_items, "sts")
-            if chunked:
-                result = sampler.sample_by_key_chunked(parts, kf, fractions)
-            else:
-                flat = [x for p in parts for x in p]
-                result = sampler.sample_by_key(flat, kf, fractions)
+            flat = [x for p in parts for x in p]
+            result = sampler.sample_by_key(flat, kf, fractions)
             cluster.shuffle_items(result.shuffled_items)
             for _ in range(result.sync_barriers):
                 cluster.barrier()

@@ -135,8 +135,8 @@ class FilterOperator(Operator[T]):
 class OASRSSampleOperator(Operator[T]):
     """The sampling operator the paper adds to Flink (§4.2.2).
 
-    Wraps an `OASRSSampler` (duck-typed: needs ``offer`` and
-    ``close_interval``).  Items are offered on the fly; on each watermark
+    Wraps an `OASRSSampler` (duck-typed: needs ``offer``, ``process_chunk``
+    and ``close_interval``).  Items are offered on the fly; on each watermark
     crossing a slide boundary the interval closes and the resulting
     `WeightedSample` is pushed downstream as a single record — the windowed
     aggregation below it then sees one pre-weighted sample per slide.
@@ -172,7 +172,6 @@ class OASRSSampleOperator(Operator[T]):
         same close-then-offer order is preserved.
         """
         self._cluster.sample_items(len(items), "oasrs")
-        process_chunk = getattr(self._sampler, "process_chunk", None)
         start = 0
         n = len(items)
         while start < n:
@@ -181,13 +180,7 @@ class OASRSSampleOperator(Operator[T]):
                 self.emit(self._next_fire, sample)
                 self._next_fire += self._slide
             end = bisect_left(timestamps, self._next_fire, start)
-            segment = items[start:end]
-            if process_chunk is not None:
-                process_chunk(segment)
-            else:
-                offer = self._sampler.offer
-                for item in segment:
-                    offer(item)
+            self._sampler.process_chunk(items[start:end])
             start = end
 
     def on_watermark(self, timestamp: float) -> None:

@@ -14,7 +14,6 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Deque, Generic, List, Optional, Sequence, Tuple, TypeVar
 
-from ...core.strata import combine_worker_samples
 from ..cluster import SimulatedCluster
 from .operators import Operator
 
@@ -87,11 +86,12 @@ class SampleWindowOperator(Operator[T], Generic[T, A]):
     """Window over *pre-weighted samples* emitted by the OASRS operator.
 
     Each upstream record is one slide-interval `WeightedSample`; a pane of
-    length ``w`` spanning ``k = w / slide`` intervals merges the last ``k``
-    samples and emits ``aggregate(fire_time, merged, recent)`` — ``recent``
-    being the ``(timestamp, sample)`` records the merge covers, the
-    checkpoint layer's window into pane-boundary state.  Processing is
-    charged per *sampled* item only — the pipelined StreamApprox saving.
+    length ``w`` spanning ``k = w / slide`` intervals covers the last ``k``
+    samples and emits ``aggregate(fire_time, recent)`` — ``recent`` being
+    those ``(timestamp, sample)`` records, which the aggregate merges
+    (`repro.core.strata.combine_worker_samples`) and the checkpoint layer
+    keeps as the pane-boundary window state.  Processing is charged per
+    *sampled* item only — the pipelined StreamApprox saving.
 
     ``preload`` seeds the recent-interval deque with checkpointed
     ``recent`` records so a resumed run's first panes merge across the
@@ -102,7 +102,7 @@ class SampleWindowOperator(Operator[T], Generic[T, A]):
         self,
         cluster: SimulatedCluster,
         intervals_per_window: int,
-        aggregate: Callable[[float, object, Tuple[Tuple[float, object], ...]], A],
+        aggregate: Callable[[float, Tuple[Tuple[float, object], ...]], A],
         charge_processing: bool = True,
         preload: Optional[Sequence[Tuple[float, object]]] = None,
     ) -> None:
@@ -119,7 +119,7 @@ class SampleWindowOperator(Operator[T], Generic[T, A]):
 
     def on_item(self, timestamp: float, sample: object) -> None:
         self._recent.append((timestamp, sample))
-        merged = combine_worker_samples([recent for _ts, recent in self._recent])
+        recent = tuple(self._recent)
         if self._charge:
-            self._cluster.process_items(merged.total_items)
-        self.emit(timestamp, self._aggregate(timestamp, merged, tuple(self._recent)))
+            self._cluster.process_items(sum(s.total_items for _ts, s in recent))
+        self.emit(timestamp, self._aggregate(timestamp, recent))

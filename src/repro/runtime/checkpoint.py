@@ -32,9 +32,13 @@ precisely the first un-consumed event.  `build_plan` enforces this
 
 State-snapshot primitives for the core sampling objects live in
 `repro.core.recovery`; this module adds the runtime-side pieces (the
-`BudgetController` and interval-sampler dispatch) and the storage layer.
-This module must stay importable from ``runtime/config.py`` — it imports
-only ``repro.core``.
+`BudgetController` and the sampler dispatch a bound strategy's
+``state()`` / ``restore()`` go through) and the storage layer.  A
+checkpoint's ``state`` has three owners: ``"strategy"`` (the bound
+strategy, holding the run's one sampler under ``"sampler"``),
+``"controller"``, and the engine's window history.  This module must
+stay importable from ``runtime/config.py`` — it imports only
+``repro.core``.
 """
 
 from __future__ import annotations
@@ -87,8 +91,8 @@ class PaneCheckpoint:
     of the first event *not yet consumed*; ``results`` are the panes
     emitted so far (they are part of the run's output, not recomputable
     without replaying from zero); ``state`` is the plain-data snapshot of
-    every stateful runtime object (strategy, sampler, controller, window
-    history).
+    every stateful runtime object (the strategy with its sampler, the
+    controller, the engine's window history).
     """
 
     plan_name: str
@@ -190,9 +194,9 @@ def restore_controller(controller, state: Dict[str, Any]) -> None:
 
 
 def interval_sampler_state(sampler) -> Dict[str, Any]:
-    """Snapshot an interval sampler, whatever its execution mode.
+    """Snapshot a run's sampler, whatever its execution mode.
 
-    Dispatches on the two interval-sampler shapes the runtime builds: the
+    Dispatches on the two sampler shapes the runtime builds: the
     in-process `OASRSSampler` and the `ShardedIntervalSampler` wrapper
     around the persistent multi-process executor.  The sharded snapshot
     needs nothing from the worker processes themselves: shard samplers are

@@ -23,9 +23,9 @@ Every engine driver performs the same control step when a pane closes:
    variance, skew the worst-stratum approximation underestimates).
 
 The chosen per-interval total is returned to the driver, which actuates it
-through the bound strategy (`BoundStrategy.set_interval_budget` /
-``set_sampling_fraction``), and recorded as an `AdaptationPoint` so the
-whole trajectory is visible in the `repro.runtime.report.SystemReport`.
+through the bound strategy's one hook (`BoundStrategy.set_budget`), and
+recorded as an `AdaptationPoint` so the whole trajectory is visible in
+the `repro.runtime.report.SystemReport`.
 """
 
 from __future__ import annotations

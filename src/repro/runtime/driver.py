@@ -13,7 +13,8 @@ step is written once:
   restored), hands it to the plan's engine, and releases it in its
   ``finally``.
 * `_Run.close_pane` — how *every* engine ends a pane: control step →
-  result and ``on_pane`` → checkpoint when due → pane-timer row.
+  result and ``on_pane`` → checkpoint when due → pane-timer row; panes
+  that merge interval samples get there through `_Run.close_sampled_pane`.
 
 What remains per engine is "ingest the next interval" and "what is in
 this pane":
@@ -29,8 +30,8 @@ engine can assume its plan is runnable.
 
 **Fault tolerance as a runtime service.**  With
 ``SystemConfig(checkpoint=CheckpointPolicy(...))`` `_Run.close_pane`
-snapshots the run's full state (bound strategy, budget controller, plus
-the engine's own interval sampler and window history) into a
+snapshots the run's full state (the bound strategy with its sampler, the
+budget controller, plus the engine's own window history) into a
 `repro.runtime.checkpoint.CheckpointStore` at pane boundaries — the only
 points where the sampling stack is quiescent.
 ``execute_plan(resume_from=a_checkpoint)`` restores that state and
@@ -59,7 +60,6 @@ from ..core.query import QueryResult, StratumStats
 from ..core.records import RecordBatch, item_key, item_value
 from ..core.strata import WeightedSample, combine_worker_samples, stratum_weight
 from ..engine.batched.context import StreamingContext
-from ..engine.batched.dstream import Batcher
 from ..engine.cluster import SimulatedCluster
 from ..engine.pipelined.dataflow import Pipeline
 from ..obs import NULL_METRICS, NULL_PANE_TIMER, NULL_TRACER, run_telemetry
@@ -67,14 +67,17 @@ from .checkpoint import (
     CheckpointStore,
     PaneCheckpoint,
     controller_state,
-    interval_sampler_state,
     restore_controller,
-    restore_interval_sampler,
 )
 from .control import AdaptationPoint, BudgetController
 from .plan import ExecutionPlan, PlanError
 from .report import WindowResult, estimate_pane, estimate_pane_stats
-from .strategies import BoundStrategy, full_weight_sample, get_strategy
+from .strategies import (
+    BoundStrategy,
+    count_strata,
+    full_weight_sample,
+    get_strategy,
+)
 
 __all__ = ["execute_plan"]
 
@@ -83,7 +86,9 @@ _timestamp_of = itemgetter(0)
 
 #: Items scanned to estimate the stratum count for the first interval's
 #: budget split — a prefix only, because scanning every item of a large
-#: stream just to count sources would dominate the hot loop.
+#: stream just to count sources would dominate the hot loop.  A stratum
+#: first appearing after the prefix merely shares the first interval's
+#: budget one way rather than another.
 _STRATA_HINT_PREFIX = 20_000
 
 
@@ -119,34 +124,6 @@ def _interval_budget(stream, window, config) -> int:
     the same `SystemConfig` always samples at the same fraction.
     """
     return max(1, int(config.sampling_fraction * _per_slide_items(stream, window)))
-
-
-def _strata_hint(stream, key_fn) -> int:
-    """Stratum-count hint from a bounded prefix of the stream.
-
-    Only seeds the *first* interval's equal split (§2.3: the sub-stream
-    sources are declared at the aggregator); water-filling re-derives
-    capacities from real counters at every interval close, so a stratum
-    first appearing after the prefix merely shares the first interval's
-    budget one way rather than another.  (The pre-runtime pipelined system
-    scanned the whole stream for this hint; the cap trades that O(n) pass
-    for first-interval-only hint noise on >20k-item streams.)
-
-    Column-backed streams with the canonical key projection count distinct
-    interned codes over the prefix instead of hashing items one by one —
-    same count, one vectorized pass.
-    """
-    if (
-        _np is not None
-        and key_fn is item_key
-        and isinstance(stream, RecordBatch)
-        and stream.has_columns
-    ):
-        codes = stream.codes[:_STRATA_HINT_PREFIX]
-        return max(1, int(_np.unique(codes).size)) if codes.size else 1
-    return max(
-        1, len({key_fn(item) for _ts, item in stream[:_STRATA_HINT_PREFIX]})
-    )
 
 
 def _record_stream(source) -> RecordBatch:
@@ -326,7 +303,7 @@ class _Run:
             # interval engines' sampler is built from ``first_budget`` later.
             per_slide = _per_slide_items(stream, plan.window)
             self.first_budget = self.controller.initial_total(int(per_slide))
-            self._retarget(self.first_budget, per_slide)
+            self.strategy.set_budget(self.first_budget, per_slide)
 
         self.store, self._every = None, 1
         policy = plan.config.checkpoint
@@ -355,32 +332,20 @@ class _Run:
             self.results = list(resume_from.results)
             self.pane_index = resume_from.pane_index
 
-    def _retarget(self, total: int, interval_items: float) -> None:
-        """Actuate a budget decision through the bound strategy.
-
-        Micro-batches re-express the per-interval total as the sampling
-        fraction of the following batches; the interval engines re-target
-        the shared water-filling policy, which propagates to the
-        in-process and sharded samplers alike.
-        """
-        if self.plan.engine == "batched":
-            self.strategy.set_sampling_fraction(total / max(1, interval_items))
-        else:
-            self.strategy.set_interval_budget(total)
-
-    def interval_sampler(self):
-        """The interval engines' sampler, resumed if the run is.
+    def sampler(self):
+        """The run's one sampler — already restored when the run is resumed.
 
         §2.3: sub-stream sources are declared at the aggregator; the
-        allocator gets the stratum count so the first interval splits its
-        budget fairly.
+        allocator gets the stratum count (over a bounded prefix) so the
+        first interval splits its budget fairly.
         """
-        sampler = self.strategy.interval_sampler(
-            self.first_budget, _strata_hint(self.stream, self.plan.query.key_fn)
+        if self.columnar:
+            prefix = self.stream.item_slice(0, _STRATA_HINT_PREFIX)
+        else:
+            prefix = [item for _ts, item in self.stream[:_STRATA_HINT_PREFIX]]
+        return self.strategy.sampler(
+            self.first_budget, count_strata(prefix, self.plan.query.key_fn)
         )
-        if self.resume is not None:
-            restore_interval_sampler(sampler, self.resume.state["sampler"])
-        return sampler
 
     def count(self, observed: int, kept: int) -> None:
         """Account items the sampling stage saw and kept."""
@@ -403,7 +368,8 @@ class _Run:
         """End the pane that fires at ``end`` — the same way on every engine.
 
         In order: the §4.2 control step (the pane's stratum statistics and
-        measured margin re-derive the next interval's budget), the
+        measured margin re-derive the next interval's budget, actuated
+        through the strategy's one hook whatever the engine), the
         worker-loss drain, the pane's `WindowResult`, ``on_pane``, and — when
         the cadence says so — a checkpoint of the strategy, the controller
         and whatever ``engine_state()`` adds (called only then) at
@@ -413,7 +379,7 @@ class _Run:
         strategy, controller, timer = self.strategy, self.controller, self.timer
         if controller is not None:
             total = controller.on_pane(strata, bound, population)
-            self._retarget(total, controller.last_point.observed_items)
+            strategy.set_budget(total, controller.last_point.observed_items)
         result = WindowResult(
             end=end,
             estimate=estimate,
@@ -451,6 +417,28 @@ class _Run:
             timer.lap("checkpoint")
         timer.close(self.pane_index, end=end)
         timer.open()
+
+    def close_sampled_pane(
+        self,
+        end: float,
+        samples: Sequence[WeightedSample],
+        stream_position: int,
+        engine_state: Callable[[], dict],
+    ) -> None:
+        """Merge the window's interval samples, estimate the pane, close it."""
+        pane = combine_worker_samples(samples)
+        estimate, bound, groups, strata = estimate_pane_stats(
+            pane, self.plan.query, self.plan.config.confidence
+        )
+        sampled, population = pane.total_items, pane.total_count
+        # The merged arrays are dead weight while the next interval is
+        # sampled; the interval samples they came from live on in the
+        # engine's history.
+        del pane
+        self.close_pane(
+            end, estimate, bound, groups, strata, sampled, population,
+            stream_position, engine_state,
+        )
 
 
 def execute_plan(
@@ -530,10 +518,11 @@ def _ingest_batched(run: _Run) -> SimulatedCluster:
 
     Its checkpoints add the in-window batch-sample history; resume replays
     micro-batches from the checkpointed pane boundary (``Batcher`` started
-    at ``pane_end`` over the unconsumed stream suffix).
+    at ``pane_end`` over the unconsumed stream suffix — still as located
+    column views when the run is columnar).
     """
     stream, plan, timer = run.stream, run.plan, run.timer
-    config, window, query = plan.config, plan.window, plan.query
+    config, window = plan.config, plan.window
     ctx = StreamingContext(
         batch_interval=config.batch_interval,
         nodes=config.nodes,
@@ -543,24 +532,21 @@ def _ingest_batched(run: _Run) -> SimulatedCluster:
     per_slide = int(round(window.slide / config.batch_interval))
     per_window = int(round(window.length / config.batch_interval))
     history: List[WeightedSample] = []
-    consumed = 0
+    consumed, start = 0, 0.0
     if run.resume is not None:
         history = list(run.resume.state["history"])
-        consumed = run.resume.stream_position
         # Micro-batches restart at the checkpointed pane boundary: batch
         # ends stay absolute (Batcher's start offsets them) and the pane
         # fires every per_slide batches exactly as the uninterrupted run's
-        # global batch indexing would.  The replayed suffix is a plain
-        # list, so it goes through the classic per-item batcher.
-        batcher = Batcher(config.batch_interval, start=run.resume.pane_end)
-        batches = batcher.batches(stream[consumed:])
-    elif run.columnar:
+        # global batch indexing would.
+        consumed, start = run.resume.stream_position, run.resume.pane_end
+    if run.columnar:
         # Boundaries via searchsorted on the cached timestamp column,
         # micro-batch items as zero-copy column views — bitwise-identical
         # batch tiling (see `Batcher.batches_columnar`).
-        batches = ctx.batcher().batches_columnar(stream)
+        batches = ctx.batcher(start).batches_columnar(stream, consumed)
     else:
-        batches = ctx.batcher().batches(stream)
+        batches = ctx.batcher(start).batches(stream[consumed:] if consumed else stream)
     for batch in batches:
         timer.lap("ingest")
         sample = run.strategy.sample_batch(ctx, batch.items)
@@ -571,21 +557,13 @@ def _ingest_batched(run: _Run) -> SimulatedCluster:
         if len(history) > per_window:
             del history[: len(history) - per_window]
         if (batch.index + 1) % per_slide == 0:
-            pane = combine_worker_samples(history[-per_window:])
-            estimate, bound, groups, strata = estimate_pane_stats(
-                pane, query, config.confidence
-            )
-            sampled, population = pane.total_items, pane.total_count
-            # Released before the next micro-batch is sampled; the batch
-            # samples it was merged from live on in history.
-            del pane
             # ``consumed`` counts only items in yielded batches; the
             # boundary-crossing trigger item sits in the batcher's buffer,
             # so the position is exactly the first event with
             # ts >= this pane's end.
-            run.close_pane(
-                batch.end, estimate, bound, groups, strata, sampled, population,
-                consumed, lambda: {"history": tuple(history)},
+            run.close_sampled_pane(
+                batch.end, history[-per_window:], consumed,
+                lambda: {"history": tuple(history)},
             )
     return ctx.cluster
 
@@ -598,8 +576,8 @@ def _ingest_pipelined(run: _Run) -> SimulatedCluster:
     The window operator hands each fired pane to a callback that estimates
     it and calls `_Run.close_pane`, so the control step runs before the
     sampling operator opens the next interval.  Checkpoints add the
-    interval sampler and the operator's window state (recent interval
-    samples, or the exact path's buffered items); resume preloads it and
+    operator's window state (recent interval samples, or the exact path's
+    buffered items); resume preloads it and
     restarts the dataflow at the checkpointed pane boundary, feeding the
     same stream from the checkpointed position (`Pipeline.run`'s ``start``
     keeps the chunk grid, and with it every sampling decision, where the
@@ -618,34 +596,27 @@ def _ingest_pipelined(run: _Run) -> SimulatedCluster:
     fed = len(stream) - position
     pipeline = Pipeline(cluster)
     if run.strategy.samples_intervals:
-        sampler = run.interval_sampler()
 
         def count_kept(sample):
             kept = sample.total_items
             run.count(0, kept)
             return kept
 
-        def close_sampled(end, merged, recent):
+        def close_sampled(end, recent):
             # The end-of-stream flush pane covers a partial interval beyond
             # the last watermark; the batched engine emits no such pane, so
             # keeping it would skew cross-system accuracy comparisons.
             if end > last_ts:
                 return
             timer.lap("offer")
-            estimate, bound, groups, strata = estimate_pane_stats(
-                merged, query, config.confidence
-            )
-            run.close_pane(
-                end, estimate, bound, groups, strata,
-                merged.total_items, merged.total_count,
+            run.close_sampled_pane(
+                end, [sample for _ts, sample in recent],
                 bisect_left(stream, end, key=_timestamp_of),
-                lambda: {
-                    "sampler": interval_sampler_state(sampler), "recent": recent,
-                },
+                lambda: {"recent": recent},
             )
 
         run.count(fed, 0)
-        pipeline.sample_oasrs(sampler, slide=window.slide, start=start).charge(
+        pipeline.sample_oasrs(run.sampler(), slide=window.slide, start=start).charge(
             count_fn=count_kept
         ).window_samples(
             intervals_per_window=window.intervals_per_window,
@@ -767,14 +738,15 @@ def _ingest_direct(run: _Run) -> SimulatedCluster:
     Leaves ``run_info["sampling_seconds"]`` (see `execute_plan`), reported by
     `repro.system.native.NativeStreamApproxSystem.last_sampling_seconds`.
 
-    Sharded samplers take each interval as a ``[lo, hi)`` index span of
-    the stream the run context gave the strategy (the worker pool forks
-    with it inherited); the pool spawns on the first parallel interval and
-    is drained in `execute_plan`'s ``finally``.
+    Each interval goes to the strategy's one feed as a located column
+    view (or, off the column path, the list of its items); a sharded
+    sampler ships the view as its ``[lo, hi)`` index span of the stream
+    the run context gave the strategy (the worker pool forks with it
+    inherited, spawns on the first parallel interval and is drained in
+    `execute_plan`'s ``finally``).
 
-    Checkpoints add the interval sampler (in-process or sharded) and the
-    in-window interval history; resume restarts the interval loop at the
-    checkpointed boundary.
+    Checkpoints add the in-window interval history; resume restarts the
+    interval loop at the checkpointed boundary.
     """
     stream, plan, timer = run.stream, run.plan, run.timer
     config, window, query = plan.config, plan.window, plan.query
@@ -782,16 +754,13 @@ def _ingest_direct(run: _Run) -> SimulatedCluster:
         nodes=config.nodes, cores_per_node=config.cores_per_node, costs=config.costs
     )
     # Columnar hot loop: interval boundaries from searchsorted on the
-    # timestamp column, chunk feeding through zero-copy column views.
+    # timestamp column, intervals handed over as zero-copy column views.
     ts_col = stream.ts if run.columnar else None
-    sampler = run.interval_sampler()
-    # Sharded samplers expose a whole-interval entry point; use it to skip
-    # the per-item offer buffering (the executor chunks internally).
-    run_span = getattr(sampler, "run_interval_span", None)
-    # Stage label for the sampling section: the sharded entry point crosses
-    # the worker-pool transport; the in-process paths are plain offers.
-    sampling_stage = "transport" if run_span is not None else "offer"
-    chunk = config.chunk_size
+    run.sampler()  # built (or restored) before the first feed
+    sample_interval = run.strategy.sample_interval
+    # Stage label for the sampling section: sharded sampling crosses the
+    # worker-pool transport; in-process sampling is plain offers.
+    sampling_stage = "transport" if config.parallelism > 1 else "offer"
     history = deque(maxlen=window.intervals_per_window)
     sampling_seconds = 0.0
     # Slide-interval boundaries via bisection on the (ordered) timestamps
@@ -806,6 +775,10 @@ def _ingest_direct(run: _Run) -> SimulatedCluster:
         history.extend(run.resume.state["history"])
         start_idx = run.resume.stream_position
         boundary = run.resume.pane_end + slide
+
+    def engine_state():
+        return {"history": tuple(history)}
+
     while start_idx < n:
         if ts_col is not None:
             # Equivalent to the bisect below: the column holds the very
@@ -820,30 +793,15 @@ def _ingest_direct(run: _Run) -> SimulatedCluster:
         cluster.sample_items(end_idx - lo, "oasrs")
         timer.lap("ingest")
         sampling_started = time.perf_counter()
-        if run_span is not None:
-            # Span-addressed sharding: no item materialization here at all;
-            # pooled workers slice their shard from the inherited stream.
-            sample = run_span(lo, end_idx)
-        elif chunk > 1 and end_idx - lo > 1:
-            process_chunk = sampler.process_chunk
-            if ts_col is not None:
-                # Column hand-off: each chunk is a zero-copy view; the
-                # sampler's columnar kernel groups strata by interned
-                # code with the same first-appearance order (and RNG
-                # stream) as the per-item dict grouping.
-                view = stream.item_slice(lo, end_idx)
-                for start in range(0, end_idx - lo, chunk):
-                    process_chunk(view[start : start + chunk])
-            else:
-                items = [item for _ts, item in stream[lo:end_idx]]
-                for start in range(0, len(items), chunk):
-                    process_chunk(items[start : start + chunk])
-            sample = sampler.close_interval()
+        if ts_col is not None:
+            # Column hand-off: a zero-copy view; the sampler's columnar
+            # kernel groups strata by interned code with the same
+            # first-appearance order (and RNG stream) as the per-item
+            # dict grouping.
+            rows = stream.item_slice(lo, end_idx)
         else:
-            offer = sampler.offer
-            for _ts, item in stream[lo:end_idx]:
-                offer(item)
-            sample = sampler.close_interval()
+            rows = [item for _ts, item in stream[lo:end_idx]]
+        sample = sample_interval(rows)
         sampling_seconds += time.perf_counter() - sampling_started
         timer.lap(sampling_stage)
         run.count(end_idx - lo, sample.total_items)
@@ -865,27 +823,15 @@ def _ingest_direct(run: _Run) -> SimulatedCluster:
                 QueryResult(value=value, strata=strata, kind=query.kind),
                 confidence=config.confidence,
             )
-            groups = {}
-            sampled = sum(s.y for s in strata)
+            run.close_pane(
+                pane_end, value, bound, {}, strata, sum(s.y for s in strata),
+                population, start_idx, engine_state,
+            )
         else:
             # Grouped queries need the items themselves: merge samples
             # and evaluate through the shared estimation path.
             history.append(sample)
-            merged = combine_worker_samples(list(history))
-            value, bound, groups, strata = estimate_pane_stats(
-                merged, query, config.confidence
-            )
-            population = merged.total_count
-            sampled = merged.total_items
-            # The pane's merged arrays are dead weight while the next
-            # interval is sampled; the interval runs live on in history.
-            del merged
-        run.close_pane(
-            pane_end, value, bound, groups, strata, sampled, population, start_idx,
-            lambda: {
-                "sampler": interval_sampler_state(sampler), "history": tuple(history),
-            },
-        )
+            run.close_sampled_pane(pane_end, list(history), start_idx, engine_state)
     run.info["sampling_seconds"] = sampling_seconds
     return cluster
 

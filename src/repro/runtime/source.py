@@ -138,28 +138,16 @@ class TopicSource(PlanSource):
             self._members = [self._group.join() for _ in range(members)]
 
     def events(self) -> List[Tuple[float, object]]:
-        if self._consumer is not None:
-            if self._rewind:
-                self._consumer.seek_to_beginning()
-            return [(r.timestamp, r.value) for r in self._consumer.poll()]
-        if self._rewind:
-            self._group.seek_to_beginning()
-        records = []
-        for member in self._members:
-            records.extend(member.poll())
-        # Coordinator merge: each member's poll is already time-ordered; the
-        # topic-global production sequence breaks timestamp ties, so the
-        # merged stream is exactly the production order.
-        records.sort(key=lambda r: (r.timestamp, r.seq))
-        return [(r.timestamp, r.value) for r in records]
+        return self.batches()[0]
 
     def batches(self) -> List[RecordBatch]:
         """Assemble one `RecordBatch` per drain, preserving ``seq`` order.
 
-        The merged records keep exactly the ``events()`` order (timestamp,
-        then the broker's topic-global production sequence), and the batch
-        carries the ``seq`` column so replay consumers can verify or
-        re-establish production order without re-reading the topic.
+        Coordinator merge: each member's poll is already time-ordered; the
+        topic-global production sequence breaks timestamp ties, so the
+        merged stream is exactly the production order.  The batch carries
+        the ``seq`` column so replay consumers can verify or re-establish
+        that order without re-reading the topic.
         """
         if self._consumer is not None:
             if self._rewind:

@@ -9,48 +9,49 @@ single chunk-first interface so any engine can drive it:
 * ``sts``   — Spark's ``sampleByKeyExact``: groupBy shuffle + per-stratum
   random sort (`repro.sampling.sts`),
 * ``oasrs`` — the paper's online adaptive stratified reservoir sampling
-  (`repro.core.oasrs`), the only strategy that also supports interval
-  sampling for the pipelined/direct engines and real multi-process
-  sharding (`repro.core.distributed.ShardedExecutor`).
+  (`repro.core.oasrs`), the only strategy that samples per interval (so
+  the only one the pipelined/direct engines run) and the only one with
+  real multi-process sharding (`repro.core.distributed.ShardedExecutor`).
 
 Strategy classes are *stateless descriptors*; ``bind(plan)`` creates the
-per-run `BoundStrategy` carrying the RNG, samplers, and adaptive policies.
-A bound strategy serves two engine roles:
+per-run `BoundStrategy` carrying the RNG and — for interval-sampling
+strategies — the run's one sampler.  A bound strategy owns that sampler;
+engines only feed it, and ``state()`` snapshots it:
 
 * ``sample_batch(ctx, items)`` — the batched engine calls this once per
   micro-batch; it charges the strategy's system-specific costs on the
   context's cluster and returns the batch's ``WeightedSample``
   (full-weight strata for ``none``, so exact systems flow through the
   same estimator).
-* ``interval_sampler(budget, strata_hint)`` — the pipelined and direct
-  engines request a per-slide-interval sampler (``offer`` /
-  ``process_chunk`` / ``close_interval``); only interval-capable
-  strategies (``samples_intervals = True``) provide one.
+* ``sample_interval(rows)`` — the one whole-interval feed (the direct
+  engine's slide intervals, OASRS micro-batches): chunk-size runs through
+  ``process_chunk``, or ``offer_many``, then ``close_interval``.
+* ``sampler(budget, strata_hint)`` — the run's sampler itself, built
+  through the strategy's ``interval_sampler`` the first time anyone asks;
+  the pipelined engine's sampling operator feeds it as items stream in.
+  Only interval-capable strategies (``samples_intervals = True``)
+  provide one.
 
-``SystemConfig.chunk_size`` routes every strategy through its vectorized
-chunk path; ``SystemConfig.parallelism`` shards interval sampling over
-real worker processes where the strategy supports it.  New strategies
-register with `register_strategy` and immediately work in every system
-that names them — no new run loop required.
+``SystemConfig.chunk_size`` selects the chunk feed where a strategy has
+one (``oasrs``) and is otherwise honoured structurally;
+``SystemConfig.parallelism`` shards interval sampling over real worker
+processes where the strategy supports it.  New strategies register with
+`register_strategy` and immediately work in every system that names
+them — no new run loop required.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, List, Optional, Sequence, Type
+from typing import Dict, List, Optional, Sequence, Type
 
 from ..core._vector import np as _np
 from ..core.distributed import ShardedExecutor, ShardedIntervalSampler
 from ..core.oasrs import OASRSSampler, WaterFillingAllocation
 from ..core.records import ColumnSlice, _StratumMembers, item_key
-from ..core.recovery import (
-    restore_attrs,
-    restore_sampler,
-    sampler_state,
-    snapshot_attrs,
-)
 from ..core.strata import StratumSample, WeightedSample, stratum_weight
 from ..engine.batched.context import StreamingContext
+from .checkpoint import interval_sampler_state, restore_interval_sampler
 from .plan import ExecutionPlan, PlanError
 
 __all__ = [
@@ -90,6 +91,20 @@ def get_strategy(name: str) -> "SamplingStrategy":
 
 def available_strategies() -> List[str]:
     return sorted(_REGISTRY)
+
+
+def count_strata(items: Sequence[object], key_fn) -> int:
+    """Distinct strata among ``items`` — the allocator's first-interval hint.
+
+    Only seeds the *first* interval's equal split (§2.3: the sub-stream
+    sources are declared at the aggregator); water-filling re-derives
+    capacities from real counters at every interval close.  Column views
+    with the canonical key projection count distinct interned codes
+    instead of hashing items one by one — same count, one vectorized pass.
+    """
+    if _np is not None and isinstance(items, ColumnSlice) and key_fn is item_key:
+        return max(1, int(_np.unique(items.codes).size))
+    return max(1, len({key_fn(item) for item in items}))
 
 
 def full_weight_sample(items: Sequence[object], key_fn) -> WeightedSample:
@@ -143,20 +158,23 @@ class SamplingStrategy:
 
 
 class BoundStrategy:
-    """Per-run strategy state; engine drivers call the role methods.
+    """Per-run strategy state; engine drivers call its methods.
 
-    Besides the two engine roles, a bound strategy is the *actuation
-    surface* of the budget control loop (`repro.runtime.control`): between
-    panes the drivers call ``set_sampling_fraction`` (batched role) or
-    ``set_interval_budget`` (interval role) to re-derive the next
-    interval's sample size from the controller's decision.  Fixed-fraction
-    runs never call either, so their execution is bit-for-bit unchanged.
+    A bound strategy owns the run's one sampler: ``sampler`` builds it
+    through ``interval_sampler`` on the first ask, ``sample_interval``
+    feeds it a whole interval, ``state`` / ``restore`` snapshot it, and
+    ``close`` releases it.  It is also the *actuation surface* of the
+    budget control loop (`repro.runtime.control`): between panes the
+    driver calls ``set_budget`` with the controller's decision.
+    Fixed-fraction runs never do, so their execution is bit-for-bit
+    unchanged.
     """
 
     def __init__(self, strategy: SamplingStrategy, plan: ExecutionPlan) -> None:
         self.strategy = strategy
         self.plan = plan
         self._fraction_override: float = None  # type: ignore[assignment]
+        self._sampler = None
         self.telemetry = None
         self.source = None
 
@@ -164,8 +182,8 @@ class BoundStrategy:
         """Give the run's `repro.obs.RunTelemetry` and stream to the strategy.
 
         The run context calls this right after ``bind`` (before any sampler
-        or executor is built) so sharded strategies can hand both to their
-        worker pools: the metrics registry attributes cross-process costs
+        is built) so sharded strategies can hand both to their worker
+        pools: the metrics registry attributes cross-process costs
         (spawn, policy-snapshot ship, pickled intervals) per transport kind,
         and the pool forks with ``source`` inherited, so intervals cross the
         process boundary as index spans.  ``telemetry`` None means
@@ -180,18 +198,23 @@ class BoundStrategy:
 
     @property
     def sampling_fraction(self) -> float:
-        """The fraction batched-role sampling uses this batch.
+        """The fraction a micro-batch samples at.
 
         ``plan.config.sampling_fraction`` unless the budget controller has
-        overridden it via ``set_sampling_fraction``.
+        re-targeted it via ``set_budget``.
         """
         if self._fraction_override is not None:
             return self._fraction_override
         return self.plan.config.sampling_fraction
 
-    def set_sampling_fraction(self, fraction: float) -> None:
-        """Budget-loop actuation (batched role): next batches sample at this rate."""
-        self._fraction_override = min(1.0, max(0.0, fraction))
+    def set_budget(self, total: int, interval_items: float) -> None:
+        """Budget-loop actuation: the next slide interval keeps ``total``
+        of its expected ``interval_items``.
+
+        The base records it as the fraction the following micro-batches
+        sample at; strategies holding a sampler also re-target it.
+        """
+        self._fraction_override = min(1.0, max(0.0, total / max(1, interval_items)))
 
     def sample_batch(self, ctx: StreamingContext, items: Sequence[object]) -> WeightedSample:
         """Sample one micro-batch, charging costs on ``ctx.cluster``."""
@@ -200,57 +223,81 @@ class BoundStrategy:
         )
 
     def interval_sampler(self, budget: int, strata_hint: int):
-        """Return a per-interval sampler (offer/process_chunk/close_interval)."""
+        """Build the run's sampler (``offer`` / ``offer_many`` /
+        ``process_chunk`` / ``close_interval``); called once, by `sampler`."""
         raise PlanError(
             f"strategy {self.strategy.name!r} does not sample per interval"
         )
 
-    def set_interval_budget(self, total: int) -> None:
-        """Budget-loop actuation (interval role): re-target the next interval.
+    def sampler(self, budget: int, strata_hint: int):
+        """The run's one sampler, built on the first ask.
 
-        Only meaningful after ``interval_sampler``; strategies without an
-        interval role ignore it.
+        ``budget`` and ``strata_hint`` size the first interval only; a
+        sampler that already exists (an earlier interval, or ``restore``)
+        is returned as it is.
         """
+        if self._sampler is None:
+            self._sampler = self.interval_sampler(budget, strata_hint)
+        return self._sampler
+
+    def sample_interval(self, rows: Sequence[object]) -> WeightedSample:
+        """Feed one whole interval to the run's sampler and close it.
+
+        ``rows`` is a located `repro.core.records.ColumnSlice` or a plain
+        item list; ``chunk_size > 1`` feeds it as chunk-size runs through
+        the sampler's vectorized ``process_chunk``, otherwise the items
+        are offered one by one.
+        """
+        sampler, chunk = self._sampler, self.plan.config.chunk_size
+        if chunk > 1:
+            for start in range(0, len(rows), chunk):
+                sampler.process_chunk(rows[start : start + chunk])
+        else:
+            sampler.offer_many(rows)
+        return sampler.close_interval()
 
     # -- checkpoint / recovery role -----------------------------------------
 
     def state(self) -> dict:
-        """Plain-data snapshot of the batched-role per-run state.
+        """Plain-data snapshot of the per-run state, sampler included.
 
         Taken at pane boundaries by `repro.runtime.checkpoint`; subclasses
-        extend the dict with their RNGs/samplers.  Interval-role sampler
-        state is captured separately through the sampler the driver holds.
+        extend the dict with their RNGs.
         """
-        return {"fraction_override": self._fraction_override}
+        sampler = self._sampler
+        return {
+            "fraction_override": self._fraction_override,
+            "sampler": None if sampler is None else interval_sampler_state(sampler),
+        }
 
     def restore(self, state: dict) -> None:
         """Restore a `state` snapshot exactly (RNG streams included)."""
         self._fraction_override = state["fraction_override"]
+        if state["sampler"] is not None:
+            # Built with a placeholder budget and hint: the snapshot
+            # overwrites the policy it sized.
+            restore_interval_sampler(self.sampler(1, 1), state["sampler"])
 
     def drain_recovery_events(self) -> list:
-        """Return and clear worker-loss events since the last pane.
-
-        Non-sharded strategies never lose workers; the base returns an
-        empty list so drivers can call this unconditionally.
-        """
-        return []
+        """Return and clear worker-loss events since the last pane (none
+        unless the sampler is sharded)."""
+        drain = getattr(self._sampler, "drain_recovery_events", None)
+        return drain() if drain is not None else []
 
     def close(self) -> None:
-        """Release per-run resources (worker pools); idempotent.
-
-        Drivers call this when the run reports, so sharded strategies can
-        drain their persistent worker pools; strategies without external
-        resources inherit this no-op.
-        """
+        """Release per-run resources (a sharded sampler's worker pool);
+        idempotent.  Drivers call this when the run reports."""
+        close = getattr(self._sampler, "close", None)
+        if close is not None:
+            close()
 
     def parallel_fallback(self) -> Optional[str]:
         """Why parallel execution degraded to in-process, or None.
 
         Surfaced as ``SystemReport.parallel_fallback`` so "N workers
         requested, 1 used" is visible instead of silently swallowed.
-        Strategies that never shard return None.
         """
-        return None
+        return getattr(self._sampler, "fallback_reason", None)
 
 
 class _SeededBound(BoundStrategy):
@@ -305,10 +352,9 @@ class SRSStrategy(SamplingStrategy):
     The whole batch is materialised as an RDD first (all items pay the
     copy), then the ScaSRS random sort keeps ``sampling_fraction`` of it
     as a single unstratified pseudo-stratum — rare sub-streams can vanish,
-    the accuracy weakness of Figures 4b/6c/7a.  With ``chunk_size > 1``
-    the per-partition sampling runs through the vectorized
-    `repro.sampling.srs.ScaSRSSampler.sample_chunk` path (one NumPy draw
-    per partition instead of one RNG call per item).
+    the accuracy weakness of Figures 4b/6c/7a.  ``chunk_size`` is honoured
+    structurally (the RDD's partitions are the chunks) and changes no
+    output.
     """
 
     name = "srs"
@@ -322,11 +368,8 @@ class SRSStrategy(SamplingStrategy):
 
 class _BoundSRS(_SeededBound):
     def sample_batch(self, ctx: StreamingContext, items: Sequence[object]) -> WeightedSample:
-        config = self.plan.config
         rdd = ctx.rdd_of(items)
-        sampled_rdd = rdd.sample(
-            self.sampling_fraction, rng=self._rng, chunked=config.chunk_size > 1
-        )
+        sampled_rdd = rdd.sample(self.sampling_fraction, rng=self._rng)
         kept = sampled_rdd.collect()
         ctx.cluster.process_items(len(kept))
 
@@ -343,9 +386,8 @@ class STSStrategy(SamplingStrategy):
 
     Statistically strong (proportional allocation, no stratum overlooked)
     but structurally the slowest: the shuffle, per-stratum waitlist sorts,
-    and barriers are all charged.  With ``chunk_size > 1`` the grouping
-    and per-stratum sampling consume the batch partition-by-partition
-    through `repro.sampling.sts.StratifiedSampler.sample_by_key_chunked`.
+    and barriers are all charged.  ``chunk_size`` is honoured structurally
+    and changes no output.
     """
 
     name = "sts"
@@ -357,15 +399,10 @@ class STSStrategy(SamplingStrategy):
 
 class _BoundSTS(_SeededBound):
     def sample_batch(self, ctx: StreamingContext, items: Sequence[object]) -> WeightedSample:
-        config = self.plan.config
         key_fn = self.plan.query.key_fn
         rdd = ctx.rdd_of(items)
         sampled_rdd = rdd.sample_by_key(
-            self.sampling_fraction,
-            key_fn=key_fn,
-            exact=True,
-            rng=self._rng,
-            chunked=config.chunk_size > 1,
+            self.sampling_fraction, key_fn=key_fn, exact=True, rng=self._rng
         )
         kept = sampled_rdd.collect()
         ctx.cluster.process_items(len(kept))
@@ -392,19 +429,19 @@ class _BoundSTS(_SeededBound):
 
 @register_strategy
 class OASRSStrategy(SamplingStrategy):
-    """The paper's OASRS (§3, Algorithm 3) behind both engine roles.
+    """The paper's OASRS (§3, Algorithm 3): one sampler, fed by every engine.
 
-    * Batched role (§4.2.1): items are sampled on the fly *before* RDD
+    * Batched engine (§4.2.1): items are sampled on the fly *before* RDD
       formation; only kept items pay the RDD copy and query processing.
-      The per-batch budget is ``sampling_fraction × batch size``, spread
-      by the adaptive water-filling policy.
-    * Interval role (§4.2.2 and the direct executor): a per-slide-interval
-      sampler whose budget the engine derives from the stream rate.
+      Each micro-batch's budget is ``sampling_fraction × batch size``,
+      spread by the adaptive water-filling policy.
+    * Pipelined (§4.2.2) and direct engines: the same sampler closes once
+      per slide interval, with a budget the driver derives from the
+      stream rate.
 
-    The only strategy with ``supports_parallelism``: interval sampling
-    shards over ``parallelism`` real worker processes through
-    `repro.core.distributed.ShardedExecutor` (batched role shards each
-    micro-batch the same way).
+    The only strategy with ``supports_parallelism``: the sampler shards
+    every interval over ``parallelism`` real worker processes through
+    `repro.core.distributed.ShardedExecutor`.
     """
 
     name = "oasrs"
@@ -417,94 +454,51 @@ class OASRSStrategy(SamplingStrategy):
 
 
 class _BoundOASRS(_SeededBound):
-    def __init__(self, strategy: SamplingStrategy, plan: ExecutionPlan) -> None:
-        super().__init__(strategy, plan)
-        self._sampler: OASRSSampler = None  # type: ignore[assignment]
-        self._executor: ShardedExecutor = None  # type: ignore[assignment]
-        self._policy: WaterFillingAllocation = None  # type: ignore[assignment]
-        self._interval_policy: WaterFillingAllocation = None  # type: ignore[assignment]
-        self._interval_sampler = None
-
-    # -- checkpoint / recovery role ------------------------------------------
-
-    def state(self) -> dict:
-        state = super().state()
-        state["policy"] = (
-            snapshot_attrs(self._policy) if self._policy is not None else None
-        )
-        state["sampler"] = (
-            sampler_state(self._sampler) if self._sampler is not None else None
-        )
-        state["executor"] = (
-            self._executor.state() if self._executor is not None else None
-        )
-        return state
-
-    def restore(self, state: dict) -> None:
-        super().restore(state)
-        if state["policy"] is not None and self._policy is None:
-            # The batched-role objects are built lazily on the first batch;
-            # construct them (placeholder budget/strata — overwritten just
-            # below) so there is something to restore onto.
-            self._ensure_batch_sampler(1, 1)
-        if state["policy"] is not None:
-            restore_attrs(self._policy, state["policy"])
-        if state["sampler"] is not None and self._sampler is not None:
-            # Rewinds the shared RNG once more, to the same snapshot.
-            restore_sampler(self._sampler, state["sampler"])
-        if state["executor"] is not None and self._executor is not None:
-            self._executor.restore(state["executor"])
-
-    def drain_recovery_events(self) -> list:
-        events: list = []
-        if self._executor is not None:
-            events.extend(self._executor.drain_recovery_events())
-        drain = getattr(self._interval_sampler, "drain_recovery_events", None)
-        if drain is not None:
-            events.extend(drain())
-        return events
-
-    def close(self) -> None:
-        """Drain the persistent worker pools (batched and interval roles)."""
-        if self._executor is not None:
-            self._executor.close()
-        close = getattr(self._interval_sampler, "close", None)
-        if close is not None:
-            close()
-
-    def parallel_fallback(self) -> Optional[str]:
-        if self._executor is not None and self._executor.fallback_reason:
-            return self._executor.fallback_reason
-        return getattr(self._interval_sampler, "fallback_reason", None)
-
-    # -- batched role -----------------------------------------------------------
-
-    def _ensure_batch_sampler(self, batch_size: int, strata_hint: int) -> None:
+    def interval_sampler(self, budget: int, strata_hint: int):
         config = self.plan.config
-        budget = max(1, int(self.sampling_fraction * batch_size))
-        if self._policy is None:
-            # §2.3: the sub-stream sources are declared at the aggregator, so
-            # the first interval can already split its budget across them.
-            self._policy = WaterFillingAllocation(budget, expected_strata=strata_hint)
-            if config.parallelism > 1:
-                self._executor = self._sharded_executor(self._policy)
-            else:
-                self._sampler = OASRSSampler(
-                    self._policy, key_fn=self.plan.query.key_fn, rng=self._rng
-                )
-        elif self._fraction_override is not None:
-            # Budget-driven runs: re-derive the water-filling capacities for
-            # the new budget *now* — ``close_interval`` already rebalanced
-            # the reservoirs with the previous budget, so without this the
-            # adaptation would always lag one batch behind.
-            self._policy.set_total(budget)
-            if self._sampler is not None:
-                self._sampler.rebalance()
-        else:
-            self._policy.total = budget
+        key_fn = self.plan.query.key_fn
+        # §2.3: the sub-stream sources are declared at the aggregator, so
+        # the first interval can already split its budget across them.
+        policy = self._policy = WaterFillingAllocation(
+            budget, expected_strata=strata_hint
+        )
+        if config.parallelism == 1:
+            return OASRSSampler(policy, key_fn=key_fn, rng=self._rng)
+        return ShardedIntervalSampler(
+            ShardedExecutor(
+                config.parallelism,
+                policy,
+                key_fn,
+                seed=config.seed,
+                chunk_size=config.chunk_size if config.chunk_size > 1 else 1024,
+                faults=config.faults,
+                metrics=self.telemetry.metrics if self.telemetry is not None else None,
+                source=self.source,
+            )
+        )
+
+    def _retarget(self, total: int) -> None:
+        """Re-target the water-filling budget now (§4.2 feedback).
+
+        ``close_interval`` already rebalanced the reservoirs with the
+        previous budget, so the in-process sampler re-derives its (empty,
+        start-of-interval) capacities — without this the adaptation would
+        always lag one interval behind.  The sharded sampler needs nothing
+        more: its workers receive the coordinator policy's attribute
+        snapshot inside every interval message, so a re-target is just
+        part of the next message — no shared state, no respawn.
+        """
+        self._policy.set_total(total)
+        rebalance = getattr(self._sampler, "rebalance", None)
+        if rebalance is not None:
+            rebalance()
+
+    def set_budget(self, total: int, interval_items: float) -> None:
+        super().set_budget(total, interval_items)
+        if self._sampler is not None:
+            self._retarget(max(1, int(total)))
 
     def sample_batch(self, ctx: StreamingContext, items: Sequence[object]) -> WeightedSample:
-        config = self.plan.config
         if not items:
             # An empty micro-batch must not collapse the policy's budget to
             # ``max(1, fraction·0) == 1``: the close-interval rebalance would
@@ -513,73 +507,19 @@ class _BoundOASRS(_SeededBound):
             # budget re-set takes effect.  Nothing arrived, so there is
             # nothing to sample or charge — emit an empty pane contribution.
             return WeightedSample()
-        key_fn = self.plan.query.key_fn
-        if _np is not None and isinstance(items, ColumnSlice) and key_fn is item_key:
-            # Distinct interned codes in the batch == distinct keys.
-            strata_hint = max(1, int(_np.unique(items.codes).size))
+        budget = max(1, int(self.sampling_fraction * len(items)))
+        if self._sampler is None:
+            self.sampler(budget, count_strata(items, self.plan.query.key_fn))
+        elif self._fraction_override is not None:
+            self._retarget(budget)
         else:
-            strata_hint = max(1, len({key_fn(x) for x in items}))
-        self._ensure_batch_sampler(len(items), strata_hint)
+            # Fixed fraction: takes effect at the close's ``observe``.
+            self._policy.total = budget
         # On-the-fly sampling: every arriving item is offered (O(1) each)...
         ctx.cluster.sample_items(len(items), "oasrs")
-        if self._executor is not None:
-            sample = self._executor.run(items)
-        elif config.chunk_size > 1:
-            # Chunked mode: the batch's RDD partitions become sampler chunks
-            # (or explicit chunk_size-item runs) through the vectorized path.
-            for chunk in ctx.chunks_of(items, config.chunk_size):
-                self._sampler.process_chunk(chunk)
-            sample = self._sampler.close_interval()
-        else:
-            self._sampler.offer_many(items)
-            sample = self._sampler.close_interval()
+        sample = self.sample_interval(items)
         kept = sample.all_items()
         # ...but only the kept items are turned into an RDD and processed.
         rdd = ctx.rdd_of_presampled(kept, skipped=len(items) - len(kept))
         rdd.process_all()
         return sample
-
-    # -- interval role (pipelined / direct) -------------------------------------
-
-    def interval_sampler(self, budget: int, strata_hint: int):
-        config = self.plan.config
-        policy = WaterFillingAllocation(budget, expected_strata=strata_hint)
-        self._interval_policy = policy
-        if config.parallelism > 1:
-            sampler = ShardedIntervalSampler(self._sharded_executor(policy))
-        else:
-            sampler = OASRSSampler(
-                policy, key_fn=self.plan.query.key_fn, rng=random.Random(config.seed)
-            )
-        self._interval_sampler = sampler
-        return sampler
-
-    def set_interval_budget(self, total: int) -> None:
-        """Re-target the per-interval water-filling budget (§4.2 feedback).
-
-        Mutates the *coordinator's* policy, which reaches the sharded path
-        too: the persistent pool's workers receive the policy's attribute
-        snapshot inside every interval message, so a budget re-target is
-        just part of the next message — no shared state, no respawn.  The
-        in-process sampler additionally rebalances its (empty, start-of-
-        interval) reservoirs so the new capacities apply immediately.
-        """
-        if self._interval_policy is None:
-            return
-        self._interval_policy.set_total(max(1, int(total)))
-        rebalance = getattr(self._interval_sampler, "rebalance", None)
-        if rebalance is not None:
-            rebalance()
-
-    def _sharded_executor(self, policy: WaterFillingAllocation) -> ShardedExecutor:
-        config = self.plan.config
-        return ShardedExecutor(
-            config.parallelism,
-            policy,
-            self.plan.query.key_fn,
-            seed=config.seed,
-            chunk_size=config.chunk_size if config.chunk_size > 1 else 1024,
-            faults=config.faults,
-            metrics=self.telemetry.metrics if self.telemetry is not None else None,
-            source=self.source,
-        )

@@ -32,10 +32,6 @@ import random
 from dataclasses import dataclass
 from typing import Generic, List, Optional, Sequence, TypeVar
 
-from ..core._vector import VECTOR_MIN as _VECTOR_MIN
-from ..core._vector import derive_generator as _derive_generator
-from ..core._vector import np as _np
-
 T = TypeVar("T")
 
 __all__ = ["SRSResult", "ScaSRSSampler", "simple_random_sample"]
@@ -103,10 +99,7 @@ class ScaSRSSampler(Generic[T]):
 
     Unlike OASRS this is a *batch* operation: the whole micro-batch must be
     materialised (as an RDD) before sampling, which is one of the three
-    Spark limitations the paper lists in §1.  ``sample`` is the per-item
-    reference implementation; ``sample_chunk`` is the vectorized fast path
-    used by the chunked execution mode (one NumPy draw per chunk instead of
-    one ``random()`` call per item; identical selection semantics).
+    Spark limitations the paper lists in §1.
 
     Example
     -------
@@ -118,7 +111,6 @@ class ScaSRSSampler(Generic[T]):
 
     def __init__(self, rng: Optional[random.Random] = None) -> None:
         self._rng = rng if rng is not None else random.Random()
-        self._np_rng = None
 
     def sample(self, batch: Sequence[T], k: int) -> SRSResult[T]:
         """Draw an (approximately) size-``k`` uniform sample from ``batch``."""
@@ -169,49 +161,6 @@ class ScaSRSSampler(Generic[T]):
             raise ValueError(f"fraction must be in [0, 1], got {fraction}")
         k = int(round(len(batch) * fraction))
         return self.sample(batch, k)
-
-    def sample_chunk(self, chunk: Sequence[T], k: int) -> SRSResult[T]:
-        """Vectorized chunk fast path with the same contract as ``sample``.
-
-        Assigns every item its U(0,1) sort key in one NumPy draw, partitions
-        against the ScaSRS ``p``/``q`` thresholds with array comparisons, and
-        sorts only the waitlist keys — the selection rule, thresholds, and
-        the returned cost profile are exactly those of ``sample``.  Falls
-        back to the per-item implementation when NumPy is unavailable or the
-        chunk is too small for vectorization to pay off.
-        """
-        n = len(chunk)
-        if _np is None or n < _VECTOR_MIN or k <= 0 or k >= n:
-            return self.sample(chunk, k)
-        if self._np_rng is None:
-            self._np_rng = _derive_generator(self._rng)
-        gen = self._np_rng
-        p, q = _thresholds(k, n)
-        keys = gen.random(n)
-        accepted = [chunk[i] for i in _np.flatnonzero(keys < p).tolist()]
-        wait_idx = _np.flatnonzero((keys >= p) & (keys <= q))
-        waitlisted = int(wait_idx.size)
-        discarded = n - len(accepted) - waitlisted
-        if len(accepted) < k:
-            order = wait_idx[_np.argsort(keys[wait_idx], kind="stable")]
-            need = k - len(accepted)
-            accepted.extend(chunk[i] for i in order[:need].tolist())
-        elif len(accepted) > k:
-            chosen = gen.permutation(len(accepted))[:k]
-            accepted = [accepted[i] for i in chosen.tolist()]
-        return SRSResult(
-            items=accepted,
-            population=n,
-            accepted_directly=min(len(accepted), k),
-            waitlisted=waitlisted,
-            discarded=discarded,
-        )
-
-    def sample_fraction_chunk(self, chunk: Sequence[T], fraction: float) -> SRSResult[T]:
-        """Chunked counterpart of ``sample_fraction``."""
-        if not 0 <= fraction <= 1:
-            raise ValueError(f"fraction must be in [0, 1], got {fraction}")
-        return self.sample_chunk(chunk, int(round(len(chunk) * fraction)))
 
 
 def simple_random_sample(

@@ -33,7 +33,6 @@ from typing import (
     Dict,
     Generic,
     Hashable,
-    Iterable,
     List,
     Optional,
     Sequence,
@@ -41,9 +40,6 @@ from typing import (
     TypeVar,
 )
 
-from ..core._vector import VECTOR_MIN as _VECTOR_MIN
-from ..core._vector import derive_generator as _derive_generator
-from ..core._vector import np as _np
 from .srs import ScaSRSSampler, SRSResult
 
 T = TypeVar("T")
@@ -105,10 +101,6 @@ class StratifiedSampler(Generic[T]):
         Number of workers participating in the groupBy shuffle; only
         affects the cost profile, not the sample.
 
-    ``sample_by_key`` is the per-item reference implementation;
-    ``sample_by_key_chunked`` consumes the batch as chunks (e.g. RDD
-    partitions) and uses the vectorized per-stratum samplers.
-
     Example
     -------
     >>> sampler = StratifiedSampler(exact=True, rng=random.Random(3))
@@ -130,7 +122,6 @@ class StratifiedSampler(Generic[T]):
         self.workers = workers
         self._rng = rng if rng is not None else random.Random()
         self._srs = ScaSRSSampler(rng=self._rng)
-        self._np_rng = None
 
     def sample_by_key(
         self,
@@ -175,67 +166,6 @@ class StratifiedSampler(Generic[T]):
         return STSResult(
             per_stratum=per_stratum,
             shuffled_items=len(batch),
-            sync_barriers=barriers,
-            sort_work=sort_work,
-        )
-
-    def sample_by_key_chunked(
-        self,
-        chunks: Iterable[Sequence[T]],
-        key_fn,
-        fractions,
-    ) -> STSResult[T]:
-        """Chunk-at-a-time stratified sampling (the vectorized fast path).
-
-        Consumes the batch as an iterable of chunks — in the batched engine
-        these are the RDD's partitions — grouping each chunk into strata as
-        it arrives, then sampling every stratum with the vectorized SRS
-        (``exact=True``) or one batched Bernoulli draw per stratum
-        (``exact=False``).  The selection semantics, weights, and the cost
-        profile (every item still shuffles; exact mode still pays a barrier
-        per stratum) match ``sample_by_key``.
-        """
-        groups: Dict[Key, List[T]] = {}
-        total = 0
-        for chunk in chunks:
-            total += len(chunk)
-            get_group = groups.get
-            for item in chunk:
-                key = key_fn(item)
-                bucket = get_group(key)
-                if bucket is None:
-                    groups[key] = bucket = []
-                bucket.append(item)
-
-        per_stratum: Dict[Key, Tuple[List[T], int]] = {}
-        sort_work = 0.0
-        for key, members in groups.items():
-            fraction = (
-                fractions if isinstance(fractions, float) else fractions.get(key, 0.0)
-            )
-            if not 0 <= fraction <= 1:
-                raise ValueError(
-                    f"fraction for stratum {key!r} must be in [0, 1], got {fraction}"
-                )
-            if self.exact:
-                k = int(math.ceil(len(members) * fraction)) if fraction > 0 else 0
-                k = min(k, len(members))
-                result: SRSResult[T] = self._srs.sample_chunk(members, k)
-                kept = result.items
-                sort_work += result.sort_work
-            elif _np is not None and len(members) >= _VECTOR_MIN:
-                if self._np_rng is None:
-                    self._np_rng = _derive_generator(self._rng)
-                hits = _np.flatnonzero(self._np_rng.random(len(members)) < fraction)
-                kept = [members[i] for i in hits.tolist()]
-            else:
-                kept = [m for m in members if self._rng.random() < fraction]
-            per_stratum[key] = (kept, len(members))
-
-        barriers = 1 + (len(groups) if self.exact else 0)
-        return STSResult(
-            per_stratum=per_stratum,
-            shuffled_items=total,
             sync_barriers=barriers,
             sort_work=sort_work,
         )

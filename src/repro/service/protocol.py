@@ -47,6 +47,11 @@ Server → client (``type`` discriminates)::
                            "settled": ..., "queue_depth": 0,
                            "admission_wait": {...}, ...}}}
 
+A line that does not decode gets an ``error`` (``id`` null) and the
+connection carries on; a line longer than the endpoint's limit
+(`repro.service.service.MAX_LINE_BYTES`, 64 KiB) gets one and is then
+hung up on — past an overrun the stream position is no message boundary.
+
 The protocol carries *results*, not code: projections cannot cross the
 wire, so TCP clients can only reference sources registered server-side
 (by name or workload spec) — exactly the multiplexing the `SourceHub`

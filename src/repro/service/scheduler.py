@@ -257,10 +257,15 @@ class TenantScheduler:
     def release(self, tenant_id: str, cost: float) -> None:
         """Return a granted slot and wake fair-share waiters."""
         account = self.account(tenant_id)
+        # Releases arrive in completion order, not grant order, so the float
+        # sums can land a few ulps off zero: an idle ledger reads exactly 0
+        # (grant-when-idle tests ``== 0.0``).
         account.active_cost -= cost
+        if abs(account.active_cost) < _EPS:
+            account.active_cost = 0.0
         self._active_cost -= cost
-        if self._active_cost < _EPS:
-            self._active_cost = max(0.0, self._active_cost)
+        if abs(self._active_cost) < _EPS:
+            self._active_cost = 0.0
         self._dispatch()
 
     def _dispatch(self) -> None:

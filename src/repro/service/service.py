@@ -49,6 +49,9 @@ __all__ = ["QuerySubmission", "QueryAnswer", "QueryHandle", "QueryService"]
 #: Queue sentinel closing a handle's pane stream.
 _DONE = object()
 
+#: Longest request line the TCP endpoint reads (asyncio's stream default).
+MAX_LINE_BYTES = 2 ** 16
+
 
 @dataclass(frozen=True)
 class QuerySubmission:
@@ -453,7 +456,9 @@ class QueryService:
 
     async def serve_tcp(self, host: str = "127.0.0.1", port: int = 0):
         """Start the newline-JSON endpoint; returns ``(host, port)`` bound."""
-        self._server = await asyncio.start_server(self._handle_connection, host, port)
+        self._server = await asyncio.start_server(
+            self._handle_connection, host, port, limit=MAX_LINE_BYTES
+        )
         sock = self._server.sockets[0]
         return sock.getsockname()[:2]
 
@@ -479,7 +484,17 @@ class QueryService:
 
         try:
             while True:
-                line = await reader.readline()
+                try:
+                    line = await reader.readline()
+                except ValueError:
+                    # Past the line limit the stream position is no longer
+                    # a message boundary: answer once, then hang up.
+                    await send(
+                        protocol.error_message(
+                            None, f"line exceeds {MAX_LINE_BYTES} bytes"
+                        )
+                    )
+                    break
                 if not line:
                     break
                 try:

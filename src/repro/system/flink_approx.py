@@ -13,7 +13,8 @@ synchronises.  That is why Flink-based StreamApprox tops every throughput
 figure in the paper.
 
 Declaratively: the pipelined engine driving the ``oasrs`` strategy
-(`repro.runtime.strategies.OASRSStrategy`) in its interval role.
+(`repro.runtime.strategies.OASRSStrategy`): the sampling operator feeds
+the run's one sampler as items stream in.
 """
 
 from __future__ import annotations

@@ -26,8 +26,8 @@ class SparkSRSSystem(StreamSystem):
     """Micro-batch pipeline with Spark's `sample` (ScaSRS) per batch.
 
     Every micro-batch is materialised as a full RDD, uniformly sampled with
-    the pruned random sort (vectorized per partition when
-    ``SystemConfig.chunk_size > 1``), and only kept items are processed;
+    the pruned random sort (``SystemConfig.chunk_size`` changes no output:
+    the RDD's partitions are the chunks), and only kept items are processed;
     the sample is one unstratified pseudo-stratum, so rare sub-streams can
     vanish.
 

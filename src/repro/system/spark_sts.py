@@ -30,9 +30,8 @@ class SparkSTSSystem(StreamSystem):
     """Micro-batch pipeline with Spark's `sampleByKeyExact` per batch.
 
     Groups every micro-batch by stratum (full shuffle + barriers), then
-    keeps an exact ``sampling_fraction`` of each stratum (vectorized
-    partition-at-a-time when ``SystemConfig.chunk_size > 1``) —
-    statistically strong, structurally the slowest system in every
+    keeps an exact ``sampling_fraction`` of each stratum
+    (``SystemConfig.chunk_size`` changes no output) — statistically strong, structurally the slowest system in every
     throughput figure.
 
     Example

@@ -183,25 +183,6 @@ class TestOASRSProcessChunk:
 class TestBatchedEngineChunks:
     """Partitions-as-chunks plumbing in the batched engine."""
 
-    def test_chunks_of_explicit_size(self):
-        from repro.engine.batched.context import StreamingContext
-
-        ctx = StreamingContext()
-        chunks = ctx.chunks_of(list(range(10)), chunk_size=4)
-        assert [list(c) for c in chunks] == [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9]]
-
-    def test_chunks_of_default_mirrors_rdd_partitioning(self):
-        from repro.engine.batched.context import StreamingContext
-
-        ctx = StreamingContext(nodes=1, cores_per_node=4)
-        items = list(range(1000))
-        chunks = ctx.chunks_of(items)
-        # Same block structure MiniRDD.parallelize would use: at least one
-        # chunk per core, whole batch covered, order preserved.
-        assert len(chunks) >= 4
-        assert [x for c in chunks for x in c] == items
-        assert ctx.chunks_of([]) == []
-
     def test_glom_exposes_partitions_as_chunk_lists(self):
         from repro.engine.batched.context import StreamingContext
         from repro.engine.batched.rdd import MiniRDD

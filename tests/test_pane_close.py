@@ -159,3 +159,73 @@ def test_adhoc_handle_batch_cannot_checkpoint_or_resume():
             plan_for("batched", "none", False, 0),
             handle_batch=handle, resume_from=store.latest(),
         )
+
+
+# ---------------------------------------------------------------------------
+# One sampler per run: one owner, one feed, one budget hook, one snapshot
+
+
+@pytest.mark.parametrize("budget", [False, True], ids=["fraction", "budget"])
+@pytest.mark.parametrize("parallelism", [1, 3], ids=["p1", "p3"])
+@pytest.mark.parametrize("chunk_size", [0, 256], ids=["item", "chunk256"])
+@pytest.mark.parametrize("engine", ["batched", "pipelined", "direct"])
+def test_one_sampler_fed_and_checkpointed_one_way(
+    monkeypatch, engine, chunk_size, parallelism, budget
+):
+    from repro.runtime.strategies import _BoundOASRS
+
+    built, fed, targets = [], [], []
+    build, feed, hook = (
+        _BoundOASRS.interval_sampler, _BoundOASRS.sample_interval, _BoundOASRS.set_budget
+    )
+
+    def spy_build(self, total, strata_hint):
+        built.append(build(self, total, strata_hint))
+        return built[-1]
+
+    def spy_feed(self, rows):
+        fed.append(len(rows))
+        return feed(self, rows)
+
+    def spy_hook(self, total, interval_items):
+        targets.append(total)
+        return hook(self, total, interval_items)
+
+    monkeypatch.setattr(_BoundOASRS, "interval_sampler", spy_build)
+    monkeypatch.setattr(_BoundOASRS, "sample_interval", spy_feed)
+    monkeypatch.setattr(_BoundOASRS, "set_budget", spy_hook)
+
+    log, info, store = [], {}, CheckpointStore()
+    results, _cluster = execute_plan(
+        plan_for(engine, "oasrs", budget, 1, chunk_size=chunk_size, parallelism=parallelism),
+        adaptation_log=log, checkpoint_store=store, run_info=info,
+    )
+    assert len(results) >= 5 and len(built) == 1
+
+    # The snapshot has one home, whatever the engine or execution mode.
+    kind = "sharded" if parallelism > 1 else "oasrs"
+    for index in store.indices():
+        state = store.get(index).state
+        assert "sampler" not in state
+        assert set(state) == {
+            "strategy", "controller", "recent" if engine == "pipelined" else "history"
+        }
+        assert state["strategy"]["sampler"]["kind"] == kind
+
+    # Every re-target — the seed before the first pane, then one per pane —
+    # went through the one hook, in the controller's order.
+    if budget:
+        assert targets[1:] == [point.sample_budget for point in log]
+        assert len(targets) == len(results) + 1
+    else:
+        assert targets == []
+
+    # Whole-interval engines feed each interval exactly once; the pipelined
+    # operator offers items as they stream in instead.
+    observed = info["telemetry"].metrics.snapshot()["counters"]["items.observed"]
+    assert observed == len(stream_30s())
+    if engine == "pipelined":
+        assert fed == []
+    else:
+        assert sum(fed) == observed
+        assert len(fed) == (30 if engine == "batched" else len(results))

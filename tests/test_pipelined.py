@@ -148,7 +148,7 @@ class TestSampleWindowOperator:
         out = (
             Pipeline(cluster)
             .sample_oasrs(sampler, slide=5.0)
-            .window_samples(intervals_per_window=2, aggregate=lambda _end, s, _recent: s.total_count)
+            .window_samples(intervals_per_window=2, aggregate=lambda _end, recent: sum(s.total_count for _ts, s in recent))
             .sink_collect()
             .run(stream)
         )

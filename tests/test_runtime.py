@@ -1,5 +1,7 @@
 """Unit tests for the unified execution runtime (plan / strategies / driver)."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.runtime import (
@@ -167,6 +169,81 @@ class TestStrategyRegistry:
             _REGISTRY.pop("keep-all-test", None)
 
 
+    @pytest.mark.parametrize("chunk_size", [0, 256])
+    @pytest.mark.parametrize("engine", ["direct", "pipelined"])
+    def test_custom_strategy_needs_only_interval_sampler(self, stream, engine, chunk_size):
+        """A third-party interval strategy supplies its sampler and nothing
+        else: the base class feeds, closes and releases it on every engine."""
+        import random
+
+        from repro.core.oasrs import OASRSSampler, WaterFillingAllocation
+        from repro.runtime import register_strategy
+        from repro.runtime.strategies import _REGISTRY, BoundStrategy
+
+        class Counting:
+            def __init__(self, inner):
+                self.inner, self.offered, self.closed = inner, 0, 0
+
+            def offer(self, item):
+                self.offered += 1
+                self.inner.offer(item)
+
+            def offer_many(self, items):
+                self.offered += len(items)
+                self.inner.offer_many(items)
+
+            def process_chunk(self, items):
+                self.offered += len(items)
+                return self.inner.process_chunk(items)
+
+            def close_interval(self):
+                self.closed += 1
+                return self.inner.close_interval()
+
+        built = []
+
+        @register_strategy
+        class CountingStrategy(SamplingStrategy):
+            name = "counting-test"
+            engines = frozenset({"direct", "pipelined"})
+            samples_intervals = True
+
+            def bind(self, plan):
+                class _Bound(BoundStrategy):
+                    def interval_sampler(self, budget, strata_hint):
+                        policy = WaterFillingAllocation(budget, expected_strata=strata_hint)
+                        built.append(
+                            Counting(
+                                OASRSSampler(
+                                    policy,
+                                    key_fn=plan.query.key_fn,
+                                    rng=random.Random(plan.config.seed),
+                                )
+                            )
+                        )
+                        return built[-1]
+
+                return _Bound(self, plan)
+
+        def run(strategy):
+            plan = build_plan(
+                query=QUERY, window=WINDOW, engine=engine, strategy=strategy,
+                config=SystemConfig(sampling_fraction=0.4, seed=5, chunk_size=chunk_size),
+                source=ListSource(stream),
+            )
+            return execute_plan(plan)[0]
+
+        try:
+            results = run("counting-test")
+        finally:
+            _REGISTRY.pop("counting-test", None)
+        (sampler,) = built
+        assert sampler.offered == len(stream)
+        assert sampler.closed >= len(results) >= 2
+        # Same policy, seed and feed as the built-in strategy: same panes.
+        assert results == run("oasrs")
+
+
 class TestChunkedEverywhere:
     """chunk_size now applies to every system (satellite: no silent ignore)."""
 
@@ -192,6 +269,17 @@ class TestChunkedEverywhere:
             assert a.sampled_items == pytest.approx(b.sampled_items, rel=0.02)
 
 
+    @pytest.mark.parametrize("cls", [SparkSRSSystem, SparkSTSSystem])
+    def test_chunk_size_changes_no_srs_or_sts_output(self, stream, cls):
+        """``chunk_size`` is honoured structurally by the Spark baselines,
+        exactly as by ``none``: no second sampler implementation behind it."""
+        config = SystemConfig(sampling_fraction=0.4, seed=9)
+        base = cls(QUERY, WINDOW, config).run(stream)
+        chunked = cls(QUERY, WINDOW, replace(config, chunk_size=256)).run(stream)
+        assert chunked.results == base.results
+        assert chunked.throughput == base.throughput
+
+
 class TestParallelismEverywhere:
     """parallelism shards every OASRS system's interval sampling."""
 
@@ -214,22 +302,39 @@ class TestParallelismEverywhere:
 class TestStrataHint:
     """The interval engines' stratum-count hint scans a bounded prefix.
 
-    Documented behavior (see `_strata_hint`): the hint seeds only the
-    *first* interval's equal budget split; water-filling re-derives
-    capacities from real counters at every interval close.  The pre-runtime
-    pipelined system scanned the whole stream for this hint — the cap is a
-    deliberate O(n)-scan removal, pinned here so the tradeoff stays
-    visible.
+    Documented behavior (see `repro.runtime.driver._Run.sampler`): the hint
+    seeds only the *first* interval's equal budget split; water-filling
+    re-derives capacities from real counters at every interval close.  The
+    pre-runtime pipelined system scanned the whole stream for this hint —
+    the cap is a deliberate O(n)-scan removal, pinned here so the tradeoff
+    stays visible.
     """
 
-    def test_prefix_cap_excludes_late_strata(self):
-        from repro.runtime.driver import _STRATA_HINT_PREFIX, _strata_hint
+    @pytest.mark.parametrize("engine", ["direct", "pipelined"])
+    def test_prefix_cap_excludes_late_strata(self, monkeypatch, engine):
+        from repro.runtime.driver import _STRATA_HINT_PREFIX
+        from repro.runtime.strategies import _BoundOASRS
 
+        hints = []
+        build = _BoundOASRS.interval_sampler
+
+        def spy(self, budget, strata_hint):
+            hints.append(strata_hint)
+            return build(self, budget, strata_hint)
+
+        monkeypatch.setattr(_BoundOASRS, "interval_sampler", spy)
         late = [(i / 1000.0, ("A" if i % 2 else "B", 1.0)) for i in range(25_000)]
         late.append((26.0, ("D", 1.0)))  # first appears after the prefix
-        assert _strata_hint(late, KEY) == 2
         early = late[: _STRATA_HINT_PREFIX - 1] + [late[-1]]
-        assert _strata_hint(early, KEY) == 3
+        for events in (late, early):
+            execute_plan(
+                build_plan(
+                    query=QUERY, window=WINDOW, engine=engine,
+                    strategy="oasrs", source=ListSource(events),
+                )
+            )
+        # One sampler per run, sized from the prefix alone.
+        assert hints == [2, 3]
 
     def test_late_stratum_still_sampled(self):
         """The hint shapes only the first split — a post-prefix stratum is

@@ -7,8 +7,8 @@ These tests pin the contracts the rest of the runtime builds on:
 
 * **Bitwise determinism across execution modes** — a pooled run, the
   ``REPRO_NO_MP`` in-process fallback, and both message kinds (pickled
-  items, index span — named directly or recognised from located column
-  chunks) produce the exact same merged samples, because shard samplers
+  items, index span — recognised from located column chunks) produce
+  the exact same merged samples, because shard samplers
   are rebuilt from coordinator-drawn seeds every interval.
 * **The reply format** — a stratum sampled from column views returns as
   its value array, never as per-item tuples; tuple strata round-trip.
@@ -113,17 +113,6 @@ class TestBitwiseAcrossModes:
             got = [fingerprint(ex.run(items)) for items in intervals]
             assert ex.last_run_parallel
             assert ex.fallback_reason is None
-        finally:
-            ex.close()
-        assert got == expected
-
-    def test_pooled_span_matches_in_process(self, monkeypatch, intervals):
-        expected = self.reference_fingerprints(monkeypatch, intervals)
-        events, spans = as_events(intervals)
-        ex = make_executor(source=events)
-        try:
-            got = [fingerprint(ex.run_span(lo, hi)) for lo, hi in spans]
-            assert ex.last_run_parallel
         finally:
             ex.close()
         assert got == expected
@@ -360,7 +349,62 @@ class TestResumeAcrossPool:
             )
 
 
+    @needs_pool
+    @pytest.mark.parametrize("chunk_size", [0, 256])
+    def test_resumed_batched_run_stays_on_the_span_transport(self, chunk_size):
+        """A restart used to drop a columnar batched run onto tuple
+        micro-batches, so a sharded one pickled every remaining interval."""
+        from repro.core.records import item_value
+        from repro.obs import TelemetryConfig
+
+        stream = stream_by_rates({"A": 300, "B": 60, "C": 10}, duration=15, seed=11)
+
+        def plan():
+            return build_plan(
+                StreamQuery(key_fn=item_key, value_fn=item_value, kind="mean"),
+                WindowConfig(length=5.0, slide=2.5),
+                SystemConfig(
+                    sampling_fraction=0.5, seed=17, parallelism=2, batch_interval=0.5,
+                    chunk_size=chunk_size, checkpoint=CheckpointPolicy(every=1),
+                    telemetry=TelemetryConfig(),
+                ),
+                engine="batched", strategy="oasrs", source=ListSource(stream),
+            )
+
+        store = CheckpointStore()
+        base, _ = execute_plan(plan(), checkpoint_store=store)
+        checkpoint = store.get(2)
+        info = {}
+        resumed, _ = execute_plan(plan(), resume_from=checkpoint, run_info=info)
+        assert resumed == base
+        remaining = {int(ts // 0.5) for ts, _item in stream if ts >= checkpoint.pane_end}
+        counters = info["telemetry"].metrics.snapshot()["counters"]
+        assert "columnar_fallback" not in info
+        assert counters["transport.span_intervals"] == len(remaining) > 0
+        assert counters["transport.pickle_intervals"] == 0
+
+
 class TestIntervalSamplerBuffering:
+    def test_offer_many_buffers_a_whole_interval_by_reference(self):
+        """``chunk_size <= 1`` hands the sampler the interval in one piece; a
+        located view kept intact still leaves as its index span."""
+        events, spans = as_events(make_intervals(1))
+        batch = RecordBatch(events)
+        metrics = MetricsRegistry()
+        ex = make_executor(workers=2, key_fn=item_key, source=batch, metrics=metrics)
+        sampler = ShardedIntervalSampler(ex)
+        try:
+            view = batch.item_slice(*spans[0])
+            sampler.offer_many(view)
+            assert sampler._chunks[-1] is view
+            assert sampler.close_interval().total_count == len(view)
+            counters = metrics.snapshot()["counters"]
+            pooled = ShardedExecutor._parallel_blocker() is None
+            assert counters["transport.span_intervals"] == (1 if pooled else 0)
+            assert counters["transport.pickle_intervals"] == 0
+        finally:
+            sampler.close()
+
     def test_process_chunk_keeps_chunk_intact(self):
         ex = make_executor(workers=2, policy=FixedPerStratum(4))
         sampler = ShardedIntervalSampler(ex)
