@@ -24,7 +24,10 @@ Asserted claims:
   identical to running its plan standalone through `execute_plan`;
 * (env-gated) ``REPRO_SERVICE_MAX_P99_MS`` bounds the p99 time-to-answer
   in milliseconds — unset by default, since absolute latency is a
-  property of the machine; CI's service-smoke job arms it.
+  property of the machine; CI's service-smoke job arms it at 150: this
+  storm's ``time_to_answer_ms.p99`` reads 22 ms on the 2-vCPU reference
+  box (``BENCH_service.json``), and ≈7× that is the room a throttled
+  shared runner gets — armed near the measured value, not 100× above it.
 
 Every run writes ``benchmarks/results/BENCH_service.json`` — the serving
 companion to ``BENCH_fig4a.json``/``BENCH_fig6a.json`` perf artifacts.

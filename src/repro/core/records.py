@@ -131,7 +131,7 @@ class ColumnSlice:
         if self.batch is not None:
             # A located view: the batch's own item tuples, nothing rebuilt.
             rows = self.batch[self.start : self.start + len(self.codes)]
-            return map(_item_of, rows)
+            return map(_second, rows)
         keys = self.key_table
         return iter(
             list(
@@ -156,7 +156,8 @@ class ColumnSlice:
         return f"ColumnSlice({len(self)} items, {len(self.key_table)} keys)"
 
 
-_item_of = itemgetter(1)
+#: Slot accessors shared by events ``(ts, item)`` and items ``(key, value)``.
+_first, _second = itemgetter(0), itemgetter(1)
 
 
 def _rebuild_column_slice(items: List[Tuple[Hashable, float]]):
@@ -253,6 +254,45 @@ def concat_members(parts):
     return tuple(chain.from_iterable(parts))
 
 
+class _Interner(dict):
+    """key → code, a miss assigning the next code: first-appearance order,
+    the first of equal keys kept (what the dict-grouping shim discovers), and
+    ``map(interner.__getitem__, keys)`` leaves C once per *distinct* key."""
+
+    def __missing__(self, key):
+        code = self[key] = len(self)
+        return code
+
+
+def _split_events(events):
+    """``(ts list, item list)`` of ``(ts, item)`` tuple or list events, else None.
+
+    An arity pass and an ``itemgetter`` pass per slot: star-unpacking into
+    ``zip`` makes an iterator per event and silently truncates long events.
+    """
+    try:
+        if not set(map(len, events)) <= {2}:
+            return None
+        return list(map(_first, events)), list(map(_second, events))
+    except (TypeError, LookupError):
+        return None
+
+
+def _intern_columns(keys, vals):
+    """``(codes, values, key_table, reason)`` of a value list and as many keys
+    (any iterable, consumed once); the columns are None when ``reason`` says
+    the values are not all plain floats or a key is unhashable."""
+    if not set(map(type, vals)) <= {float}:
+        return None, None, None, "non-float payloads (value is not a plain float)"
+    interner = _Interner()
+    try:
+        codes = _np.fromiter(map(interner.__getitem__, keys), _np.int32, len(vals))
+    except TypeError:
+        return None, None, None, "unhashable keys"
+    values = _np.fromiter(vals, _np.float64, len(vals))
+    return codes, values, list(interner), None  # insertion order == code order
+
+
 class RecordBatch(list):
     """A time-ordered ``(timestamp, item)`` stream with cached NumPy columns.
 
@@ -273,11 +313,9 @@ class RecordBatch(list):
     mutates streams; this guards ad-hoc test usage).
     """
 
-    _UNBUILT = object()
-
     def __init__(self, events: Iterable[Tuple[float, object]] = ()) -> None:
         super().__init__(events)
-        self._cols = RecordBatch._UNBUILT
+        self._cols = None  # built on first use
         self._seq = None
 
     @classmethod
@@ -297,53 +335,35 @@ class RecordBatch(list):
 
     def _columns(self):
         cols = self._cols
-        if cols is RecordBatch._UNBUILT or cols[4] != len(self):
+        if cols is None or cols[4] != len(self):
             cols = self._cols = self._build_columns()
         return cols
 
     def _build_columns(self):
+        """The tuple → column walk: ``(ts, codes, values, key_table, n, reason)``.
+
+        A fixed number of C-level passes, no Python frame per event: split,
+        timestamps, a ``set(map(...))`` each for item type and arity, intern.
+        """
         n = len(self)
         if _np is None:
             return (None, None, None, None, n, "numpy unavailable")
-        if n == 0:
-            return (
-                _np.empty(0, _np.float64),
-                _np.empty(0, _np.int32),
-                _np.empty(0, _np.float64),
-                [],
-                n,
-                None,
-            )
-        try:
-            ts_vals, items = zip(*self)
-        except (TypeError, ValueError):
+        split = _split_events(self)
+        if split is None:
             return (None, None, None, None, n, "events are not (ts, item) pairs")
+        ts_vals, items = split
         try:
-            ts = _np.asarray(ts_vals, dtype=_np.float64)
+            ts = _np.fromiter(ts_vals, _np.float64, n)
         except (TypeError, ValueError):
             return (None, None, None, None, n, "non-numeric timestamps")
-        reason = None
-        if set(map(type, items)) != {tuple}:
-            reason = "items are not plain (key, value) tuples"
-        elif set(map(len, items)) != {2}:
-            reason = "items are not 2-tuples"
-        elif set(map(type, map(itemgetter(1), items))) != {float}:
-            reason = "non-float payloads (value is not a plain float)"
-        if reason is not None:
-            return (ts, None, None, None, n, reason)
-        keys = list(map(itemgetter(0), items))
-        try:
-            # dict.fromkeys preserves first-appearance order, so code order
-            # is the order the dict-grouping shim would discover keys in.
-            code_of = {k: i for i, k in enumerate(dict.fromkeys(keys))}
-        except TypeError:
-            return (ts, None, None, None, n, "unhashable keys")
-        codes = _np.fromiter(
-            map(code_of.__getitem__, keys), dtype=_np.int32, count=n
+        if not set(map(type, items)) <= {tuple}:
+            return (ts, None, None, None, n, "items are not plain (key, value) tuples")
+        if not set(map(len, items)) <= {2}:
+            return (ts, None, None, None, n, "items are not 2-tuples")
+        codes, values, key_table, reason = _intern_columns(
+            map(_first, items), list(map(_second, items))
         )
-        values = _np.fromiter(map(itemgetter(1), items), dtype=_np.float64, count=n)
-        key_table = list(code_of)  # insertion order == code order
-        return (ts, codes, values, key_table, n, None)
+        return (ts, codes, values, key_table, n, reason)
 
     @property
     def ts(self):
@@ -402,25 +422,32 @@ class RecordBatch(list):
         """
         cache = self.__dict__.setdefault("_projections", {})
         token = (key_fn, value_fn)
-        if token in cache:
-            return cache[token]
-        projected: Optional[RecordBatch] = None
-        events: Optional[List[Tuple[float, Tuple[Hashable, float]]]] = []
+        if token not in cache:
+            cache[token] = self._project(key_fn, value_fn)
+        return cache[token]
+
+    def _project(self, key_fn, value_fn) -> Optional["RecordBatch"]:
+        split = _split_events(self) if _np is not None else None
+        if split is None:
+            return None
+        ts_vals, items = split
         try:
-            append = events.append
-            for ts, item in self:
-                value = value_fn(item)
-                if type(value) is not float:
-                    events = None
-                    break
-                append((ts, (key_fn(item), value)))
+            ts = _np.fromiter(ts_vals, _np.float64, len(self))
+            vals = list(map(value_fn, items))
+            keys = list(map(key_fn, items))
         except Exception:
-            events = None
-        if events is not None:
-            batch = RecordBatch(events)
-            if batch.has_columns:
-                projected = batch
-        cache[token] = projected
+            return None
+        codes, values, key_table, reason = _intern_columns(keys, vals)
+        if reason is not None:
+            return None
+        # All the inner tuples first, then the events around them: a tuple is
+        # untracked only once all it holds is, so an event built around an
+        # item of its own generation is promoted still tracked, and that
+        # growth keeps triggering full collections (26 against 1 over 1.2 M).
+        items = list(zip(keys, vals))
+        projected = RecordBatch(zip(ts_vals, items))
+        # Adopt the columns just computed; nothing re-walks the new events.
+        projected._cols = (ts, codes, values, key_table, len(self), None)
         return projected
 
     # -- views and the per-item shim ----------------------------------------

@@ -257,19 +257,8 @@ class _Run:
     def __init__(
         self, plan, handle_batch, checkpoint_store, resume_from, run_info, on_pane
     ) -> None:
-        stream = _record_stream(plan.source)
-        # An ad-hoc handle_batch observes raw items — anything about them —
-        # so only strategy-driven runs may substitute the projected stream,
-        # and the hook gets the classic tuple-of-items micro-batches.
-        stream, plan, reason = _columnar_gate(stream, plan, handle_batch is None)
-        if handle_batch is not None and reason is None:
-            reason = "ad-hoc handle_batch override (per-item shim)"
-        self.stream, self.plan, self.columnar = stream, plan, reason is None
         self.info = run_info if run_info is not None else {}
-        if reason:
-            self.info["columnar_fallback"] = reason
         self.on_pane = on_pane
-
         telemetry = run_telemetry(plan.config.telemetry)
         if telemetry is None:
             self.timer, self.trace, metrics = NULL_PANE_TIMER, NULL_TRACER, NULL_METRICS
@@ -283,6 +272,30 @@ class _Run:
         self._panes = metrics.counter("panes")
         #: Items the sampling stage kept so far (``run_info["sampled_total"]``).
         self.sampled_total = 0
+        # Opened before the source is drained: the column build is a stage too.
+        self.trace.begin(
+            "run", system=plan.name, engine=plan.engine, strategy=plan.strategy
+        )
+        self.timer.open()
+        try:
+            self._bind(plan, telemetry, handle_batch, checkpoint_store, resume_from)
+        except BaseException:
+            self.trace.close()  # a refused run still leaves a well-formed tree
+            raise
+
+    def _bind(self, plan, telemetry, handle_batch, checkpoint_store, resume_from):
+        """Drain the source, settle the columnar question, bind the strategy."""
+        stream = _record_stream(plan.source)
+        # An ad-hoc handle_batch observes raw items — anything about them —
+        # so only strategy-driven runs may substitute the projected stream,
+        # and the hook gets the classic tuple-of-items micro-batches.
+        stream, plan, reason = _columnar_gate(stream, plan, handle_batch is None)
+        self.timer.lap("columns")
+        if handle_batch is not None and reason is None:
+            reason = "ad-hoc handle_batch override (per-item shim)"
+        self.stream, self.plan, self.columnar = stream, plan, reason is None
+        if reason:
+            self.info["columnar_fallback"] = reason
 
         if handle_batch is None:
             self.strategy = get_strategy(plan.strategy).bind(plan)
@@ -333,12 +346,15 @@ class _Run:
             self.pane_index = resume_from.pane_index
 
     def sampler(self):
-        """The run's one sampler — already restored when the run is resumed.
+        """The run's one sampler — already restored when the run is resumed
+        (the budget and hint it would ignore are then placeholders).
 
         §2.3: sub-stream sources are declared at the aggregator; the
         allocator gets the stratum count (over a bounded prefix) so the
         first interval splits its budget fairly.
         """
+        if self.resume is not None:
+            return self.strategy.sampler(1, 1)
         if self.columnar:
             prefix = self.stream.item_slice(0, _STRATA_HINT_PREFIX)
         else:
@@ -490,10 +506,6 @@ def execute_plan(
         raise PlanError("handle_batch overrides only apply to the batched engine")
     run = _Run(plan, handle_batch, checkpoint_store, resume_from, run_info, on_pane)
     try:
-        run.trace.begin(
-            "run", system=plan.name, engine=plan.engine, strategy=plan.strategy
-        )
-        run.timer.open()
         cluster = ingest(run)
     finally:
         # Runs on success *and* on error/crash paths so the persistent shard

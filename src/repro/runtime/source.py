@@ -20,6 +20,7 @@ belong to the runtime driver, so any system can read from any source.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Hashable, List, Optional, Tuple, TypeVar
 
 from ..aggregator.broker import Broker
@@ -159,9 +160,9 @@ class TopicSource(PlanSource):
             records = []
             for member in self._members:
                 records.extend(member.poll())
-            records.sort(key=lambda r: (r.timestamp, r.seq))
-        batch = RecordBatch((r.timestamp, r.value) for r in records)
-        return [batch.with_seq([r.seq for r in records])]
+            records.sort(key=attrgetter("timestamp", "seq"))
+        batch = RecordBatch(map(attrgetter("timestamp", "value"), records))
+        return [batch.with_seq(list(map(attrgetter("seq"), records)))]
 
     @property
     def replayable(self) -> bool:

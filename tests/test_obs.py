@@ -34,6 +34,14 @@ from repro.obs import (
     run_telemetry,
     write_chrome_trace,
 )
+from repro.runtime import (
+    CheckpointPolicy,
+    CheckpointStore,
+    ListSource,
+    PlanError,
+    build_plan,
+    execute_plan,
+)
 from repro.system.native import NativeStreamApproxSystem
 from repro.workloads.synthetic import stream_by_rates
 
@@ -293,9 +301,35 @@ def test_stage_table_covers_every_pane():
     for row, pane in zip(telemetry.pane_stages, report.results):
         assert row["end"] == pane.end
         assert set(row["stages"]) >= {"ingest", "estimate"}
+    # Draining the source and building (here: projecting) its columns is the
+    # run's first stage: the first pane's row carries it, no other does.
+    assert [i for i, row in enumerate(telemetry.pane_stages) if "columns" in row["stages"]] == [0]
+    run = telemetry.tracer.roots[0]
+    assert run.children[0].children[0].name == "columns"
     summary = telemetry.summary()
     assert summary["panes"] == len(report.results)
     assert summary["metrics"]["counters"]["items.observed"] == report.items_total
+
+
+def test_refused_run_leaves_a_closed_span_tree():
+    # The run span opens before the source is drained; a plan refused after
+    # that (here: a checkpoint from another engine) must still close it.
+    store, collector = CheckpointStore(), RunTelemetry()
+    source = ListSource(_stream())
+    checkpointed = SystemConfig(checkpoint=CheckpointPolicy(every=1))
+
+    def plan(engine, config):
+        return build_plan(QUERY, WINDOW, config, engine=engine, strategy="oasrs", source=source)
+
+    execute_plan(plan("direct", checkpointed), checkpoint_store=store)
+    with pytest.raises(PlanError):
+        execute_plan(
+            plan("pipelined", SystemConfig(telemetry=collector)), resume_from=store.latest()
+        )
+    (run,) = collector.tracer.roots
+    assert run.name == "run" and run.end is not None
+    collector.tracer.begin("next")
+    assert [root.name for root in collector.tracer.roots] == ["run", "next"]
 
 
 def test_telemetry_off_report_carries_none():

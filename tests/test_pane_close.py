@@ -15,6 +15,7 @@ import pytest
 
 from repro.core.budget import AccuracyBudget
 from repro.obs import TelemetryConfig
+from repro.runtime import driver, strategies
 from repro.runtime import (
     CheckpointPolicy,
     CheckpointStore,
@@ -95,6 +96,8 @@ def test_pane_close_contract(engine, strategy, budget, every):
     assert [(row["index"], row["end"]) for row in telemetry.pane_stages] == [
         (i + 1, pane.end) for i, pane in enumerate(results)
     ]
+    # The column build / projection is a stage of the first pane, only.
+    assert [i for i, row in enumerate(telemetry.pane_stages) if "columns" in row["stages"]] == [0]
     assert info["sampled_total"] == counters["items.sampled"]
     assert len(log) == (len(results) if budget else 0)
 
@@ -107,9 +110,17 @@ def test_pane_close_contract(engine, strategy, budget, every):
 
 
 @pytest.mark.parametrize("engine,strategy", PAIRS)
-def test_resumed_run_delivers_and_counts_only_its_own_panes(engine, strategy):
+def test_resumed_run_delivers_and_counts_only_its_own_panes(
+    monkeypatch, engine, strategy
+):
     store = CheckpointStore()
     base, _ = execute_plan(plan_for(engine, strategy, False, 1), checkpoint_store=store)
+    # The restored sampler ignores a stratum hint, so resume computes none.
+    def no_hint(items, key_fn):
+        raise AssertionError("a resumed run counted strata for a hint")
+
+    monkeypatch.setattr(driver, "count_strata", no_hint)
+    monkeypatch.setattr(strategies, "count_strata", no_hint)
     delivered, info = [], {}
     resumed, _ = execute_plan(
         plan_for(engine, strategy, False, 1),

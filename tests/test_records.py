@@ -17,8 +17,11 @@ these tests pin the contract that makes that safe:
   ``columnar_fallback`` reason instead of silently degrading.
 """
 
+import gc
 import os
 import pickle
+import sys
+from collections import Counter, namedtuple
 
 import pytest
 
@@ -33,12 +36,15 @@ from repro.core.records import (
     item_key,
     item_value,
 )
+from repro.aggregator.broker import Broker
+from repro.aggregator.producer import Producer
 from repro.runtime import (
     CheckpointPolicy,
     CheckpointStore,
     ListSource,
     StreamQuery,
     SystemConfig,
+    TopicSource,
     WindowConfig,
     build_plan,
     execute_plan,
@@ -411,3 +417,288 @@ class TestFallbackSurfacing:
             stream
         )
         assert report.columnar_fallback is None
+
+
+# ---------------------------------------------------------------------------
+# The column build and the projection against per-item oracles
+# ---------------------------------------------------------------------------
+
+_FAILED = (None, None, None)
+
+
+def reference_columns(events):
+    """`RecordBatch._build_columns`, one Python step per item.
+
+    The contract the C-level passes must reproduce: the validation order
+    (event arity → timestamps → item type → item arity → payload type →
+    hashability, each over the whole batch before the next), the six
+    reasons, first-appearance codes, and NumPy's timestamp coercion.
+    """
+    n = len(events)
+    ts_vals, items = [], []
+    for event in events:
+        try:
+            if len(event) != 2:
+                raise TypeError
+            ts_vals.append(event[0])
+            items.append(event[1])
+        except (TypeError, LookupError):
+            return (None, *_FAILED, n, "events are not (ts, item) pairs")
+    try:
+        # None → NaN is NumPy's float conversion; everything else is float().
+        ts = [float("nan") if t is None else float(t) for t in ts_vals]
+    except (TypeError, ValueError):
+        return (None, *_FAILED, n, "non-numeric timestamps")
+    ts = np.asarray(ts, dtype=np.float64)
+    for item in items:
+        if type(item) is not tuple:
+            return (ts, *_FAILED, n, "items are not plain (key, value) tuples")
+    for item in items:
+        if len(item) != 2:
+            return (ts, *_FAILED, n, "items are not 2-tuples")
+    for _key, value in items:
+        if type(value) is not float:
+            return (ts, *_FAILED, n, "non-float payloads (value is not a plain float)")
+    code_of, codes = {}, []
+    for key, _value in items:
+        try:
+            if key not in code_of:
+                code_of[key] = len(code_of)
+        except TypeError:
+            return (ts, *_FAILED, n, "unhashable keys")
+        codes.append(code_of[key])
+    return (
+        ts,
+        np.asarray(codes, dtype=np.int32),
+        np.asarray([value for _key, value in items], dtype=np.float64),
+        list(code_of),
+        n,
+        None,
+    )
+
+
+def reference_project(batch, key_fn, value_fn):
+    """`RecordBatch.project` as the per-item loop it used to be."""
+    events = []
+    try:
+        for ts, item in batch:
+            value = value_fn(item)
+            if type(value) is not float:
+                return None
+            events.append((ts, (key_fn(item), value)))
+    except Exception:
+        return None
+    return events if reference_columns(events)[5] is None else None
+
+
+def _same_columns(got, want):
+    """Six-tuples equal: dtypes, bits (NaN payloads too), key *objects*."""
+    assert got[4:] == want[4:]
+    for g, w, dtype in zip(got[:3], want[:3], (np.float64, np.int32, np.float64)):
+        assert (g is None) == (w is None)
+        if g is not None:
+            assert g.dtype == w.dtype == dtype
+            assert g.tobytes() == w.tobytes()
+    assert (got[3] is None) == (want[3] is None)
+    if got[3] is not None:
+        assert len(got[3]) == len(want[3])
+        assert all(g is w for g, w in zip(got[3], want[3]))
+
+
+def _same_events(got, want):
+    """Equal events, and the very same element types slot for slot."""
+
+    def shape(x):
+        return (type(x), [shape(y) for y in x]) if isinstance(x, (tuple, list)) else type(x)
+
+    assert list(got) == want
+    assert shape(list(got)) == shape(want)
+
+
+Point = namedtuple("Point", "key value")
+_NAN = float("nan")
+
+_clean_keys = st.sampled_from(["a", "b", "c", 1, 1.0, True, None, ("t", 1), _NAN])
+_any_keys = _clean_keys | st.builds(float, st.just("nan")) | st.just(["un", "hashable"])
+_clean_payloads = st.floats(allow_nan=True, allow_infinity=True)
+_any_payloads = _clean_payloads | st.sampled_from([1, True, np.float64(2.5)])
+_clean_ts = st.floats(0, 100) | st.sampled_from([True, 2, "3", None, np.float64(4.5)])
+_any_ts = _clean_ts | st.sampled_from(["x", (0.0, 1.0)])
+
+
+def _events(ts, keys, payloads, items=None):
+    """Tuple- and list-shaped ``(ts, item)`` events."""
+    items = st.tuples(keys, payloads) if items is None else items
+    return st.builds(
+        lambda shape, t, item: shape((t, item)), st.sampled_from([tuple, list]), ts, items
+    )
+
+
+_clean_events = _events(_clean_ts, _clean_keys, _clean_payloads)
+_odd_events = st.one_of(
+    _events(_any_ts, _any_keys, _any_payloads),
+    _events(
+        _clean_ts, _clean_keys, _clean_payloads,
+        items=st.one_of(
+            st.builds(Point, _clean_keys, _clean_payloads),
+            st.builds(list, st.tuples(_clean_keys, _clean_payloads)),
+            st.tuples(_clean_keys, _clean_payloads, st.just("extra")),
+            st.just("ab"),
+        ),
+    ),
+    st.tuples(_clean_ts),
+    st.tuples(_clean_ts, st.tuples(_clean_keys, _clean_payloads), st.just("extra")),
+    st.just(7.0),
+)
+
+
+@st.composite
+def event_lists(draw):
+    """Mostly well-formed batches with up to two odd events spliced in."""
+    events = draw(st.lists(_clean_events, max_size=30))
+    for odd in draw(st.lists(_odd_events, max_size=2)):
+        events.insert(draw(st.integers(0, len(events))), odd)
+    return events
+
+
+class TestBuildOracle:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(events=event_lists())
+    def test_build_matches_the_per_item_reference(self, events):
+        _same_columns(RecordBatch(events)._build_columns(), reference_columns(events))
+
+    def test_timestamp_coercion_is_numpys(self):
+        # fromiter (the build) and asarray (the parent's build) agree.
+        ts_vals = [True, 2, "3", None, np.float64(4.5)]
+        batch = RecordBatch([(t, ("a", 1.0)) for t in ts_vals])
+        assert batch.columnar_reason is None
+        want = np.asarray(ts_vals, dtype=np.float64)
+        assert batch.ts.tobytes() == want.tobytes()
+        assert want.tolist()[:3] == [1.0, 2.0, 3.0] and np.isnan(want[3])
+
+    def test_wrong_arity_events_are_refused_not_truncated(self):
+        """``zip(*events)`` used to stop at the shortest event and drop the
+        rest of a longer one; the per-item path raises on the same stream."""
+        events = [(0.0, ("a", 1.0)), (1.0, ("b", 2.0), "extra")]
+        batch = RecordBatch(events)
+        assert batch.columnar_reason == "events are not (ts, item) pairs"
+        assert batch.ts is None and not batch.has_columns
+        assert batch.project(item_key, item_value) is None
+        info = {}
+        with pytest.raises(ValueError):  # the shim unpacks ``ts, item``
+            execute_plan(_plan(events, "direct", "oasrs"), run_info=info)
+        assert info["columnar_fallback"] == "events are not (ts, item) pairs"
+        # List-shaped events stay accepted.
+        assert RecordBatch([[0.0, ("a", 1.0)], [1.0, ("b", 2.0)]]).has_columns
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        events=event_lists(),
+        key_fn=st.sampled_from([item_key, lambda it: it[0], lambda it: [it[0]]]),
+        value_fn=st.sampled_from([item_value, lambda it: it[1], lambda it: it[1] * 2]),
+    )
+    def test_project_matches_the_per_item_loop(self, events, key_fn, value_fn):
+        calls = Counter()
+
+        def counted(name, fn):
+            def call(item):
+                calls[name] += 1
+                return fn(item)
+            return call
+
+        batch = RecordBatch(events)
+        key, value = counted("key", key_fn), counted("value", value_fn)
+        want = reference_project(list(events), key_fn, value_fn)
+        got = batch.project(key, value)
+        assert batch.project(key, value) is got  # cached, None included
+        assert max(calls.values(), default=0) <= len(events)
+        if want is None:
+            assert got is None
+            return
+        assert calls == ({"key": len(events), "value": len(events)} if events else {})
+        _same_events(got, want)
+        assert isinstance(got, RecordBatch)
+        _same_columns(got._columns(), reference_columns(want))
+
+
+def _python_calls(fn):
+    """How many Python-level frames ``fn()`` enters (C calls not counted)."""
+    count = 0
+
+    def profiler(_frame, event, _arg):
+        nonlocal count
+        count += event == "call"
+
+    gc.disable()  # a collection would run Hypothesis's Python gc callback
+    sys.setprofile(profiler)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+        gc.enable()
+    return count
+
+
+def test_the_build_runs_no_python_frame_per_event():
+    """The regression guard for "someone reintroduces a per-item loop":
+    counts frames, reads no clock."""
+
+    def canonical(n):
+        return [(i / 10.0, ("abc"[i % 3], float(i))) for i in range(n)]
+
+    small = _python_calls(RecordBatch(canonical(200))._build_columns)
+    large = _python_calls(RecordBatch(canonical(20_000))._build_columns)
+    assert small == large
+
+    # project: its own fixed frames, one per distinct key, two per event.
+    def projected(n):
+        batch = RecordBatch(canonical(n))
+        return _python_calls(lambda: batch.project(lambda it: it[0], lambda it: it[1]))
+
+    fixed = projected(0)
+    assert projected(200) - fixed == 2 * 200 + 3
+    assert projected(20_000) - fixed == 2 * 20_000 + 3
+
+
+# ---------------------------------------------------------------------------
+# Every way a stream enters a run: broker drain, fresh list, cached batch
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("partitions", [1, 4])
+@pytest.mark.parametrize("members", [0, 3], ids=["consumer", "group3"])
+def test_topic_source_batch_equals_the_per_record_build(partitions, members):
+    stream = stream_by_rates({"A": 300, "B": 80, "C": 9}, duration=6, seed=4)
+    broker = Broker()
+    broker.create_topic("events", num_partitions=partitions)
+    producer = Producer(broker, "events")
+    for timestamp, item in stream:
+        producer.send(timestamp, item, key=item[0])
+    group = {"group_id": "g", "members": members} if members else {}
+    (batch,) = TopicSource(broker, "events", **group).batches()
+    # The reference: one generator step per record, as the drain used to be.
+    records = sorted(
+        (r for p in broker.topic("events").partitions for r in p.fetch(0)),
+        key=lambda r: (r.timestamp, r.seq),
+    )
+    _same_events(batch, [(r.timestamp, r.value) for r in records])
+    assert list(batch) == list(stream)
+    assert batch.seq.dtype == np.int64
+    assert batch.seq.tolist() == [r.seq for r in records]
+    _same_columns(batch._columns(), stream._columns())
+
+
+@pytest.mark.parametrize("chunk", [0, 256])
+@pytest.mark.parametrize("engine", ["direct", "pipelined", "batched"])
+def test_fresh_batch_matches_cached_batch(engine, chunk):
+    """Cold path ≡ hot path: a just-wrapped list (columns built inside the
+    run) gives the panes of the batch whose columns were built before it."""
+    stream = _columnar_stream()
+    assert stream.has_columns
+    info = {}
+    cached, _ = execute_plan(_plan(stream, engine, "oasrs", chunk_size=chunk), run_info=info)
+    fresh, _ = execute_plan(
+        _plan(RecordBatch(list(stream)), engine, "oasrs", chunk_size=chunk), run_info=info
+    )
+    assert "columnar_fallback" not in info
+    assert fresh == cached
