@@ -5,7 +5,10 @@ benchmark measures the repo's own execution speed.  It runs
 `NativeStreamApproxSystem` — OASRS directly over the fig6a microbenchmark
 workload at the figure's 40% sampling fraction — in three modes:
 
-* ``item`` — the legacy item-at-a-time hot loop (one ``offer`` per item),
+* ``item`` — the default ``chunk_size`` 0 feed (`OASRSSampler.offer_many`):
+  the per-item rule, draw for draw what one ``offer`` per item decides — on
+  this column stream taken from the codes, a Python-level step only for rows
+  that arrive after their reservoir filled,
 * ``chunk=K`` — the vectorized chunk path (`OASRSSampler.process_chunk`
   with batched RNG draws and pooled interval moments),
 * ``shard=4`` — the real multi-process `ShardedExecutor` (4 workers).
@@ -15,10 +18,12 @@ whole `timed_execute` processing path) and ``sampling path`` (only the
 offer/process_chunk section — the code the chunk API replaces, and the
 stable basis for the speedup assertion; the end-to-end ratio adds shared
 slicing/estimation time to both sides and is noisier run to run).
-Asserted claims: every chunked setting beats item-at-a-time end to end;
-large chunks (>= 1024) beat the item-at-a-time sampling path by >= 2x; and
+Asserted claims: chunks >= 256 beat item-at-a-time end to end; large
+chunks (>= 1024) beat the item-at-a-time sampling path by >= 2x; and
 4-way sharding keeps accuracy within the same error bounds as the
-single-process run.
+single-process run.  ``chunk=64`` is reported, not gated: a kernel call
+costs ~16 us whatever its size, so 64-row chunks pay more in call overhead
+than the item feed pays in per-row steps and read on either side of it.
 
 Note on sharding: the sharded mode runs over the persistent worker pool
 (processes spawned once per run, each interval named to the forked
@@ -40,6 +45,7 @@ from conftest import MICRO_QUERY, RESULTS_DIR, WINDOW
 
 FRACTION = 0.4  # the fig6a operating point
 CHUNKS = (64, 256, 1024, 4096)
+GATED_CHUNKS = (256, 1024, 4096)  # end-to-end gate; 64 is reported only
 REPEATS = 3  # best-of, to shrug off scheduler noise
 # Required sampling-path speedup at chunk >= 1024.  The checked-in margin is
 # well above 2x on an idle box; shared CI runners are throttled and noisy, so
@@ -107,8 +113,9 @@ def test_fig6a_chunked(benchmark, micro_stream):
         benchmark.extra_info[f"wall_throughput/{setting}"] = round(total, 1)
         benchmark.extra_info[f"sampling_throughput/{setting}"] = round(sampling, 1)
 
-    # Every chunked setting beats the per-item path end to end...
-    for chunk in CHUNKS:
+    # Chunks that amortise the kernel's fixed cost beat the item feed end
+    # to end (chunk=64 does not, see the module docstring)...
+    for chunk in GATED_CHUNKS:
         assert rows[f"chunk={chunk}"][0] > base_total
     # ...and large chunks beat the item-at-a-time sampling path >= MIN_SPEEDUP.
     for chunk in (1024, 4096):

@@ -51,7 +51,7 @@ from ._vector import derive_generator as _derive_generator
 from ._vector import np as _np
 from .records import L2_SLICE as _L2_SLICE
 from .records import ColumnSlice, _StratumMembers, item_key
-from .reservoir import segmented_offer
+from .reservoir import itemwise_offer, segmented_offer
 from .strata import StratumSample, WeightedSample, stratum_weight
 
 T = TypeVar("T")
@@ -266,10 +266,10 @@ class OASRSSampler(Generic[T]):
     capacity ``N``, arrival counter ``C``, and the reservoir's slots.  The
     counters ``C`` follow the feed: a plain list while items arrive one at
     a time (``offer`` pays nothing for the chunk path's existence), an
-    ``int64`` array from an interval's first multi-row chunk on, which the
-    chunk kernel advances in place.  A feed that mixes the two inside one
-    interval converts, O(strata) per switch.  An interval's kept items
-    live in one of two stores — a
+    ``int64`` array from an interval's first column view or multi-row chunk
+    on, which either draw rule advances in place.  A feed that mixes the
+    two inside one interval converts, O(strata) per switch.  An interval's
+    kept items live in one of two stores — a
     list of item objects per stratum, or, for `ColumnSlice` chunks, one
     flat ``float64`` buffer in which every stratum owns ``N`` consecutive
     slots.  Which rows enter which slot is decided without looking at the
@@ -358,14 +358,27 @@ class OASRSSampler(Generic[T]):
         return key
 
     def offer_many(self, items: Iterable[T]) -> None:
-        """Offer items one at a time (the legacy per-item loop).
+        """Offer items in order, each decided as ``offer`` decides it.
 
-        Prefer `process_chunk` on hot paths — it amortises routing and RNG
-        work across the whole chunk.
+        A `ColumnSlice` is decided from its codes in one call, its kept
+        values staying floats (`repro.core.reservoir.itemwise_offer`: the
+        sample and the RNG state equal the per-item loop's exactly).
         """
+        if self._takes_columns(items) and len(items):
+            self._process_columns(items, kernel=False)
+            return
         offer = self.offer
         for item in items:
             offer(item)
+
+    def _takes_columns(self, items) -> bool:
+        """A column view, canonical stratifier, no tuple-kept item so far."""
+        return (
+            _np is not None
+            and isinstance(items, ColumnSlice)
+            and self._key_fn is item_key
+            and (self._value_mode or not any(self._seen))
+        )
 
     def process_chunk(self, items: Sequence[T]) -> int:
         """Route and sample a whole chunk at once; returns how many rows
@@ -381,8 +394,8 @@ class OASRSSampler(Generic[T]):
         sample identically, bit for bit; the column chunk merely skips
         building the tuples.  Statistically equivalent to offering each
         item individually (acceptance probability ``N / i``, uniform
-        slot), and draw for draw identical to ``offer`` for one-item
-        chunks.  Chunks larger than `repro.core.records.L2_SLICE` are
+        slot); a one-item chunk takes ``offer``'s own step, draw for draw.
+        Chunks larger than `repro.core.records.L2_SLICE` are
         processed slice by slice to keep the working set cache-sized.
         """
         if not hasattr(items, "__len__"):
@@ -395,13 +408,8 @@ class OASRSSampler(Generic[T]):
             )
         if n == 0:
             return 0
-        if (
-            _np is not None
-            and isinstance(items, ColumnSlice)
-            and self._key_fn is item_key
-            and (self._value_mode or not any(self._seen))
-        ):
-            return self._process_columns(items)
+        if self._takes_columns(items):
+            return self._process_columns(items, kernel=n > 1)
         if self._value_mode:
             self._leave_value_mode()
         index = self._index
@@ -433,14 +441,16 @@ class OASRSSampler(Generic[T]):
                 store.append(items[row])
         return len(placed)
 
-    def _decide(self, strata):
-        """`segmented_offer` over this sampler's counters and generator."""
+    def _decide(self, strata, kernel: bool = True):
+        """`segmented_offer` on the kernel's generator or — ``kernel`` False, the
+        generator left underived — `itemwise_offer` on the Python RNG."""
+        self._count_in_array()
+        cap = _np.frombuffer(self._cap, dtype=_np.int64)
+        if not kernel:
+            return itemwise_offer(strata, self._seen, cap, self._rng)
         if self._gen is None:
             self._gen = _derive_generator(self._rng)
-        self._count_in_array()
-        return segmented_offer(
-            strata, self._seen, _np.frombuffer(self._cap, dtype=_np.int64), self._gen
-        )
+        return segmented_offer(strata, self._seen, cap, self._gen)
 
     def _count_in_array(self) -> None:
         """Hand the arrival counters to the chunk kernel (no-op once done)."""
@@ -481,10 +491,9 @@ class OASRSSampler(Generic[T]):
             strata = self._lut[chunk.codes]
         return strata
 
-    def _process_columns(self, chunk: ColumnSlice) -> int:
-        """Column chunk: decide, then scatter the kept values into the buffer."""
+    def _process_columns(self, chunk: ColumnSlice, kernel: bool) -> int:
+        """Column chunk: `_decide`, then scatter the kept values into the buffer."""
         strata = self._strata_of(chunk)
-        self._count_in_array()
         offset = _np.frombuffer(self._offset, dtype=_np.int64)
         if not self._value_mode:
             # First column chunk of the interval: every known stratum gets
@@ -498,15 +507,7 @@ class OASRSSampler(Generic[T]):
             grown = _np.empty(max(self._room, 2 * len(self._values)))
             grown[: len(self._values)] = self._values
             self._values = grown
-        if len(strata) == 1:
-            # One row takes the textbook step on the Python RNG, exactly as
-            # `offer` would, so chunk_size=1 column runs match item runs.
-            number = int(strata[0])
-            slot = self._slot_for(number)
-            if slot >= 0:
-                self._values[self._offset[number] + slot] = chunk.values[0]
-            return int(slot >= 0)
-        rows, numbers, slots = self._decide(strata)
+        rows, numbers, slots = self._decide(strata, kernel)
         # NumPy assigns index arrays front to back, so of two rows naming
         # one slot the later stays (tests/test_segmented_kernel.py pins it).
         self._values[offset[numbers] + slots] = chunk.values[rows]

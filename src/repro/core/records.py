@@ -12,9 +12,8 @@ every layer speaks:
   subclasses ``list`` of the classic ``(timestamp, item)`` event tuples,
   so every existing consumer — ``bisect`` boundary searches, per-item
   operators, checkpoint replay slicing, ground-truth re-execution — keeps
-  working unchanged: per-item iteration *is* the compatibility shim
-  (`RecordBatch.iter_items`).  The columns are built lazily on first use
-  and cached.
+  working unchanged: per-item iteration *is* the compatibility shim.  The
+  columns are built lazily on first use and cached.
 * `ColumnSlice` — a zero-copy view over a ``[lo, hi)`` range of the item
   columns (no timestamps), behaving as a sequence of ``(key, value)``
   items.  Slicing (including strided slicing, which is how round-robin
@@ -254,6 +253,16 @@ def concat_members(parts):
     return tuple(chain.from_iterable(parts))
 
 
+def members_view(parts):
+    """Several strata's members, chained, as one `ColumnSlice` (one code per
+    part, no tuple built) — or None unless every part is value-mode."""
+    if not parts or not all(type(part) is _StratumMembers for part in parts):
+        return None
+    codes = _np.repeat(_np.arange(len(parts), dtype=_np.int32), list(map(len, parts)))
+    values = _np.concatenate([part.value_array() for part in parts])
+    return ColumnSlice(codes, values, [part.key for part in parts])
+
+
 class _Interner(dict):
     """key → code, a miss assigning the next code: first-appearance order,
     the first of equal keys kept (what the dict-grouping shim discovers), and
@@ -450,7 +459,7 @@ class RecordBatch(list):
         projected._cols = (ts, codes, values, key_table, len(self), None)
         return projected
 
-    # -- views and the per-item shim ----------------------------------------
+    # -- views ---------------------------------------------------------------
 
     def item_slice(self, lo: int, hi: int) -> ColumnSlice:
         """Zero-copy `ColumnSlice` over the items of events ``[lo, hi)``."""
@@ -461,15 +470,6 @@ class RecordBatch(list):
         # negative or out-of-range bounds.
         lo, hi, _step = slice(lo, hi).indices(n)
         return ColumnSlice(codes[lo:hi], values[lo:hi], key_table, self, lo)
-
-    def iter_items(self):
-        """The per-item compatibility shim: iterate ``(timestamp, item)``.
-
-        Identical to plain iteration — the method exists to mark call sites
-        that deliberately take the legacy per-item path (non-columnar
-        payloads, custom projections).
-        """
-        return iter(self)
 
     def __reduce__(self):
         # Columns are derived state; ship only the events (fork-based

@@ -22,6 +22,7 @@ Two execution paths are provided:
   applied to any store (a ``float64`` slot buffer, a list of item tuples).
   Both realise the per-item acceptance probability ``capacity / i`` with a
   uniform victim slot, so samples are statistically interchangeable.
+  ``itemwise_offer`` is the same contract under ``offer``'s own draw rule.
 """
 
 from __future__ import annotations
@@ -143,24 +144,11 @@ def reservoir_sample(
     return reservoir.items
 
 
-def segmented_offer(strata, seen, cap, gen):
-    """Algorithm 1 for one chunk of rows, run segment-wise over its strata.
-
-    ``strata[r]`` is the stratum number of stream row ``r``; ``seen`` and
-    ``cap`` are the per-stratum ``int64`` arrival counters and capacities.
-    Row ``r`` is the ``i``-th arrival of its stratum (``i`` = ``seen``
-    before the chunk + its 1-based rank among the chunk's rows of that
-    stratum).  With one uniform ``U`` per row, drawn in stream-row order,
-    and ``j = ⌊U·i⌋``: a fill row (``i ≤ N``) takes slot ``i − 1``; a
-    steady row is kept iff ``j < N`` — probability ``N / i`` — and then
-    lands in slot ``j``, uniform on ``0..N−1`` given acceptance.
-
-    Returns ``(rows, numbers, slots)``: the kept rows, each one's stratum
-    number, and the slot it takes *within that stratum*, ordered by stratum
-    and, inside a stratum, by arrival.  Apply the writes in the order
-    returned — two kept rows of a stratum may name the same slot, and the
-    later arrival wins, as it would have item by item.  ``seen`` is
-    advanced in place.  O(rows + strata), no Python-level loop.
+def _rank_arrivals(strata, seen):
+    """``(order, by, arrival)``: the rows sorted by stratum then arrival, the
+    stratum of each, and its 1-based arrival index ``i`` in that stratum
+    (``seen`` before the chunk + its rank among the chunk's rows of the
+    stratum).  ``seen`` is advanced in place.  O(rows + strata), no loop.
     """
     n = strata.shape[0]
     # A stable sort keeps arrival order inside each stratum; 16-bit keys
@@ -174,8 +162,53 @@ def segmented_offer(strata, seen, cap, gen):
     arrival = (seen - count.cumsum() + count)[by]
     arrival += _np.arange(1, n + 1)
     seen += count
-    slot = (gen.random(n)[order] * arrival).astype(_np.int64)
+    return order, by, arrival
+
+
+def segmented_offer(strata, seen, cap, gen):
+    """Algorithm 1 for one chunk of rows, run segment-wise over its strata.
+
+    ``strata[r]`` is the stratum number of stream row ``r``; ``seen`` and
+    ``cap`` are the per-stratum ``int64`` arrival counters and capacities.
+    Row ``r`` is the ``i``-th arrival of its stratum (`_rank_arrivals`).
+    With one uniform ``U`` per row, drawn in stream-row order,
+    and ``j = ⌊U·i⌋``: a fill row (``i ≤ N``) takes slot ``i − 1``; a
+    steady row is kept iff ``j < N`` — probability ``N / i`` — and then
+    lands in slot ``j``, uniform on ``0..N−1`` given acceptance.
+
+    Returns ``(rows, numbers, slots)``: the kept rows, each one's stratum
+    number, and the slot it takes *within that stratum*, ordered by stratum
+    and, inside a stratum, by arrival.  Apply the writes in the order
+    returned — two kept rows of a stratum may name the same slot, and the
+    later arrival wins, as it would have item by item.  ``seen`` is
+    advanced in place.  O(rows + strata), no Python-level loop.
+    """
+    order, by, arrival = _rank_arrivals(strata, seen)
+    slot = (gen.random(strata.shape[0])[order] * arrival).astype(_np.int64)
     room = cap[by]
     _np.putmask(slot, arrival <= room, arrival - 1)
+    kept = (slot < room).nonzero()[0]
+    return order[kept], by[kept], slot[kept]
+
+
+def itemwise_offer(strata, seen, cap, rng):
+    """`segmented_offer`'s contract under ``Reservoir.offer``'s draw rule.
+
+    Decided as a per-item loop on ``rng`` (a ``random.Random``) decides,
+    draw for draw: a fill row draws nothing; the steady rows — the only
+    Python-level loop — call ``random()`` and ``randrange(N)`` in stream order.
+    """
+    order, by, arrival = _rank_arrivals(strata, seen)
+    room = cap[by]
+    slot = arrival - 1
+    steady = (slot >= room).nonzero()[0]
+    if steady.size:
+        # Back to stream order: one ascending run per stratum, merged.
+        steady = steady[order[steady].argsort(kind="stable")]
+        random, randrange = rng.random, rng.randrange
+        slot[steady] = [  # a rejected row gets slot N, dropped below
+            randrange(n) if random() * i < n else n
+            for i, n in zip(arrival[steady].tolist(), room[steady].tolist())
+        ]
     kept = (slot < room).nonzero()[0]
     return order[kept], by[kept], slot[kept]

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, Generic, Hashable, List, Sequence, Tuple, TypeVar
 
-from .records import concat_members
+from .records import concat_members, members_view
 from .records import item_value as _item_value
 
 T = TypeVar("T")
@@ -175,8 +175,13 @@ class WeightedSample(Generic[T]):
         arrays = [stratum.value_array(value_fn) for stratum in self]
         return None if any(array is None for array in arrays) else arrays
 
-    def all_items(self) -> List[T]:
-        """Flat list of every sampled item (order: stratum insertion order)."""
+    def all_items(self) -> Sequence[T]:
+        """Every sampled item, flat (order: stratum insertion order) — for an
+        all-value-mode sample a `ColumnSlice` over the concatenated arrays:
+        the list's items, ``len``, slicing and iteration, no tuple built."""
+        columns = members_view([stratum.items for stratum in self])
+        if columns is not None:
+            return columns
         out: List[T] = []
         for stratum in self:
             out.extend(stratum.items)

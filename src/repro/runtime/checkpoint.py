@@ -83,6 +83,13 @@ class CheckpointPolicy:
             raise ValueError(f"checkpoint every must be >= 1, got {self.every}")
 
 
+#: Layout version of `PaneCheckpoint.state`, checked on resume.  Bump it
+#: when a change adds, removes or re-homes anything a checkpoint carries —
+#: not for a new interval *feed*: an interval closes before a pane boundary.
+#: 1 is PR 19's one-sampler layout; an unstamped pickle reads as 0.
+CHECKPOINT_FORMAT = 1
+
+
 @dataclass(frozen=True)
 class PaneCheckpoint:
     """One pane-boundary snapshot of a running plan.
@@ -92,7 +99,7 @@ class PaneCheckpoint:
     emitted so far (they are part of the run's output, not recomputable
     without replaying from zero); ``state`` is the plain-data snapshot of
     every stateful runtime object (the strategy with its sampler, the
-    controller, the engine's window history).
+    controller, the engine's window history) in layout ``format``.
     """
 
     plan_name: str
@@ -103,6 +110,11 @@ class PaneCheckpoint:
     stream_position: int
     results: Tuple[Any, ...]
     state: Dict[str, Any]
+    format: int = CHECKPOINT_FORMAT
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        # An unstamped (older) pickle must not pick up the class default.
+        self.__dict__.update({"format": 0, **state})
 
     def to_bytes(self) -> bytes:
         return pickle.dumps(self)

@@ -64,6 +64,7 @@ from ..engine.cluster import SimulatedCluster
 from ..engine.pipelined.dataflow import Pipeline
 from ..obs import NULL_METRICS, NULL_PANE_TIMER, NULL_TRACER, run_telemetry
 from .checkpoint import (
+    CHECKPOINT_FORMAT,
     CheckpointStore,
     PaneCheckpoint,
     controller_state,
@@ -204,6 +205,11 @@ def _validate_resume(
     plan: ExecutionPlan, checkpoint: PaneCheckpoint, n_events: int
 ) -> None:
     """Reject checkpoints that cannot have come from this plan's run."""
+    if checkpoint.format != CHECKPOINT_FORMAT:
+        raise PlanError(
+            f"checkpoint has state format {checkpoint.format}, this runtime "
+            f"reads format {CHECKPOINT_FORMAT}; re-run the plan from its start"
+        )
     if checkpoint.engine != plan.engine or checkpoint.strategy != plan.strategy:
         raise PlanError(
             f"checkpoint was taken by a {checkpoint.engine!r}/"

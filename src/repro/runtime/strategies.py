@@ -245,8 +245,8 @@ class BoundStrategy:
 
         ``rows`` is a located `repro.core.records.ColumnSlice` or a plain
         item list; ``chunk_size > 1`` feeds it as chunk-size runs through
-        the sampler's vectorized ``process_chunk``, otherwise the items
-        are offered one by one.
+        the sampler's vectorized ``process_chunk``, otherwise ``offer_many``
+        takes the per-item decisions (a column view's in one call).
         """
         sampler, chunk = self._sampler, self.plan.config.chunk_size
         if chunk > 1:
@@ -518,8 +518,9 @@ class _BoundOASRS(_SeededBound):
         # On-the-fly sampling: every arriving item is offered (O(1) each)...
         ctx.cluster.sample_items(len(items), "oasrs")
         sample = self.sample_interval(items)
+        # ...but only the kept items are turned into an RDD and processed — a
+        # value-mode sample's as a column view, so no item tuple is built.
         kept = sample.all_items()
-        # ...but only the kept items are turned into an RDD and processed.
         rdd = ctx.rdd_of_presampled(kept, skipped=len(items) - len(kept))
         rdd.process_all()
         return sample

@@ -20,7 +20,9 @@ Client → server::
 Only ``tenant`` and ``source`` are required; everything else defaults to
 the source's registered query and the stock window/config.  ``id`` is an
 opaque client correlation token echoed on every response for that
-submission.
+submission.  The server picks no ``chunk_size`` of its own: a submission
+naming none runs at the stock 0 and answers, bit for bit, what in-process
+`repro.runtime.execute_plan` returns under the same config.
 
 Server → client (``type`` discriminates)::
 

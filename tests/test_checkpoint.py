@@ -10,13 +10,15 @@ Hypothesis over arbitrary interval boundaries, item mixes, and seeds:
   Python and per-reservoir NumPy RNG streams),
 * `repro.runtime.checkpoint.controller_state` / ``restore_controller``
   round-trip the §4.2 budget controller mid-trajectory,
-* `repro.runtime.driver.execute_plan(resume_from=…)` resumes a direct-
-  engine plan from any pane checkpoint to the uninterrupted panes.
+* `repro.runtime.driver.execute_plan(resume_from=…)` resumes a direct- or
+  batched-engine plan from any pane checkpoint to the uninterrupted panes.
 
 Plus plain unit coverage of the `CheckpointStore` / `PaneCheckpoint`
 surface (persistence, validation, plan-compatibility checks).
 """
 
+import dataclasses
+import os
 import pickle
 import random
 
@@ -48,7 +50,11 @@ from repro.runtime import (
     build_plan,
     execute_plan,
 )
-from repro.runtime.checkpoint import controller_state, restore_controller
+from repro.runtime.checkpoint import (
+    CHECKPOINT_FORMAT,
+    controller_state,
+    restore_controller,
+)
 from repro.runtime.control import BudgetController
 
 KEY = lambda item: item[0]  # noqa: E731
@@ -217,12 +223,12 @@ def tiny_stream(seed, n=400):
     ]
 
 
-def tiny_plan(stream, **config_overrides):
+def tiny_plan(stream, engine="direct", **config_overrides):
     query = StreamQuery(key_fn=KEY, value_fn=lambda it: it[1], kind="mean")
     config = SystemConfig(sampling_fraction=0.4, seed=11, **config_overrides)
     return build_plan(
         query, WindowConfig(6.0, 3.0), config,
-        engine="direct", strategy="oasrs",
+        engine=engine, strategy="oasrs",
         source=ListSource(stream), name="tiny",
     )
 
@@ -236,23 +242,35 @@ def pane_fingerprint(results):
 
 
 class TestPlanLevelResume:
+    """Default ``chunk_size`` 0: whole intervals through ``offer_many`` — the
+    column feed on these (projected, columnar) streams, the per-item loop
+    under ``REPRO_NO_COLUMNAR``; the two must agree pane for pane."""
+
+    @pytest.mark.parametrize("engine", ["direct", "batched"])
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(0, 2**16))
-    def test_direct_resume_matches_uninterrupted_from_every_checkpoint(
-        self, seed
-    ):
+    def test_resume_matches_uninterrupted_from_every_checkpoint(self, engine, seed):
         stream = tiny_stream(seed)
-        base, _ = execute_plan(tiny_plan(stream))
+        info = {}
+        base, _ = execute_plan(tiny_plan(stream, engine), run_info=info)
+        assert info.get("columnar_fallback") is None
+        os.environ["REPRO_NO_COLUMNAR"] = "1"
+        try:
+            shim, _ = execute_plan(tiny_plan(stream, engine), run_info=info)
+        finally:
+            del os.environ["REPRO_NO_COLUMNAR"]
+        assert "REPRO_NO_COLUMNAR" in info["columnar_fallback"]
+        assert shim == base
         store = CheckpointStore()
         policy = CheckpointPolicy(every=1)
         observed, _ = execute_plan(
-            tiny_plan(stream, checkpoint=policy), checkpoint_store=store
+            tiny_plan(stream, engine, checkpoint=policy), checkpoint_store=store
         )
         assert pane_fingerprint(observed) == pane_fingerprint(base)
         assert len(store) == len(base)
         for index in store.indices():
             resumed, _ = execute_plan(
-                tiny_plan(stream, checkpoint=policy),
+                tiny_plan(stream, engine, checkpoint=policy),
                 resume_from=store.get(index),
             )
             assert pane_fingerprint(resumed) == pane_fingerprint(base)
@@ -350,6 +368,16 @@ def one_checkpoint(stream=None):
     return store
 
 
+class _Unstamped:
+    """Pickles as the `PaneCheckpoint` a pre-``format`` writer would have left."""
+
+    def __init__(self, checkpoint):
+        self.fields = {k: v for k, v in vars(checkpoint).items() if k != "format"}
+
+    def __reduce__(self):
+        return (object.__new__, (PaneCheckpoint,), self.fields)
+
+
 class TestCheckpointSurface:
     def test_policy_validation(self):
         with pytest.raises(ValueError):
@@ -436,6 +464,34 @@ class TestCheckpointSurface:
         )
         with pytest.raises(PlanError, match="cannot resume"):
             execute_plan(batched_plan, resume_from=checkpoint)
+
+    @pytest.mark.parametrize("engine", ["direct", "batched", "pipelined"])
+    def test_resume_rejects_another_state_format(self, engine):
+        stream = tiny_stream(5)
+        policy = CheckpointPolicy(every=1)
+        store = CheckpointStore()
+        base, _ = execute_plan(
+            tiny_plan(stream, engine, checkpoint=policy), checkpoint_store=store
+        )
+        current = store.get(1)
+        assert current.format == CHECKPOINT_FORMAT
+        revived = PaneCheckpoint.from_bytes(current.to_bytes())
+        assert revived.format == CHECKPOINT_FORMAT
+        resumed, _ = execute_plan(
+            tiny_plan(stream, engine, checkpoint=policy), resume_from=revived
+        )
+        assert pane_fingerprint(resumed) == pane_fingerprint(base)
+        # Hand-downgraded: the pickle of a checkpoint written before the
+        # stamp existed has no "format" entry and reads as version 0.
+        unstamped = pickle.loads(pickle.dumps(_Unstamped(current)))
+        assert type(unstamped) is PaneCheckpoint and unstamped.format == 0
+        for stale in (unstamped, dataclasses.replace(current, format=CHECKPOINT_FORMAT + 1)):
+            with pytest.raises(
+                PlanError, match=f"format {stale.format}, .* format {CHECKPOINT_FORMAT}"
+            ):
+                execute_plan(
+                    tiny_plan(stream, engine, checkpoint=policy), resume_from=stale
+                )
 
     def test_resume_rejects_truncated_source(self):
         stream = tiny_stream(5)

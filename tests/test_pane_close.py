@@ -10,6 +10,7 @@ end-of-stream flush pane, which must leave no trace in any of them.
 """
 
 import random
+import sys
 
 import pytest
 
@@ -240,3 +241,48 @@ def test_one_sampler_fed_and_checkpointed_one_way(
     else:
         assert sum(fed) == observed
         assert len(fed) == (30 if engine == "batched" else len(results))
+
+
+# ---------------------------------------------------------------------------
+# Kept samples stay columns: no Python object per kept or offered item
+
+
+@pytest.mark.parametrize("chunk_size", [4096, 0], ids=["chunk4096", "item"])
+def test_columnar_batched_run_builds_no_member_tuples(monkeypatch, chunk_size):
+    pytest.importorskip("numpy")
+    from repro.core.records import _StratumMembers
+
+    def materialized(self):
+        raise AssertionError("a kept value was turned back into an item tuple")
+
+    info = {}
+    plan = plan_for("batched", "oasrs", False, 1, chunk_size=chunk_size)
+    base, _ = execute_plan(plan)
+    monkeypatch.setattr(_StratumMembers, "_materialized", materialized)
+    results, _ = execute_plan(plan, run_info=info)
+    assert info.get("columnar_fallback") is None
+    assert results == base and info["sampled_total"] > 0
+
+
+def test_offer_many_makes_no_python_call_per_fill_row():
+    pytest.importorskip("numpy")
+    from repro.core.oasrs import FixedPerStratum, OASRSSampler
+    from repro.core.records import RecordBatch, item_key
+
+    def python_calls(rows):
+        rng = random.Random(rows)
+        batch = RecordBatch(
+            [(float(i), (rng.choice("abc"), rng.random())) for i in range(rows)]
+        )
+        view = batch.item_slice(0, rows)
+        sampler = OASRSSampler(FixedPerStratum(rows), item_key, random.Random(0))
+        calls = []
+        sys.setprofile(lambda frame, event, arg: event == "call" and calls.append(1))
+        try:
+            sampler.offer_many(view)
+        finally:
+            sys.setprofile(None)
+        assert sampler.close_interval().total_items == rows  # all fill rows
+        return len(calls)
+
+    assert python_calls(20_000) == python_calls(200)

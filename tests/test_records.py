@@ -22,6 +22,7 @@ import os
 import pickle
 import sys
 from collections import Counter, namedtuple
+from operator import itemgetter
 
 import pytest
 
@@ -80,7 +81,7 @@ class TestRoundTrip:
     def test_batch_is_its_event_list(self, events):
         batch = RecordBatch(events)
         assert list(batch) == events
-        assert list(batch.iter_items()) == events
+        assert list(map(itemgetter(1), batch)) == [item for _ts, item in events]
         assert batch.columnar_reason is None
         assert batch.has_columns
         n = len(events)

@@ -12,6 +12,10 @@ to one of two stores.  Pinned here:
   tuples sample ``repr``-equally for any mix of chunk sizes (one-row chunks
   take the textbook Python-RNG step in both), any stratum count, and any
   assignment of interned codes to keys;
+* *two draw rules over one ranking* — ``offer_many`` on a column view
+  (`repro.core.reservoir.itemwise_offer`) leaves the sample, the strata and
+  the Python RNG exactly where a ``for item: offer(item)`` loop leaves them,
+  and never derives the kernel's generator;
 * *resumable* — the array state and the one generator survive a snapshot,
   mid-interval and at every pane checkpoint of a 400-strata chunked plan,
   in memory and through ``to_bytes``.
@@ -30,7 +34,7 @@ from repro.core.oasrs import (
     OASRSSampler,
     WaterFillingAllocation,
 )
-from repro.core.records import ColumnSlice, RecordBatch, item_key
+from repro.core.records import L2_SLICE, ColumnSlice, RecordBatch, item_key
 from repro.core.recovery import restore_sampler, sampler_state
 from repro.core.reservoir import segmented_offer
 from repro.runtime import (
@@ -284,6 +288,106 @@ class TestColumnarEqualsTupleChunks:
         for stratum in sample:
             assert type(stratum.items) is tuple
             assert list(stratum.items) == [it for it in items if it[0] == stratum.key]
+
+
+# ---------------------------------------------------------------------------
+# The item rule in column form: offer, draw for draw
+# ---------------------------------------------------------------------------
+
+ITEM_RULE_POLICIES = {
+    "fixed": FixedPerStratum,
+    "equal": lambda capacity: EqualAllocation(3 * capacity),
+    "water": lambda capacity: WaterFillingAllocation(3 * capacity),
+}
+KEY_MAKERS = {
+    "str": lambda i: f"k{i:02d}",
+    "int": lambda i: i + 2,
+    "mixed": lambda i: f"k{i:02d}" if i % 2 else i + 2,
+}
+
+
+@st.composite
+def item_rule_cases(draw):
+    strata = draw(st.integers(1, 40))
+    make_key = KEY_MAKERS[draw(st.sampled_from(sorted(KEY_MAKERS)))]
+    keys = [make_key(i) for i in range(strata)]
+    rng = random.Random(draw(st.integers(0, 2**16)))
+    intervals = []
+    for _ in range(draw(st.integers(1, 3))):
+        n = draw(st.one_of(st.integers(1, 700), st.just(L2_SLICE + 300)))
+        # Some strata are first seen only in the interval's second half.
+        early = keys[: draw(st.integers(1, strata))]
+        items = [
+            (rng.choice(early if row < n // 2 else keys), rng.gauss(50.0, 5.0))
+            for row in range(n)
+        ]
+        cuts = sorted(draw(st.lists(st.integers(0, n), max_size=2)))
+        # Rows past ``tail`` are offered one by one, after the column feed.
+        tail = draw(st.sampled_from([n, n, max(0, n - 5)]))
+        intervals.append((items, cuts, tail))
+    return intervals
+
+
+class TestItemRuleInColumnForm:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        intervals=item_rule_cases(),
+        policy=st.sampled_from(sorted(ITEM_RULE_POLICIES)),
+        capacity=st.integers(1, 200),
+        seed=st.integers(0, 2**16),
+    )
+    def test_offer_many_on_columns_equals_the_offer_loop(
+        self, intervals, policy, capacity, seed
+    ):
+        make_policy = ITEM_RULE_POLICIES[policy]
+        columns = OASRSSampler(make_policy(capacity), item_key, random.Random(seed))
+        loop = OASRSSampler(make_policy(capacity), item_key, random.Random(seed))
+        for items, cuts, tail in intervals:
+            view = column_view(items)
+            bounds = [0] + [min(cut, tail) for cut in cuts] + [tail]
+            for lo, hi in zip(bounds, bounds[1:]):
+                columns.offer_many(view[lo:hi])
+            for item in items[tail:]:
+                columns.offer(item)  # leaves value mode mid-interval
+            for item in items:
+                loop.offer(item)
+            assert columns.strata_seen == loop.strata_seen
+            assert columns._keys == loop._keys and columns._cap == loop._cap
+            assert fingerprint(columns.peek()) == fingerprint(loop.peek())
+            assert fingerprint(columns.close_interval()) == fingerprint(
+                loop.close_interval()
+            )
+            assert columns._rng.getstate() == loop._rng.getstate()
+        assert columns._gen is None
+
+    def test_column_feed_keeps_floats_and_a_tuple_interval_keeps_the_loop(self):
+        items = make_items(3, 500, seed=2)
+        sampler = OASRSSampler(FixedPerStratum(20), item_key, random.Random(1))
+        sampler.offer_many(column_view(items))
+        assert {type(s.items).__name__ for s in sampler.close_interval()} == {
+            "_StratumMembers"
+        }
+        # An interval that already holds item tuples stays on the loop.
+        sampler.offer(items[0])
+        sampler.offer_many(column_view(items)[1:])
+        assert {type(s.items) for s in sampler.close_interval()} == {tuple}
+        sampler.offer_many(column_view(items)[:0])
+        assert len(sampler.peek()) == 0
+
+    @settings(max_examples=25, deadline=None)
+    @given(capacity=st.integers(1, 12), seed=st.integers(0, 2**16))
+    def test_one_row_column_chunks_equal_offer_draw_for_draw(self, capacity, seed):
+        items = make_items(4, 200, seed)
+        view = column_view(items)
+        chunked = OASRSSampler(FixedPerStratum(capacity), item_key, random.Random(seed))
+        loop = OASRSSampler(FixedPerStratum(capacity), item_key, random.Random(seed))
+        kept = sum(chunked.process_chunk(view[row : row + 1]) for row in range(len(items)))
+        for item in items:
+            loop.offer(item)
+        assert kept >= min(len(items), capacity)
+        assert fingerprint(chunked.close_interval()) == fingerprint(loop.close_interval())
+        assert chunked._rng.getstate() == loop._rng.getstate()
+        assert chunked._gen is None
 
 
 # ---------------------------------------------------------------------------

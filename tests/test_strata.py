@@ -1,5 +1,7 @@
 """Tests for stratum bookkeeping and Equation-1 weights."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -90,6 +92,33 @@ class TestWeightedSample:
         assert sorted(ws.all_items()) == [1.0, 2.0, 3.0, 10.0]
         weights = dict(ws.weighted_items())
         assert weights[1.0] == 2.0 and weights[10.0] == 1.0
+
+    def test_all_items_of_a_value_mode_sample_stay_columns(self):
+        """Same items, order and types as the flat list — without building it."""
+        pytest.importorskip("numpy")
+        from repro.core.oasrs import FixedPerStratum, OASRSSampler
+        from repro.core.records import ColumnSlice, RecordBatch, item_key
+        from repro.engine.batched.rdd import _split
+
+        rng = random.Random(4)
+        items = [(rng.choice(["a", "b", 7]), rng.gauss(0.0, 1.0)) for _ in range(900)]
+        batch = RecordBatch([(float(i), item) for i, item in enumerate(items)])
+        sampler = OASRSSampler(FixedPerStratum(40), item_key, random.Random(1))
+        sampler.process_chunk(batch.item_slice(0, len(items)))
+        ws = sampler.close_interval()
+        flat = [item for stratum in ws for item in stratum.items]  # the list form
+        kept = ws.all_items()
+        assert type(kept) is ColumnSlice and len(kept) == len(flat) == 120
+        assert list(kept) == flat and [kept[i] for i in range(len(kept))] == flat
+        assert {type(item) for item in kept} == {tuple}
+        assert {type(value) for _key, value in kept} == {float}
+        for parts in (1, 8, 13):
+            assert [list(part) for part in _split(kept, parts)] == _split(flat, parts)
+
+        # One tuple-backed stratum and the whole sample is the list it was.
+        ws.add(StratumSample("t", (("t", 1.0), ("t", 2.0)), 2, 1.0))
+        assert ws.all_items() == flat + [("t", 1.0), ("t", 2.0)]
+        assert WeightedSample().all_items() == []
 
     def test_scaled_total(self):
         ws = self._make()
