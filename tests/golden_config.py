@@ -10,8 +10,9 @@ and the regression test (``tests/test_golden_equivalence.py``).
 from __future__ import annotations
 
 import os
-from typing import Callable, Dict, Iterator, List, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
+from repro.core.budget import AccuracyBudget
 from repro.system import (
     FlinkStreamApproxSystem,
     NativeFlinkSystem,
@@ -30,6 +31,12 @@ from repro.workloads.synthetic import stream_by_rates
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden", "systems_golden.json")
 
 WINDOW = WindowConfig(length=10.0, slide=5.0)
+
+#: Looser than every p90 margin the golden stream reaches (13–31): the
+#: feedback trim decays and the Equation-9 model floor, computed from the
+#: pane's stratum stats, sets each re-targeted budget — so the goldens
+#: depend on those stats, not only on the DKW margin.
+BUDGET_P90 = AccuracyBudget(target_margin=40.0)
 
 _SEVEN = [
     NativeSparkSystem,
@@ -56,9 +63,11 @@ def golden_stream() -> List[Tuple[float, object]]:
     return stream_by_rates({"A": 800, "B": 200, "C": 20}, duration=12, seed=7)
 
 
-def golden_query(grouped: bool = False) -> StreamQuery:
+def golden_query(grouped: bool = False, q: Optional[float] = None) -> StreamQuery:
     # Canonical projections: their identity is what arms the runtime's
     # columnar path, so the golden suite exercises it by default.
+    if q is not None:
+        return StreamQuery(kind="quantile", q=q, name=f"golden-p{round(q * 100)}")
     return StreamQuery(
         key_fn=item_key,
         value_fn=item_value,
@@ -103,8 +112,10 @@ def golden_cases(**config_overrides) -> Iterator[Tuple[str, Callable[[], object]
     """Yield (case name, runner) pairs covering all seven systems.
 
     Per-item execution for every system; the pre-existing chunked paths at
-    chunk_size=256; a grouped query through each engine family's
-    StreamApprox variant.  ``config_overrides`` apply on top of every
+    chunk_size=256; a grouped query and a p90 quantile through each engine
+    family's StreamApprox variant; and one accuracy-budget p90 run, whose
+    controller re-targets the sample size from the DKW margin and the
+    Equation-9 stratum stats.  ``config_overrides`` apply on top of every
     case's config (the telemetry-neutrality suite re-runs the whole matrix
     with ``telemetry=TelemetryConfig()``).
     """
@@ -125,3 +136,16 @@ def golden_cases(**config_overrides) -> Iterator[Tuple[str, Callable[[], object]
             f"{cls.name}@grouped",
             runner(cls, golden_query(grouped=True), golden_config(**config_overrides)),
         )
+    for cls in (SparkStreamApproxSystem, FlinkStreamApproxSystem, NativeStreamApproxSystem):
+        yield (
+            f"{cls.name}@p90",
+            runner(cls, golden_query(q=0.9), golden_config(**config_overrides)),
+        )
+    yield (
+        f"{NativeStreamApproxSystem.name}@budget-p90",
+        runner(
+            NativeStreamApproxSystem,
+            golden_query(q=0.9),
+            golden_config(budget=BUDGET_P90, **config_overrides),
+        ),
+    )
