@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, repeat
 from typing import Callable, Hashable, List, Optional, Tuple, TypeVar
 
 from ._vector import np as _np
@@ -133,16 +132,27 @@ def quantile_bound(estimate: QuantileEstimate) -> DKWBound:
     )
 
 
+def _repeated_sum(terms) -> float:
+    """``Σ y·x`` over ``(x, y)`` pairs, summed exactly and rounded once."""
+    ratios = [(y, *x.as_integer_ratio()) for x, y in terms if y]
+    if not ratios:
+        return 0.0
+    scale = max(d for _y, _n, d in ratios)
+    return sum(y * n * (scale // d) for y, n, d in ratios) / scale
+
+
 def _weight_moments(sample: WeightedSample[T]) -> Tuple[float, float]:
     """``(Σw, Σw²)`` over every sampled item, each item counted at its weight.
 
-    ``fsum`` is exactly rounded, hence order-free: repeating each stratum's
-    weight ``Y_i`` times gives the same sums as walking the sorted points.
+    Stratum *i*'s ``Y_i`` kept items share its weight ``W_i``, so this is
+    O(strata) and bit for bit the ``fsum`` of ``Y_i`` copies of ``W_i`` (and
+    of ``W_i·W_i``): a double is ``n / d`` with ``d`` a power of two, so over
+    the largest ``D`` the integers ``Y_i·n_i·(D // d_i)`` sum to the exact
+    total, which ``int / int`` rounds half-even like ``fsum`` — same double,
+    same ``OverflowError``.
     """
     sizes = [(stratum.weight, stratum.sample_size) for stratum in sample]
-    total = math.fsum(chain.from_iterable(repeat(w, y) for w, y in sizes))
-    squares = math.fsum(chain.from_iterable(repeat(w * w, y) for w, y in sizes))
-    return total, squares
+    return _repeated_sum(sizes), _repeated_sum((w * w, y) for w, y in sizes)
 
 
 def _sorted_run(values):

@@ -449,9 +449,11 @@ class _Run:
     ) -> None:
         """Merge the window's interval samples, estimate the pane, close it."""
         pane = combine_worker_samples(samples)
-        estimate, bound, groups, strata = estimate_pane_stats(
-            pane, self.plan.query, self.plan.config.confidence
-        )
+        args = (pane, self.plan.query, self.plan.config.confidence)
+        if self.controller is None:  # Eq.-9 stratum stats only for a reader
+            (estimate, bound, groups), strata = estimate_pane(*args), ()
+        else:
+            estimate, bound, groups, strata = estimate_pane_stats(*args)
         sampled, population = pane.total_items, pane.total_count
         # The merged arrays are dead weight while the next interval is
         # sampled; the interval samples they came from live on in the

@@ -182,7 +182,12 @@ def estimate_pane(
     query: StreamQuery,
     confidence: float,
 ) -> Tuple[float, ErrorBound, Dict[Hashable, float]]:
-    """Evaluate the query on a pane's weighted sample with error bounds."""
+    """Evaluate the query on a pane's weighted sample with error bounds.
+
+    A quantile pane runs its DKW estimate alone, without the stratum stats.
+    """
+    if query.kind == "quantile":
+        return _dkw_pane(sample, query, confidence)
     value, bound, groups, _strata = estimate_pane_stats(sample, query, confidence)
     return value, bound, groups
 
@@ -224,18 +229,24 @@ def _estimate_quantile_pane(
     query: StreamQuery,
     confidence: float,
 ) -> Tuple[float, ErrorBound, Dict[Hashable, float], List[StratumStats]]:
-    """Quantile pane: DKW-bracketed order statistic + Eq.-9 stratum stats."""
+    """Quantile pane: the DKW estimate + the mean estimator's Eq.-9 stratum stats."""
+    strata = list(approximate_mean(sample, query.value_fn).strata)
+    return (*_dkw_pane(sample, query, confidence), strata)
+
+
+def _dkw_pane(
+    sample: WeightedSample, query: StreamQuery, confidence: float
+) -> Tuple[float, ErrorBound, Dict[Hashable, float]]:
+    """Quantile pane estimate: the DKW-bracketed order statistic."""
     from ..core.quantiles import approximate_quantile, quantile_bound
 
-    stats = approximate_mean(sample, query.value_fn)
-    strata = list(stats.strata)
     if sample.total_items == 0:
         empty = ErrorBound(value=0.0, variance=0.0, confidence=confidence, margin=0.0)
-        return 0.0, empty, {}, strata
+        return 0.0, empty, {}
     estimate = approximate_quantile(
         sample, query.q, value_fn=query.value_fn, confidence=confidence
     )
-    return estimate.value, quantile_bound(estimate), {}, strata
+    return estimate.value, quantile_bound(estimate), {}
 
 
 def _exact_quantile(values: List[float], q: float) -> float:

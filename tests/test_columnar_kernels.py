@@ -10,16 +10,26 @@ and 1, empty and single-item strata, strata present in only some intervals,
 and 1–4 intervals per window.  Samples that are not value-mode end to end
 (a tuple-mode part in the merge, a grouping that cuts across strata) must
 take the per-item path, never a mix of the two.
+
+The DKW weight moments are per-stratum quantities: ``(Σw, Σw²)`` is summed
+in O(strata) and must equal, by ``.hex()``, the ``fsum`` over one weight
+per kept item it replaced; and a quantile pane computes the mean
+estimator's stratum stats only when a budget controller reads them.
 """
 
 import math
+import time
+from collections import namedtuple
+from fractions import Fraction
+from itertools import chain, repeat
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core.quantiles import _sorted_run, approximate_quantile
+from repro.core.budget import AccuracyBudget
+from repro.core.quantiles import _sorted_run, _weight_moments, approximate_quantile
 from repro.core.query import StratumStats, grouped_mean, grouped_sum
 from repro.core.records import _StratumMembers, item_key, item_value
 from repro.core.strata import (
@@ -28,6 +38,16 @@ from repro.core.strata import (
     combine_worker_samples,
     stratum_weight,
 )
+from repro.runtime import report as report_module
+from repro.system import (
+    FlinkStreamApproxSystem,
+    NativeStreamApproxSystem,
+    SparkStreamApproxSystem,
+    StreamQuery,
+    SystemConfig,
+    WindowConfig,
+)
+from repro.workloads.synthetic import stream_by_rates
 
 # ---------------------------------------------------------------------------
 # The oracle: the per-item bodies as they stood before the kernels
@@ -88,6 +108,14 @@ def oracle_quantile(sample, q, value_fn, confidence):
         return points[-1][0]
 
     return (value_at(q), value_at(q - epsilon), value_at(q + epsilon), effective_n)
+
+
+def oracle_weight_moments(sample):
+    """`_weight_moments`: ``fsum`` over each stratum's weight repeated ``Y`` times."""
+    sizes = [(stratum.weight, stratum.sample_size) for stratum in sample]
+    total = math.fsum(chain.from_iterable(repeat(w, y) for w, y in sizes))
+    squares = math.fsum(chain.from_iterable(repeat(w * w, y) for w, y in sizes))
+    return total, squares
 
 
 def oracle_grouped_sum(sample, group_fn, value_fn):
@@ -292,6 +320,113 @@ def test_cross_stratum_ties_keep_stratum_order():
 def test_sorted_run_is_a_stable_sort(values):
     """The fast per-stratum sort leaves ±0.0 in arrival order, like ``sorted``."""
     same_floats(_sorted_run(np.asarray(values, dtype=np.float64)).tolist(), sorted(values))
+
+
+# ---------------------------------------------------------------------------
+# Weight moments: O(strata), bitwise the per-item fsum
+# ---------------------------------------------------------------------------
+
+#: All `_weight_moments` reads of a stratum.
+Stratum = namedtuple("Stratum", "weight sample_size")
+
+sizes_st = st.integers(0, 5000)
+stratum_st = st.one_of(
+    # Equation-1 weights C / Y, as the sampler produces them.
+    st.tuples(st.integers(0, 10**9), sizes_st).map(
+        lambda cy: Stratum(stratum_weight(*cy), cy[1])
+    ),
+    # Any positive double across 120 binades.
+    st.builds(Stratum, st.floats(2.0**-60, 2.0**60), sizes_st),
+)
+
+
+@st.composite
+def moment_strata(draw):
+    strata = draw(st.lists(stratum_st, min_size=1, max_size=400))
+    if draw(st.booleans()):
+        # Duplicate weights: every stratum takes one of the first few weights.
+        pool = [stratum.weight for stratum in strata[:3]]
+        strata = [
+            Stratum(draw(st.sampled_from(pool)), stratum.sample_size)
+            for stratum in strata
+        ]
+    return strata
+
+
+@settings(max_examples=150, deadline=None)
+@given(strata=moment_strata())
+@example(strata=[Stratum(stratum_weight(10**9 - k, 5000), 5000) for k in range(400)])
+def test_weight_moments_match_the_per_item_fsum(strata):
+    got = _weight_moments(strata)
+    want = oracle_weight_moments(strata)
+    assert [x.hex() for x in got] == [x.hex() for x in want]
+
+
+def test_weight_moments_cost_o_strata():
+    """Strata of 10¹⁵ kept items: one float per item could never finish."""
+    strata = [
+        Stratum(stratum_weight(3 * 10**15 + 1, 10**15), 10**15),
+        Stratum(stratum_weight(10**16 + 7, 10**15), 10**15),
+        Stratum(0.1, 10**15),
+        Stratum(1.0, 0),
+    ]
+    started = time.perf_counter()
+    total, squares = _weight_moments(strata)
+    assert time.perf_counter() - started < 1.0
+    assert total == float(sum(Fraction(s.weight) * s.sample_size for s in strata))
+    assert squares == float(
+        sum(Fraction(s.weight * s.weight) * s.sample_size for s in strata)
+    )
+
+
+def test_weight_moments_of_an_empty_sample_are_zero():
+    assert _weight_moments([]) == (0.0, 0.0)
+    assert _weight_moments([Stratum(4.0, 0)]) == (0.0, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# Stratum stats only for a reader
+# ---------------------------------------------------------------------------
+
+P90_STREAM = stream_by_rates({"A": 800, "B": 200, "C": 20}, duration=12, seed=7)
+P90 = StreamQuery(kind="quantile", q=0.9, name="p90")
+STREAMAPPROX = [SparkStreamApproxSystem, FlinkStreamApproxSystem, NativeStreamApproxSystem]
+
+
+def run_counting_mean(monkeypatch, cls, **config):
+    """Run a p90 plan; return the report and how often the mean estimator ran."""
+    calls = []
+    real = report_module.approximate_mean
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(report_module, "approximate_mean", counted)
+        report = cls(P90, WindowConfig(10.0, 5.0), SystemConfig(seed=42, **config)).run(
+            P90_STREAM
+        )
+    return report, len(calls)
+
+
+@pytest.mark.parametrize("cls", STREAMAPPROX, ids=lambda cls: cls.engine)
+def test_fixed_fraction_quantile_panes_skip_the_stratum_stats(monkeypatch, cls):
+    report, calls = run_counting_mean(monkeypatch, cls, sampling_fraction=0.5)
+    assert calls == 0
+    assert report.results and not report.adaptation
+    plain = cls(P90, WindowConfig(10.0, 5.0), SystemConfig(seed=42, sampling_fraction=0.5))
+    assert repr(report.results) == repr(plain.run(P90_STREAM).results)
+
+
+@pytest.mark.parametrize("cls", STREAMAPPROX, ids=lambda cls: cls.engine)
+def test_budget_quantile_panes_feed_the_controller_stratum_stats(monkeypatch, cls):
+    report, calls = run_counting_mean(
+        monkeypatch, cls, budget=AccuracyBudget(target_margin=5.0)
+    )
+    assert report.adaptation
+    assert calls == len(report.adaptation) == len(report.results)
+    assert all(point.strata == 3 for point in report.adaptation)
 
 
 # ---------------------------------------------------------------------------

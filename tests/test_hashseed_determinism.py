@@ -7,7 +7,10 @@ hash seed.  One small plan per engine runs in a subprocess under two hash
 seeds; estimates, bounds and groups must be ``repr``-equal.  A chunked
 direct plan over 400 string-keyed strata pins the sampler's side of it:
 strata are numbered — and emitted — in arrival order, never in the order
-some set of keys happens to iterate.
+some set of keys happens to iterate.  The p90 quantile pane runs on every
+engine, from a ``parallelism=3`` worker pool, and under an accuracy budget
+whose controller re-targets from the pane's stratum stats; the budget
+trajectory is printed too.
 """
 
 import os
@@ -18,6 +21,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 SCRIPT = """
+from repro.core.budget import AccuracyBudget
 from repro.core.records import item_key
 from repro.runtime import (
     ListSource, StreamQuery, SystemConfig, WindowConfig, build_plan, execute_plan,
@@ -30,25 +34,37 @@ specs = [
     for i in range(400)
 ]
 wide = make_stream(specs, {spec.source: 5.0 for spec in specs}, 20, seed=7)
+p90 = StreamQuery(kind="quantile", q=0.9, name="p90")
 PLANS = [
-    ("direct", StreamQuery(kind="quantile", q=0.9, name="p90"), stream),
-    ("direct", StreamQuery(kind="sum", group_fn=item_key, name="grouped-sum"), stream),
-    ("pipelined", StreamQuery(kind="mean", name="mean"), stream),
-    ("batched", StreamQuery(kind="mean", name="mean"), stream),
-    ("direct", StreamQuery(kind="mean", name="mean-400-strata"), wide),
-    ("direct", StreamQuery(kind="sum", group_fn=item_key, name="grouped-400-strata"), wide),
+    ("direct", p90, stream, {}),
+    ("pipelined", p90, stream, {}),
+    ("batched", p90, stream, {}),
+    # Merges arrive from worker processes.
+    ("direct", p90, stream, {"parallelism": 3}),
+    # The controller path: looser than every pane's margin, so the
+    # Equation-9 model floor (the pane's stratum stats) sets each budget.
+    ("direct", p90, stream, {"budget": AccuracyBudget(target_margin=30.0)}),
+    ("direct", StreamQuery(kind="sum", group_fn=item_key, name="grouped-sum"), stream, {}),
+    ("pipelined", StreamQuery(kind="mean", name="mean"), stream, {}),
+    ("batched", StreamQuery(kind="mean", name="mean"), stream, {}),
+    ("direct", StreamQuery(kind="mean", name="mean-400-strata"), wide, {}),
+    ("direct", StreamQuery(kind="sum", group_fn=item_key, name="grouped-400-strata"), wide, {}),
 ]
-for engine, query, events in PLANS:
+for engine, query, events, overrides in PLANS:
     plan = build_plan(
         query, WindowConfig(10.0, 5.0),
-        SystemConfig(sampling_fraction=0.4, seed=7, chunk_size=512),
+        SystemConfig(sampling_fraction=0.4, seed=7, chunk_size=512, **overrides),
         engine=engine, strategy="oasrs", source=ListSource(events), name=query.name,
     )
-    results, _cluster = execute_plan(plan)
-    assert results
+    info, adaptation = {}, []
+    results, _cluster = execute_plan(plan, run_info=info, adaptation_log=adaptation)
+    assert results and "parallel_fallback" not in info, info
+    assert bool(adaptation) == ("budget" in overrides)
     for pane in results:
-        print(engine, query.name, repr(pane.end), repr(pane.estimate),
-              repr(pane.error), repr(list(pane.groups.items())))
+        print(engine, query.name, sorted(overrides), repr(pane.end),
+              repr(pane.estimate), repr(pane.error), repr(list(pane.groups.items())))
+    for point in adaptation:
+        print(engine, query.name, repr(point))
 """
 
 
@@ -67,5 +83,5 @@ def _run(hash_seed: str) -> str:
 
 def test_every_engine_is_hash_seed_independent():
     first, second = _run("1"), _run("2")
-    assert first.count("\n") >= 18
+    assert first.count("\n") >= 33
     assert first == second

@@ -172,13 +172,18 @@ class TestManyStrataChunkedCoverage:
     200 equal-rate strata through ``chunk_size=256`` on every engine: over
     200 sampler seeds the reported 95 % intervals must cover the exact
     pane answer at the nominal rate.  Three binomial standard deviations
-    over the 200 independent runs are 0.046; the band below is tighter,
-    and two-sided — an interval that is too wide is as wrong as one that
-    is too narrow.  Achieved rates are recorded in docs/benchmarks.md.
+    over the 200 independent runs are 0.046; the mean/sum band below is
+    tighter, and two-sided — an interval that is too wide is as wrong as
+    one that is too narrow.  The p90 DKW bracket is conservative by
+    construction (it treats the weighted sample as ``n_eff`` i.i.d. draws
+    and brackets with sampled support values), so its floor is one-sided:
+    0.95 minus those three σ.  Achieved rates are recorded in
+    docs/benchmarks.md.
     """
 
     WINDOW = WindowConfig(6.0, 3.0)
     SEEDS = 200
+    DKW_FLOOR = 0.95 - 3 * math.sqrt(0.95 * 0.05 / SEEDS)
 
     @pytest.fixture(scope="class")
     def stream(self):
@@ -188,10 +193,10 @@ class TestManyStrataChunkedCoverage:
         ]
         return make_stream(specs, {spec.source: 6.0 for spec in specs}, 9.0, seed=5)
 
-    @pytest.mark.parametrize("kind", ["mean", "sum"])
+    @pytest.mark.parametrize("kind", ["mean", "sum", "quantile"])
     @pytest.mark.parametrize("engine", ["direct", "pipelined", "batched"])
     def test_intervals_cover_at_the_nominal_rate(self, stream, engine, kind):
-        query = StreamQuery(kind=kind, name=kind)
+        query = StreamQuery(kind=kind, q=0.9, name=kind)
         truth = exact_panes(stream, query, self.WINDOW)
         covered = panes = 0
         for seed in range(self.SEEDS):
@@ -205,4 +210,7 @@ class TestManyStrataChunkedCoverage:
                 panes += 1
                 covered += pane.error.covers(pane.exact)
         assert panes >= 3 * self.SEEDS
-        assert 0.92 <= covered / panes <= 0.98, (engine, kind, covered, panes)
+        if kind == "quantile":
+            assert covered / panes >= self.DKW_FLOOR, (engine, covered, panes)
+        else:
+            assert 0.92 <= covered / panes <= 0.98, (engine, kind, covered, panes)
