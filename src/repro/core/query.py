@@ -19,12 +19,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
+from operator import itemgetter
 from typing import Callable, Dict, Generic, Hashable, List, Optional, TypeVar
 
 from ._vector import np as _np
 from .records import item_key as _item_key
 from .records import item_value as _item_value
-from .strata import StratumSample, WeightedSample
+from .strata import StratumSample, WeightedSample, stratum_weight
 
 # Strata smaller than this keep the exact fsum path: identical rounding for
 # the unit tests, no NumPy call overhead where it would not pay off.
@@ -81,33 +83,20 @@ class StratumStats:
                     dtype=_np.float64,
                 )
             total = float(array.sum())
-            mean = total / y
             variance = float(array.var(ddof=1)) if y > 1 else 0.0
             return StratumStats(
-                key=stratum.key,
-                y=y,
-                c=stratum.count,
-                weight=stratum.weight,
-                total=total,
-                mean=mean,
-                variance=variance,
+                stratum.key, y, stratum.count, stratum.weight, total, total / y, variance
             )
-        values = stratum.values(value_fn)
-        total = math.fsum(values)
-        mean = total / y if y else 0.0
-        if y > 1:
-            variance = math.fsum((v - mean) ** 2 for v in values) / (y - 1)
-        else:
-            variance = 0.0
-        return StratumStats(
-            key=stratum.key,
-            y=y,
-            c=stratum.count,
-            weight=stratum.weight,
-            total=total,
-            mean=mean,
-            variance=variance,
-        )
+        return _exact_stats(stratum, stratum.values(value_fn))
+
+
+def _exact_stats(stratum: StratumSample, values: List[float]) -> StratumStats:
+    """One stratum's moments over ``values`` by ``fsum``: the two-pass variance."""
+    y = len(values)
+    total = math.fsum(values)
+    mean = total / y if y else 0.0
+    variance = math.fsum((v - mean) ** 2 for v in values) / (y - 1) if y > 1 else 0.0
+    return StratumStats(stratum.key, y, stratum.count, stratum.weight, total, mean, variance)
 
 
 @dataclass(frozen=True)
@@ -128,25 +117,129 @@ def _stats(
     return [StratumStats.from_stratum(s, value_fn) for s in sample]
 
 
+def _linear_result(strata: List[StratumStats], kind: str) -> QueryResult:
+    """Equations 2–4 over per-stratum statistics: SUM = Σ total·W, MEAN =
+    SUM / Σ C (0 for an empty interval)."""
+    value = math.fsum(s.total * s.weight for s in strata)
+    if kind == "mean":
+        population = sum(s.c for s in strata)
+        value = value / population if population else 0.0
+    return QueryResult(value=value, strata=strata, kind=kind)
+
+
+def interval_moments(sample: WeightedSample[T], value_fn: ValueFn):
+    """One interval's per-stratum moments, ``(keys, rows)``, for `pooled_result`.
+
+    ``rows`` holds ``(Y, C, pivot, shift, M2)`` per non-empty stratum, in
+    sample order.  All strata are one segmented pass over the interval's
+    kept values: the pivot is the rounded segment mean ``fl(Σv / Y)``, the
+    deviations ``d = v − pivot`` are exact-scale (no offset left in them),
+    ``M2 = Σd² − (Σd)²/Y`` is the corrected two-pass sum of squares (Chan,
+    Golub & LeVeque) and ``shift = Σd / Y`` is what rounding the mean
+    dropped — the segment mean is ``pivot + shift``.  Value-mode samples
+    are read from the one array `repro.core.oasrs.OASRSSampler.peek`
+    packed (copied only when the strata do not tile one array), tuple-mode
+    samples go through ``value_fn`` once.
+    """
+    strata = [stratum for stratum in sample if len(stratum.items)]
+    keys = [stratum.key for stratum in strata]
+    ys = [len(stratum.items) for stratum in strata]
+    if _np is None:  # rows are (C, kept values): `pooled_result` pools those
+        return keys, [(stratum.count, stratum.values(value_fn)) for stratum in strata]
+    y = _np.array(ys, dtype=_np.intp)
+    starts = _np.cumsum(y) - y
+    arrays = sample.value_arrays(value_fn)
+    if not arrays:
+        items = chain.from_iterable(stratum.items for stratum in strata)
+        fn = itemgetter(1) if value_fn is _item_value else value_fn
+        values = _np.fromiter(map(fn, items), dtype=_np.float64, count=sum(ys))
+    else:
+        values = arrays[0].base
+        if values is None or values.size != sum(ys) or any(
+            array.base is not values for array in arrays
+        ):
+            values = _np.concatenate(arrays)
+    pivot = _np.add.reduceat(values, starts) / y
+    # One scratch array, written in place: fresh ones would page-fault.
+    d = _np.repeat(pivot, y)
+    _np.subtract(values, d, out=d)
+    sd = _np.add.reduceat(d, starts)
+    m2 = _np.add.reduceat(_np.square(d, out=d), starts) - sd * sd / y
+    counts = [stratum.count for stratum in strata]
+    return keys, _np.column_stack((y, counts, pivot, sd / y, _np.maximum(m2, 0.0)))
+
+
+def pooled_result(moment_sets, kind: str) -> QueryResult:
+    """Pool `interval_moments` across a window's intervals into a SUM or
+    MEAN result — Equations 2–4 and 7 on the concatenated pane sample.
+
+    Strata come in first-appearance order.  Each stratum's intervals are
+    pooled around one reference, the rounded ``ΣYⱼ·pivotⱼ / ΣY``: interval
+    means are offsets ``u = (pivot − ref) + shift`` — the difference is
+    exact while the pivots lie within a factor 2 of the reference — so the
+    pooled mean ``ref + ū`` and the between-interval term never hold the
+    offset, and ``M2 = Σ M2ⱼ + Σ Yⱼ·(uⱼ − ū)²`` (within + between).
+    ``total`` is ``Y × mean``; the weight ``ΣC / ΣY`` re-derives from
+    Equation 1.
+    """
+    index: Dict[Hashable, int] = {}
+    rows = [index.setdefault(k, len(index)) for keys, _ in moment_sets for k in keys]
+    if _np is None:
+        kept = [(0, [])] * len(index)
+        for at, (c, values) in zip(rows, chain.from_iterable(p for _, p in moment_sets)):
+            kept[at] = (kept[at][0] + c, kept[at][1] + values)
+        stats = map(_pooled_values, kept)
+    else:
+        y, c, pivot, shift, m2 = _np.concatenate([part for _, part in moment_sets]).T
+        at = _np.array(rows, dtype=_np.intp)
+
+        def per_stratum(weights):
+            return _np.bincount(at, weights=weights, minlength=len(index))
+
+        ys = per_stratum(y)
+        ref = per_stratum(y * pivot) / ys
+        u = (pivot - ref[at]) + shift
+        mean_u = per_stratum(y * u) / ys
+        dev = u - mean_u[at]
+        m2 = per_stratum(m2) + per_stratum(y * dev * dev)
+        mean = ref + mean_u
+        stats = zip(
+            ys.astype(_np.int64).tolist(), per_stratum(c).astype(_np.int64).tolist(),
+            (mean * ys).tolist(), mean.tolist(),
+            (m2 / _np.maximum(ys - 1, 1) * (ys > 1)).tolist(),
+        )
+    strata = [
+        StratumStats(key, y, c, stratum_weight(c, y), total, mean, variance)
+        for key, (y, c, total, mean, variance) in zip(index, stats)
+    ]
+    return _linear_result(strata, kind)
+
+
+def _pooled_values(kept) -> tuple:
+    """No-NumPy pooling of one stratum's ``(C, kept values)``: the pivot,
+    shift and corrected two-pass of `interval_moments`, by ``fsum``."""
+    c, values = kept
+    y = len(values)
+    pivot = math.fsum(values) / y
+    d = [v - pivot for v in values]
+    sd = math.fsum(d)
+    mean = pivot + sd / y
+    m2 = max(0.0, math.fsum(x * x for x in d) - sd * sd / y)
+    return y, c, mean * y, mean, m2 / (y - 1) if y > 1 else 0.0
+
+
 def approximate_sum(
     sample: WeightedSample[T], value_fn: Optional[ValueFn] = None
 ) -> QueryResult[T]:
     """Equations 2–3: the weighted-sum estimator of the interval total."""
-    strata = _stats(sample, value_fn)
-    value = math.fsum(s.total * s.weight for s in strata)
-    return QueryResult(value=value, strata=strata, kind="sum")
+    return _linear_result(_stats(sample, value_fn), "sum")
 
 
 def approximate_mean(
     sample: WeightedSample[T], value_fn: Optional[ValueFn] = None
 ) -> QueryResult[T]:
     """Equation 4: approximate mean = SUM / Σ C_i (0 for an empty interval)."""
-    strata = _stats(sample, value_fn)
-    population = sum(s.c for s in strata)
-    if population == 0:
-        return QueryResult(value=0.0, strata=strata, kind="mean")
-    total = math.fsum(s.total * s.weight for s in strata)
-    return QueryResult(value=total / population, strata=strata, kind="mean")
+    return _linear_result(_stats(sample, value_fn), "mean")
 
 
 def approximate_count(sample: WeightedSample[T]) -> QueryResult[T]:
@@ -272,28 +365,15 @@ def grouped_sum_results(
         # sample — so Y_i, C_i and the Equation-7 variance all come from the
         # whole stratum, and the variance correctly reflects how uncertain
         # the group's membership count is, not just its members' values.
-        strata: List[StratumStats] = []
-        for stratum in sample:
-            values = [
-                vf(item) if group_fn(item) == group else 0.0
-                for item in stratum.items
-            ]
-            y = len(values)
-            if y == 0:
-                continue
-            total = math.fsum(values)
-            mean = total / y
-            variance = (
-                math.fsum((v - mean) ** 2 for v in values) / (y - 1) if y > 1 else 0.0
+        strata = [
+            _exact_stats(
+                stratum,
+                [vf(item) if group_fn(item) == group else 0.0 for item in stratum.items],
             )
-            strata.append(
-                StratumStats(
-                    key=stratum.key, y=y, c=stratum.count, weight=stratum.weight,
-                    total=total, mean=mean, variance=variance,
-                )
-            )
-        value = math.fsum(s.total * s.weight for s in strata)
-        out[group] = QueryResult(value=value, strata=strata, kind="sum")
+            for stratum in sample
+            if len(stratum.items)
+        ]
+        out[group] = _linear_result(strata, "sum")
     return out
 
 

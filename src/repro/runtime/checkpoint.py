@@ -86,8 +86,10 @@ class CheckpointPolicy:
 #: Layout version of `PaneCheckpoint.state`, checked on resume.  Bump it
 #: when a change adds, removes or re-homes anything a checkpoint carries —
 #: not for a new interval *feed*: an interval closes before a pane boundary.
-#: 1 is PR 19's one-sampler layout; an unstamped pickle reads as 0.
-CHECKPOINT_FORMAT = 1
+#: 1 is the one-sampler layout; 2 keeps it, but the direct engine's moment
+#: ``history`` holds `repro.core.query.interval_moments` records instead of
+#: ``(key, y, c, Σv, Σv²)`` tuples.  An unstamped pickle reads as 0.
+CHECKPOINT_FORMAT = 2
 
 
 @dataclass(frozen=True)

@@ -45,7 +45,6 @@ every pane close and attached to the pane's `WindowResult.recovery`.
 
 from __future__ import annotations
 
-import math
 import os
 import time
 from bisect import bisect_left
@@ -56,9 +55,9 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..core._vector import np as _np
 from ..core.error import estimate_error
-from ..core.query import QueryResult, StratumStats
+from ..core.query import StratumStats, interval_moments, pooled_result
 from ..core.records import RecordBatch, item_key, item_value
-from ..core.strata import WeightedSample, combine_worker_samples, stratum_weight
+from ..core.strata import WeightedSample, combine_worker_samples
 from ..engine.batched.context import StreamingContext
 from ..engine.cluster import SimulatedCluster
 from ..engine.pipelined.dataflow import Pipeline
@@ -678,80 +677,6 @@ def _ingest_pipelined(run: _Run) -> SimulatedCluster:
     return cluster
 
 
-def _interval_moments(sample, value_fn):
-    """Per-stratum sufficient statistics (y, c, Σv, Σv²) of one interval.
-
-    Computed once when the interval closes; panes pool these instead of
-    re-scanning every sampled item per pane — batch-level accounting in the
-    estimation layer, matching the chunk-level accounting in the samplers.
-
-    Members that carry their value column (`StratumSample.value_array`)
-    are read as that array, with no detour through Python floats; item
-    tuples under the canonical projection are pulled out in one C-level
-    pass (``fromiter`` over the second tuple slot).  The array holds the
-    identical doubles either way, so sums and squares are bitwise
-    unchanged.
-    """
-    moments = []
-    value_of = itemgetter(1)
-    for stratum in sample:
-        items = stratum.items
-        y = len(items)
-        if y == 0:
-            continue
-        if _np is not None and y >= 1024:
-            array = stratum.value_array(value_fn)
-            if array is None and value_fn is item_value:
-                array = _np.fromiter(
-                    map(value_of, items), dtype=_np.float64, count=y
-                )
-            elif array is None:
-                array = _np.asarray([value_fn(x) for x in items], dtype=_np.float64)
-            total = float(array.sum())
-            sumsq = float(_np.dot(array, array))
-        else:
-            raw = getattr(items, "value_list", None)
-            if raw is not None and value_fn is item_value:
-                values = raw()
-            else:
-                values = [value_fn(x) for x in items]
-            total = math.fsum(values)
-            sumsq = math.fsum(v * v for v in values)
-        moments.append((stratum.key, y, stratum.count, total, sumsq))
-    return moments
-
-
-def _pane_stats(moment_sets) -> List[StratumStats]:
-    """Pool interval moments into the pane's per-stratum `StratumStats`.
-
-    Counts and sums add across intervals; the pooled unbiased variance
-    comes from the summed squares (Equation 7 on the concatenated sample),
-    and the pooled Equation-1 weight re-derives as ΣC / ΣY — algebraically
-    identical to merging the samples and recomputing.
-    """
-    pooled = {}
-    for moments in moment_sets:
-        for key, y, c, total, sumsq in moments:
-            if key in pooled:
-                py, pc, pt, ps = pooled[key]
-                pooled[key] = (py + y, pc + c, pt + total, ps + sumsq)
-            else:
-                pooled[key] = (y, c, total, sumsq)
-    strata = []
-    for key, (y, c, total, sumsq) in pooled.items():
-        mean = total / y if y else 0.0
-        variance = (
-            max(0.0, (sumsq - y * mean * mean) / (y - 1)) if y > 1 else 0.0
-        )
-        strata.append(
-            StratumStats(
-                key=key, y=y, c=c, weight=stratum_weight(c, y),
-                total=total, mean=mean, variance=variance,
-            )
-        )
-    return strata
-
-
 def _ingest_direct(run: _Run) -> SimulatedCluster:
     """Interval loop over the raw sampling stack; no engine in the hot path.
 
@@ -831,21 +756,14 @@ def _ingest_direct(run: _Run) -> SimulatedCluster:
             # per-pane re-scan of the sampled items.  Quantiles need the
             # kept values themselves (an order statistic has no pooled
             # sufficient statistics), so they take the merge path below.
-            history.append(_interval_moments(sample, query.value_fn))
-            strata = _pane_stats(history)
-            population = sum(s.c for s in strata)
-            weighted_total = math.fsum(s.total * s.weight for s in strata)
-            if query.kind == "sum":
-                value = weighted_total
-            else:
-                value = weighted_total / population if population else 0.0
-            bound = estimate_error(
-                QueryResult(value=value, strata=strata, kind=query.kind),
-                confidence=config.confidence,
-            )
+            history.append(interval_moments(sample, query.value_fn))
+            result = pooled_result(history, query.kind)
+            strata = result.strata
             run.close_pane(
-                pane_end, value, bound, {}, strata, sum(s.y for s in strata),
-                population, start_idx, engine_state,
+                pane_end, result.value,
+                estimate_error(result, confidence=config.confidence), {}, strata,
+                sum(s.y for s in strata), sum(s.c for s in strata),
+                start_idx, engine_state,
             )
         else:
             # Grouped queries need the items themselves: merge samples

@@ -485,7 +485,13 @@ class TestCheckpointSurface:
         # stamp existed has no "format" entry and reads as version 0.
         unstamped = pickle.loads(pickle.dumps(_Unstamped(current)))
         assert type(unstamped) is PaneCheckpoint and unstamped.format == 0
-        for stale in (unstamped, dataclasses.replace(current, format=CHECKPOINT_FORMAT + 1)):
+        # Format 1 is the layout whose direct-engine history held (y, c, Σv,
+        # Σv²) tuples; this runtime's moment records cannot pool with them.
+        stale_formats = (1, CHECKPOINT_FORMAT + 1)
+        for stale in (
+            unstamped,
+            *(dataclasses.replace(current, format=f) for f in stale_formats),
+        ):
             with pytest.raises(
                 PlanError, match=f"format {stale.format}, .* format {CHECKPOINT_FORMAT}"
             ):

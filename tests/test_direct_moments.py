@@ -1,0 +1,253 @@
+"""The direct engine's pooled moments are right at any offset.
+
+`repro.core.query.interval_moments` reduces each interval's kept values to
+per-stratum ``(Y, C, pivot, shift, M2)`` in one segmented pass, and
+`repro.core.query.pooled_result` pools a window of them (within + between
+sum of squares around a reference pivot).  The oracle is the standard
+library on the very same doubles: ``statistics.fmean`` and the exact
+rational ``statistics.variance`` of each stratum's values concatenated over
+the window's intervals.
+
+Tolerances, fixed before any run: the variance within 1e-13 of itself (so a
+zero variance must read exactly zero); the mean within 1e-13 of the largest
+magnitude among the stratum's values — a mean near zero of values of
+either sign is ill-conditioned for any summation short of an exact one, so
+its error is measured on the scale of the data it averages.
+"""
+
+import math
+import random
+import statistics
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core import query as query_module
+from repro.core.oasrs import FixedPerStratum, OASRSSampler
+from repro.core.query import StratumStats, interval_moments, pooled_result
+from repro.core.records import _StratumMembers, item_key, item_value
+from repro.core.strata import (
+    StratumSample,
+    WeightedSample,
+    combine_worker_samples,
+    stratum_weight,
+)
+from repro.runtime import (
+    ListSource,
+    StreamQuery,
+    SystemConfig,
+    WindowConfig,
+    build_plan,
+    execute_plan,
+)
+from repro.runtime import driver
+
+FORMS = ("packed", "arrays", "tuples")
+
+
+def make_sample(strata, form):
+    """One interval's `WeightedSample` over ``[(key, values, count)]``.
+
+    ``packed`` lays the strata out as `OASRSSampler.peek` does — views of
+    one array, in stratum order; ``arrays`` gives each stratum its own
+    array; ``tuples`` holds ``(key, value)`` items.
+    """
+    sample = WeightedSample()
+    packed = np.array([v for _key, values, _count in strata for v in values])
+    start = 0
+    for key, values, count in strata:
+        if form == "packed":
+            members = _StratumMembers(key, packed[start : start + len(values)])
+        elif form == "arrays":
+            members = _StratumMembers(key, np.array(values))
+        else:
+            members = tuple((key, v) for v in values)
+        start += len(values)
+        sample.add(StratumSample(key, members, count, stratum_weight(count, len(values))))
+    return sample
+
+
+@st.composite
+def windows(draw):
+    """1–5 intervals over 1–400 strata; strata skip intervals, many hold one value."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    n_strata = draw(st.integers(1, 400))
+    offset = draw(st.sampled_from([0.0, 1.0, 1e3, 1e6, 1e8, 1e10, 1e12]))
+    spread = 10.0 ** draw(st.floats(-3.0, 3.0))
+    centers = [offset * (1.0 + rng.random()) for _ in range(n_strata)]
+    intervals = []
+    for _ in range(draw(st.integers(1, 5))):
+        strata = []
+        for k in range(n_strata):
+            if rng.random() < 0.25:
+                continue  # this stratum sends nothing this interval
+            y = rng.choice((1, 1, 2, 3, rng.randint(4, 12), rng.randint(13, 40)))
+            values = [centers[k] + spread * rng.gauss(0.0, 1.0) for _ in range(y)]
+            strata.append((f"s{k}", values, y + rng.choice((0, rng.randint(1, 500)))))
+        intervals.append(strata)
+    return intervals, draw(st.sampled_from(FORMS))
+
+
+def oracle(intervals):
+    """key -> (Y, C, values) over the window, first-appearance order."""
+    pooled = {}
+    for strata in intervals:
+        for key, values, count in strata:
+            y, c, vals = pooled.get(key, (0, 0, []))
+            pooled[key] = (y + len(values), c + count, vals + values)
+    return pooled
+
+
+def assert_stats_match(got, want):
+    assert [s.key for s in got] == list(want)
+    for s in got:
+        y, c, values = want[s.key]
+        assert (s.y, s.c, s.weight) == (y, c, stratum_weight(c, y))
+        scale = max(map(abs, values))
+        assert abs(s.mean - statistics.fmean(values)) <= 1e-13 * scale, s.key
+        assert abs(s.total - math.fsum(values)) <= 1e-13 * scale * y, s.key
+        variance = statistics.variance(values) if y > 1 else 0.0
+        assert abs(s.variance - variance) <= 1e-13 * variance, (s.key, s.variance, variance)
+
+
+@given(window=windows())
+@settings(max_examples=60, deadline=None)
+def test_pooled_stats_match_the_exact_oracle(window):
+    intervals, form = window
+    moments = [interval_moments(make_sample(s, form), item_value) for s in intervals]
+    assert_stats_match(pooled_result(moments, "mean").strata, oracle(intervals))
+
+
+@pytest.mark.parametrize("form", FORMS)
+def test_every_form_reads_the_same_moments(form):
+    rng = random.Random(3)
+    strata = [
+        (f"s{k}", [1e8 + rng.gauss(0.0, 1.0) for _ in range(rng.randint(1, 30))], 40)
+        for k in range(50)
+    ]
+    got = interval_moments(make_sample(strata, form), item_value)
+    want = interval_moments(make_sample(strata, "packed"), item_value)
+    assert got[0] == want[0]
+    assert np.array_equal(got[1], want[1])
+
+
+def test_packed_values_are_read_in_place(monkeypatch):
+    """Peek's one array is reused: no concatenation for a packed sample."""
+    strata = [("a", [1.0, 2.0, 4.0], 3), ("b", [8.0, 16.0], 9)]
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("packed values were copied")
+
+    monkeypatch.setattr(query_module._np, "concatenate", refuse)
+    keys, rows = interval_moments(make_sample(strata, "packed"), item_value)
+    assert keys == ["a", "b"]
+    assert rows[:, 0].tolist() == [3.0, 2.0]
+
+
+# ---------------------------------------------------------------------------
+# Named regressions: four strata of N(offset, 1) at 10 % on the direct engine
+# ---------------------------------------------------------------------------
+
+
+def normal_stream(offset):
+    rng = random.Random(5)
+    return [(i * 0.001, (f"k{i % 4}", offset + rng.gauss(0.0, 1.0))) for i in range(10_000)]
+
+
+def run_panes(offset, engine, monkeypatch):
+    """Pane results plus, on the direct engine, every pooled `QueryResult`."""
+    pooled = []
+
+    def spy(moment_sets, kind):
+        pooled.append(pooled_result(moment_sets, kind))
+        return pooled[-1]
+
+    monkeypatch.setattr(driver, "pooled_result", spy)
+    plan = build_plan(
+        StreamQuery(kind="mean"), WindowConfig(10.0, 5.0),
+        SystemConfig(sampling_fraction=0.1, seed=3), engine=engine, strategy="oasrs",
+        source=ListSource(normal_stream(offset)),
+    )
+    results, _ = execute_plan(plan)
+    return results, pooled
+
+
+@pytest.mark.parametrize(
+    "offset, tolerance, pipelined_tolerance", [(1e8, 1e-6, 1e-12), (1e12, 1e-4, 1e-8)]
+)
+def test_variance_does_not_follow_the_offset(
+    offset, tolerance, pipelined_tolerance, monkeypatch
+):
+    """The old ``(Σv² − Y·mean²)/(Y−1)`` read 2.06 for every stratum here at
+    1e8, and pane variances of 0.0 and 31 048 instead of ≈0.0016 / 0.0009
+    at 1e12.  Against the off = 0 run, the offset only moves the values by
+    their rounding (half an ulp of the offset)."""
+    base_results, base = run_panes(0.0, "direct", monkeypatch)
+    results, shifted = run_panes(offset, "direct", monkeypatch)
+    assert len(shifted) == len(base) == 2
+    for got, want in zip(shifted, base):
+        assert [s.key for s in got.strata] == [s.key for s in want.strata]
+        for s, b in zip(got.strata, want.strata):
+            assert 0.5 < b.variance < 1.5
+            assert abs(s.variance - b.variance) <= tolerance, (s.key, s.variance)
+    for got, want in zip(results, base_results):
+        assert got.error.variance == pytest.approx(want.error.variance, rel=tolerance)
+    # The pipelined engine estimates the same first pane through
+    # `StratumStats.from_stratum`, whose two-pass variance lacks the
+    # (Σd)²/Y correction: 1e-9 of the variance at 1e12, the direct engine's
+    # side being the exact one (see the oracle above).
+    pipelined, _ = run_panes(offset, "pipelined", monkeypatch)
+    assert results[0].error.variance == pytest.approx(
+        pipelined[0].error.variance, rel=pipelined_tolerance
+    )
+
+
+# ---------------------------------------------------------------------------
+# Cross-engine: the merged pane sample through `StratumStats.from_stratum`
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("chunk", [1, 64])
+def test_pooled_stats_equal_from_stratum_on_the_merged_pane(chunk):
+    rng = random.Random(11)
+    sampler = OASRSSampler(FixedPerStratum(40), key_fn=item_key, rng=random.Random(2))
+    samples = []
+    for _interval in range(3):
+        items = [(f"s{rng.randrange(30)}", rng.gauss(5.0, 3.0)) for _ in range(2000)]
+        for start in range(0, len(items), chunk):
+            sampler.process_chunk(items[start : start + chunk])
+        samples.append(sampler.close_interval())
+    got = pooled_result([interval_moments(s, item_value) for s in samples], "mean")
+    want = [
+        StratumStats.from_stratum(s, item_value) for s in combine_worker_samples(samples)
+    ]
+    assert [s.key for s in got.strata] == [s.key for s in want]
+    for g, w in zip(got.strata, want):
+        assert (g.y, g.c, g.weight) == (w.y, w.c, w.weight)
+        for field in ("total", "mean", "variance"):
+            assert getattr(g, field) == pytest.approx(getattr(w, field), rel=1e-12)
+
+
+def test_stdlib_fallback_agrees_with_numpy(monkeypatch):
+    rng = random.Random(7)
+    intervals = [
+        [
+            (f"s{k}", [1e6 + rng.gauss(k, 2.0) for _ in range(rng.randint(1, 25))], 60)
+            for k in range(40)
+            if rng.random() < 0.8
+        ]
+        for _ in range(4)
+    ]
+    samples = [make_sample(strata, "tuples") for strata in intervals]
+    with_numpy = pooled_result([interval_moments(s, item_value) for s in samples], "sum")
+    monkeypatch.setattr(query_module, "_np", None)
+    stdlib = pooled_result([interval_moments(s, item_value) for s in samples], "sum")
+    assert stdlib.value == pytest.approx(with_numpy.value, rel=1e-12)
+    assert [s.key for s in stdlib.strata] == [s.key for s in with_numpy.strata]
+    for a, b in zip(stdlib.strata, with_numpy.strata):
+        assert (a.y, a.c, a.weight) == (b.y, b.c, b.weight)
+        for field in ("total", "mean", "variance"):
+            assert getattr(a, field) == pytest.approx(getattr(b, field), rel=1e-12)
+    assert_stats_match(stdlib.strata, oracle(intervals))

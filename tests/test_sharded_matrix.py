@@ -7,8 +7,8 @@ grouped-sum × ``chunk_size`` 0 / 256 × with / without a permanent
 the digests in ``tests/golden/sharded_digest.json``, which were captured
 at the commit *before* the process boundary was reduced to index spans in
 and value columns out (``python tests/test_sharded_matrix.py --capture``
-rewrites the file; it needs only the public plan API, so it runs on any
-commit).
+rewrites the file, ``--only PATTERN`` just the matching cases; it needs
+only the public plan API, so it runs on any commit).
 
 The pooled run also pins which message kind carried each interval:
 every fault-free interval of a column-backed run is an index span on all
@@ -17,11 +17,12 @@ every interval of the item-at-a-time pipelined dataflow, ``chunk_size``
 0, whose operators hand the sampler tuples one by one).
 """
 
+import argparse
+import fnmatch
 import hashlib
 import itertools
 import json
 import os
-import sys
 from pathlib import Path
 
 import pytest
@@ -177,10 +178,20 @@ def test_records_off_the_columns_travel_pickled():
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--capture"]:
-        sys.exit("usage: python tests/test_sharded_matrix.py --capture")
+    parser = argparse.ArgumentParser(description="re-capture " + DIGESTS.name)
+    parser.add_argument("--capture", action="store_true", required=True)
+    parser.add_argument(
+        "--only", metavar="PATTERN",
+        help="re-capture the cases matching this fnmatch pattern, keep the rest",
+    )
+    only = parser.parse_args().only
+    cases = [c for c in CASES if only is None or fnmatch.fnmatchcase(case_id(c), only)]
+    if not cases:
+        parser.error(f"--only {only!r} matches no case")
     os.environ.pop("REPRO_NO_MP", None)
+    captured = json.loads(DIGESTS.read_text()) if only is not None else {}
     made = {name: make() for name, make in STREAMS.items()}
-    captured = {case_id(case): digest(run_case(case, made[case[0]])[0]) for case in CASES}
+    for case in cases:
+        captured[case_id(case)] = digest(run_case(case, made[case[0]])[0])
     DIGESTS.write_text(json.dumps(captured, indent=1, sort_keys=True) + "\n")
-    print(f"captured {len(captured)} digests -> {DIGESTS}")
+    print(f"captured {len(cases)} of {len(captured)} digests -> {DIGESTS}")
