@@ -19,13 +19,15 @@
 #                     e.g. make chaos REPRO_CHAOS_SEEDS="7,19,23"
 #   make check      — test + smoke + shard-modes (what CI runs on every
 #                     push/PR)
+#   make loc        — src/ lines per file and the total (CI prints it;
+#                     simplicity changes record it in CHANGES.md)
 
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH),)
 
 BENCH_JSON ?= benchmarks/results/bench.json
 
-.PHONY: test smoke bench bench-json chaos shard-modes check
+.PHONY: test smoke bench bench-json chaos shard-modes check loc
 
 # Extra pytest flags, e.g. make check PYTEST_ARGS=--benchmark-json=out.json
 PYTEST_ARGS ?=
@@ -53,3 +55,6 @@ shard-modes:
 	env -u REPRO_NO_MP $(PYTHON) -m pytest -x -q $(SHARD_TESTS)
 
 check: test smoke shard-modes
+
+loc:
+	@find src -name '*.py' | sort | xargs wc -l

@@ -12,7 +12,10 @@ per-item values.  Given the interval's `WeightedSample`, the estimators are:
   (traffic per protocol, mean distance per borough).
 
 Every estimator returns the per-stratum pieces alongside the scalar so that
-`repro.core.error` can attach variance-based error bounds.
+`repro.core.error` can attach variance-based error bounds.  SUM, MEAN and
+COUNT have one numerical form, whatever the sample and however many
+intervals a pane spans: per-interval moments (`interval_moments`) pooled
+by `pooled_result`.
 """
 
 from __future__ import annotations
@@ -26,11 +29,7 @@ from typing import Callable, Dict, Generic, Hashable, List, Optional, TypeVar
 from ._vector import np as _np
 from .records import item_key as _item_key
 from .records import item_value as _item_value
-from .strata import StratumSample, WeightedSample, stratum_weight
-
-# Strata smaller than this keep the exact fsum path: identical rounding for
-# the unit tests, no NumPy call overhead where it would not pay off.
-_VECTOR_MIN_STATS = 4096
+from .strata import WeightedSample, stratum_weight
 
 T = TypeVar("T")
 ValueFn = Callable[[T], float]
@@ -66,37 +65,20 @@ class StratumStats:
     mean: float
     variance: float
 
-    @staticmethod
-    def from_stratum(
-        stratum: StratumSample[T], value_fn: Optional[ValueFn] = None
-    ) -> "StratumStats":
-        y = len(stratum.items)
-        if _np is not None and y >= _VECTOR_MIN_STATS:
-            # Vectorized path for large strata: value-mode members hand
-            # over their array, anything else takes one pass of the (Python)
-            # value function into a NumPy buffer; then C-speed moments.
-            array = stratum.value_array(value_fn)
-            if array is None:
-                items = stratum.items
-                array = _np.asarray(
-                    items if value_fn is None else [value_fn(x) for x in items],
-                    dtype=_np.float64,
-                )
-            total = float(array.sum())
-            variance = float(array.var(ddof=1)) if y > 1 else 0.0
-            return StratumStats(
-                stratum.key, y, stratum.count, stratum.weight, total, total / y, variance
-            )
-        return _exact_stats(stratum, stratum.values(value_fn))
 
-
-def _exact_stats(stratum: StratumSample, values: List[float]) -> StratumStats:
-    """One stratum's moments over ``values`` by ``fsum``: the two-pass variance."""
+def _stratum_stats(key: Hashable, c: int, values: List[float]) -> StratumStats:
+    """One stratum's moments over its kept ``values`` by ``fsum``: the pivot,
+    shift and corrected two-pass of `interval_moments` without NumPy.  An
+    empty stratum reads zero moments."""
     y = len(values)
-    total = math.fsum(values)
-    mean = total / y if y else 0.0
-    variance = math.fsum((v - mean) ** 2 for v in values) / (y - 1) if y > 1 else 0.0
-    return StratumStats(stratum.key, y, stratum.count, stratum.weight, total, mean, variance)
+    n = max(y, 1)
+    pivot = math.fsum(values) / n
+    d = [v - pivot for v in values]
+    sd = math.fsum(d)
+    mean = pivot + sd / n
+    m2 = max(0.0, math.fsum(x * x for x in d) - sd * sd / n)
+    variance = m2 / (y - 1) if y > 1 else 0.0
+    return StratumStats(key, y, c, stratum_weight(c, y), mean * y, mean, variance)
 
 
 @dataclass(frozen=True)
@@ -111,47 +93,60 @@ class QueryResult(Generic[T]):
         return self.value
 
 
-def _stats(
-    sample: WeightedSample[T], value_fn: Optional[ValueFn]
-) -> List[StratumStats]:
-    return [StratumStats.from_stratum(s, value_fn) for s in sample]
-
-
 def _linear_result(strata: List[StratumStats], kind: str) -> QueryResult:
     """Equations 2–4 over per-stratum statistics: SUM = Σ total·W, MEAN =
-    SUM / Σ C (0 for an empty interval)."""
+    SUM / Σ C (0 for an empty interval), COUNT = Σ C."""
     value = math.fsum(s.total * s.weight for s in strata)
+    population = sum(s.c for s in strata)
     if kind == "mean":
-        population = sum(s.c for s in strata)
         value = value / population if population else 0.0
+    elif kind == "count":
+        value = float(population)
     return QueryResult(value=value, strata=strata, kind=kind)
 
 
-def interval_moments(sample: WeightedSample[T], value_fn: ValueFn):
+def interval_moments(sample: WeightedSample[T], value_fn: Optional[ValueFn]):
     """One interval's per-stratum moments, ``(keys, rows)``, for `pooled_result`.
 
-    ``rows`` holds ``(Y, C, pivot, shift, M2)`` per non-empty stratum, in
-    sample order.  All strata are one segmented pass over the interval's
-    kept values: the pivot is the rounded segment mean ``fl(Σv / Y)``, the
-    deviations ``d = v − pivot`` are exact-scale (no offset left in them),
+    ``rows`` holds ``(Y, C, pivot, shift, M2)`` per stratum, in sample
+    order (a stratum that kept nothing reads ``(0, C, 0, 0, 0)``).  All
+    strata are one segmented pass over the interval's kept values: the
+    pivot is the rounded segment mean ``fl(Σv / Y)``, the deviations
+    ``d = v − pivot`` are exact-scale (no offset left in them),
     ``M2 = Σd² − (Σd)²/Y`` is the corrected two-pass sum of squares (Chan,
     Golub & LeVeque) and ``shift = Σd / Y`` is what rounding the mean
     dropped — the segment mean is ``pivot + shift``.  Value-mode samples
     are read from the one array `repro.core.oasrs.OASRSSampler.peek`
     packed (copied only when the strata do not tile one array), tuple-mode
     samples go through ``value_fn`` once.
+
+    Computed once per ``value_fn`` and kept on the sample
+    (`WeightedSample.moments`): a sliding window pools every interval into
+    several panes.
     """
-    strata = [stratum for stratum in sample if len(stratum.items)]
+    moments = sample.moments.get(value_fn)
+    if moments is None:
+        moments = sample.moments[value_fn] = _segment_moments(sample, value_fn)
+    return moments
+
+
+def _segment_moments(sample: WeightedSample[T], value_fn: Optional[ValueFn]):
+    strata = list(sample)
     keys = [stratum.key for stratum in strata]
-    ys = [len(stratum.items) for stratum in strata]
     if _np is None:  # rows are (C, kept values): `pooled_result` pools those
         return keys, [(stratum.count, stratum.values(value_fn)) for stratum in strata]
-    y = _np.array(ys, dtype=_np.intp)
+    ys = [len(stratum.items) for stratum in strata]
+    rows = _np.zeros((len(strata), 5))
+    rows[:, 0], rows[:, 1] = ys, [stratum.count for stratum in strata]
+    kept = rows[:, 0] > 0
+    y = _np.array([n for n in ys if n], dtype=_np.intp)
+    if not y.size:
+        return keys, rows
     starts = _np.cumsum(y) - y
     arrays = sample.value_arrays(value_fn)
     if not arrays:
         items = chain.from_iterable(stratum.items for stratum in strata)
-        fn = itemgetter(1) if value_fn is _item_value else value_fn
+        fn = itemgetter(1) if value_fn is _item_value else (value_fn or float)
         values = _np.fromiter(map(fn, items), dtype=_np.float64, count=sum(ys))
     else:
         values = arrays[0].base
@@ -165,13 +160,13 @@ def interval_moments(sample: WeightedSample[T], value_fn: ValueFn):
     _np.subtract(values, d, out=d)
     sd = _np.add.reduceat(d, starts)
     m2 = _np.add.reduceat(_np.square(d, out=d), starts) - sd * sd / y
-    counts = [stratum.count for stratum in strata]
-    return keys, _np.column_stack((y, counts, pivot, sd / y, _np.maximum(m2, 0.0)))
+    rows[kept, 2:] = _np.column_stack((pivot, sd / y, _np.maximum(m2, 0.0)))
+    return keys, rows
 
 
 def pooled_result(moment_sets, kind: str) -> QueryResult:
-    """Pool `interval_moments` across a window's intervals into a SUM or
-    MEAN result — Equations 2–4 and 7 on the concatenated pane sample.
+    """Pool `interval_moments` across a window's intervals into a SUM, MEAN
+    or COUNT result — Equations 2–4 and 7 on the concatenated pane sample.
 
     Strata come in first-appearance order.  Each stratum's intervals are
     pooled around one reference, the rounded ``ΣYⱼ·pivotⱼ / ΣY``: interval
@@ -180,7 +175,7 @@ def pooled_result(moment_sets, kind: str) -> QueryResult:
     pooled mean ``ref + ū`` and the between-interval term never hold the
     offset, and ``M2 = Σ M2ⱼ + Σ Yⱼ·(uⱼ − ū)²`` (within + between).
     ``total`` is ``Y × mean``; the weight ``ΣC / ΣY`` re-derives from
-    Equation 1.
+    Equation 1.  A stratum that kept nothing reads zero moments.
     """
     index: Dict[Hashable, int] = {}
     rows = [index.setdefault(k, len(index)) for keys, _ in moment_sets for k in keys]
@@ -188,26 +183,27 @@ def pooled_result(moment_sets, kind: str) -> QueryResult:
         kept = [(0, [])] * len(index)
         for at, (c, values) in zip(rows, chain.from_iterable(p for _, p in moment_sets)):
             kept[at] = (kept[at][0] + c, kept[at][1] + values)
-        stats = map(_pooled_values, kept)
-    else:
-        y, c, pivot, shift, m2 = _np.concatenate([part for _, part in moment_sets]).T
-        at = _np.array(rows, dtype=_np.intp)
+        strata = [_stratum_stats(key, c, values) for key, (c, values) in zip(index, kept)]
+        return _linear_result(strata, kind)
+    y, c, pivot, shift, m2 = _np.concatenate([part for _, part in moment_sets]).T
+    at = _np.array(rows, dtype=_np.intp)
 
-        def per_stratum(weights):
-            return _np.bincount(at, weights=weights, minlength=len(index))
+    def per_stratum(weights):
+        return _np.bincount(at, weights=weights, minlength=len(index))
 
-        ys = per_stratum(y)
-        ref = per_stratum(y * pivot) / ys
-        u = (pivot - ref[at]) + shift
-        mean_u = per_stratum(y * u) / ys
-        dev = u - mean_u[at]
-        m2 = per_stratum(m2) + per_stratum(y * dev * dev)
-        mean = ref + mean_u
-        stats = zip(
-            ys.astype(_np.int64).tolist(), per_stratum(c).astype(_np.int64).tolist(),
-            (mean * ys).tolist(), mean.tolist(),
-            (m2 / _np.maximum(ys - 1, 1) * (ys > 1)).tolist(),
-        )
+    ys = per_stratum(y)
+    n = _np.maximum(ys, 1.0)
+    ref = per_stratum(y * pivot) / n
+    u = (pivot - ref[at]) + shift
+    mean_u = per_stratum(y * u) / n
+    dev = u - mean_u[at]
+    m2 = per_stratum(m2) + per_stratum(y * dev * dev)
+    mean = ref + mean_u
+    stats = zip(
+        ys.astype(_np.int64).tolist(), per_stratum(c).astype(_np.int64).tolist(),
+        (mean * ys).tolist(), mean.tolist(),
+        (m2 / _np.maximum(ys - 1, 1) * (ys > 1)).tolist(),
+    )
     strata = [
         StratumStats(key, y, c, stratum_weight(c, y), total, mean, variance)
         for key, (y, c, total, mean, variance) in zip(index, stats)
@@ -215,37 +211,28 @@ def pooled_result(moment_sets, kind: str) -> QueryResult:
     return _linear_result(strata, kind)
 
 
-def _pooled_values(kept) -> tuple:
-    """No-NumPy pooling of one stratum's ``(C, kept values)``: the pivot,
-    shift and corrected two-pass of `interval_moments`, by ``fsum``."""
-    c, values = kept
-    y = len(values)
-    pivot = math.fsum(values) / y
-    d = [v - pivot for v in values]
-    sd = math.fsum(d)
-    mean = pivot + sd / y
-    m2 = max(0.0, math.fsum(x * x for x in d) - sd * sd / y)
-    return y, c, mean * y, mean, m2 / (y - 1) if y > 1 else 0.0
-
-
 def approximate_sum(
     sample: WeightedSample[T], value_fn: Optional[ValueFn] = None
 ) -> QueryResult[T]:
     """Equations 2–3: the weighted-sum estimator of the interval total."""
-    return _linear_result(_stats(sample, value_fn), "sum")
+    return pooled_result([interval_moments(sample, value_fn)], "sum")
 
 
 def approximate_mean(
     sample: WeightedSample[T], value_fn: Optional[ValueFn] = None
 ) -> QueryResult[T]:
     """Equation 4: approximate mean = SUM / Σ C_i (0 for an empty interval)."""
-    return _linear_result(_stats(sample, value_fn), "mean")
+    return pooled_result([interval_moments(sample, value_fn)], "mean")
+
+
+def _one(_item) -> float:
+    # Module-level, not a lambda: the sample's moment memo is keyed by it.
+    return 1.0
 
 
 def approximate_count(sample: WeightedSample[T]) -> QueryResult[T]:
     """Item count.  Exact, because OASRS keeps the per-stratum counters."""
-    strata = _stats(sample, value_fn=lambda _x: 1.0)
-    return QueryResult(value=float(sum(s.c for s in strata)), strata=strata, kind="count")
+    return pooled_result([interval_moments(sample, _one)], "count")
 
 
 def _strata_as_groups(sample, group_fn, value_fn):
@@ -366,8 +353,9 @@ def grouped_sum_results(
         # whole stratum, and the variance correctly reflects how uncertain
         # the group's membership count is, not just its members' values.
         strata = [
-            _exact_stats(
-                stratum,
+            _stratum_stats(
+                stratum.key,
+                stratum.count,
                 [vf(item) if group_fn(item) == group else 0.0 for item in stratum.items],
             )
             for stratum in sample

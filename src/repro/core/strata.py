@@ -18,7 +18,6 @@ interval.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Dict, Generic, Hashable, List, Sequence, Tuple, TypeVar
 
@@ -126,11 +125,24 @@ class WeightedSample(Generic[T]):
     """
 
     strata: Dict[Key, StratumSample[T]] = field(default_factory=dict)
+    #: `repro.core.query.interval_moments` by value function, so an interval
+    #: is reduced once however many panes pool it.  A cache: `add` drops it
+    #: and a pickle leaves it out (its keys may be lambdas).
+    moments: Dict[object, object] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    def __getstate__(self) -> dict:
+        return {"strata": self.strata}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__init__(state["strata"])
 
     def add(self, stratum: StratumSample[T]) -> None:
         if stratum.key in self.strata:
             raise KeyError(f"stratum {stratum.key!r} already present")
         self.strata[stratum.key] = stratum
+        self.moments.clear()
 
     def __len__(self) -> int:
         return len(self.strata)
@@ -187,13 +199,6 @@ class WeightedSample(Generic[T]):
             out.extend(stratum.items)
         return out
 
-    def weighted_items(self) -> List[Tuple[T, float]]:
-        """Flat ``(item, weight)`` pairs across all strata."""
-        out: List[Tuple[T, float]] = []
-        for stratum in self:
-            out.extend((item, stratum.weight) for item in stratum.items)
-        return out
-
     def merge(self, *others: "WeightedSample[T]") -> "WeightedSample[T]":
         """Merge interval samples over *disjoint* stratum partitions.
 
@@ -203,13 +208,6 @@ class WeightedSample(Generic[T]):
         Equation 1.  See `combine_worker_samples`.
         """
         return combine_worker_samples((self, *others))
-
-    def scaled_total(self, value_fn=None) -> float:
-        """Convenience: the weighted SUM estimate (Equations 2–3)."""
-        total = 0.0
-        for stratum in self:
-            total += math.fsum(stratum.values(value_fn)) * stratum.weight
-        return total
 
 
 def combine_worker_samples(

@@ -88,8 +88,10 @@ class CheckpointPolicy:
 #: not for a new interval *feed*: an interval closes before a pane boundary.
 #: 1 is the one-sampler layout; 2 keeps it, but the direct engine's moment
 #: ``history`` holds `repro.core.query.interval_moments` records instead of
-#: ``(key, y, c, Σv, Σv²)`` tuples.  An unstamped pickle reads as 0.
-CHECKPOINT_FORMAT = 2
+#: ``(key, y, c, Σv, Σv²)`` tuples; 3 keeps that, but the direct engine's
+#: ``history`` holds interval samples, as the other engines' histories do.
+#: An unstamped pickle reads as 0.
+CHECKPOINT_FORMAT = 3
 
 
 @dataclass(frozen=True)

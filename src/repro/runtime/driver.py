@@ -13,8 +13,8 @@ step is written once:
   restored), hands it to the plan's engine, and releases it in its
   ``finally``.
 * `_Run.close_pane` — how *every* engine ends a pane: control step →
-  result and ``on_pane`` → checkpoint when due → pane-timer row; panes
-  that merge interval samples get there through `_Run.close_sampled_pane`.
+  result and ``on_pane`` → checkpoint when due → pane-timer row; sampled
+  panes get there through `_Run.close_sampled_pane`, the one pane estimate.
 
 What remains per engine is "ingest the next interval" and "what is in
 this pane":
@@ -301,6 +301,10 @@ class _Run:
         self.stream, self.plan, self.columnar = stream, plan, reason is None
         if reason:
             self.info["columnar_fallback"] = reason
+        # Decided once: an ungrouped SUM / MEAN pane pools its intervals'
+        # moments, grouped and quantile panes need the kept values.
+        query = plan.query
+        self.pools_moments = query.group_fn is None and query.kind != "quantile"
 
         if handle_batch is None:
             self.strategy = get_strategy(plan.strategy).bind(plan)
@@ -446,18 +450,31 @@ class _Run:
         stream_position: int,
         engine_state: Callable[[], dict],
     ) -> None:
-        """Merge the window's interval samples, estimate the pane, close it."""
-        pane = combine_worker_samples(samples)
-        args = (pane, self.plan.query, self.plan.config.confidence)
-        if self.controller is None:  # Eq.-9 stratum stats only for a reader
-            (estimate, bound, groups), strata = estimate_pane(*args), ()
+        """Estimate the pane from the window's interval samples, close it.
+
+        The one pane estimate of every engine: an ungrouped SUM or MEAN
+        pools the intervals' memoised moments, never merging the pane; a
+        grouped or quantile pane needs the kept values and merges them.
+        """
+        query, confidence = self.plan.query, self.plan.config.confidence
+        if self.pools_moments:
+            moments = [interval_moments(sample, query.value_fn) for sample in samples]
+            result = pooled_result(moments, query.kind)
+            estimate, groups, strata = result.value, {}, result.strata
+            bound = estimate_error(result, confidence=confidence)
+            sampled, population = sum(s.y for s in strata), sum(s.c for s in strata)
         else:
-            estimate, bound, groups, strata = estimate_pane_stats(*args)
-        sampled, population = pane.total_items, pane.total_count
-        # The merged arrays are dead weight while the next interval is
-        # sampled; the interval samples they came from live on in the
-        # engine's history.
-        del pane
+            pane = combine_worker_samples(samples)
+            args = (pane, query, confidence)
+            if self.controller is None:  # Eq.-9 stratum stats only for a reader
+                (estimate, bound, groups), strata = estimate_pane(*args), ()
+            else:
+                estimate, bound, groups, strata = estimate_pane_stats(*args)
+            sampled, population = pane.total_items, pane.total_count
+            # The merged arrays are dead weight while the next interval is
+            # sampled; the interval samples they came from live on in the
+            # engine's history.
+            del pane
         self.close_pane(
             end, estimate, bound, groups, strata, sampled, population,
             stream_position, engine_state,
@@ -694,7 +711,7 @@ def _ingest_direct(run: _Run) -> SimulatedCluster:
     interval loop at the checkpointed boundary.
     """
     stream, plan, timer = run.stream, run.plan, run.timer
-    config, window, query = plan.config, plan.window, plan.query
+    config, window = plan.config, plan.window
     cluster = SimulatedCluster(
         nodes=config.nodes, cores_per_node=config.cores_per_node, costs=config.costs
     )
@@ -751,25 +768,8 @@ def _ingest_direct(run: _Run) -> SimulatedCluster:
         timer.lap(sampling_stage)
         run.count(end_idx - lo, sample.total_items)
         cluster.process_items(sample.total_items)
-        if query.group_fn is None and query.kind != "quantile":
-            # Moment path: pool per-interval sufficient statistics — no
-            # per-pane re-scan of the sampled items.  Quantiles need the
-            # kept values themselves (an order statistic has no pooled
-            # sufficient statistics), so they take the merge path below.
-            history.append(interval_moments(sample, query.value_fn))
-            result = pooled_result(history, query.kind)
-            strata = result.strata
-            run.close_pane(
-                pane_end, result.value,
-                estimate_error(result, confidence=config.confidence), {}, strata,
-                sum(s.y for s in strata), sum(s.c for s in strata),
-                start_idx, engine_state,
-            )
-        else:
-            # Grouped queries need the items themselves: merge samples
-            # and evaluate through the shared estimation path.
-            history.append(sample)
-            run.close_sampled_pane(pane_end, list(history), start_idx, engine_state)
+        history.append(sample)
+        run.close_sampled_pane(pane_end, list(history), start_idx, engine_state)
     run.info["sampling_seconds"] = sampling_seconds
     return cluster
 

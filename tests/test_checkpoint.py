@@ -485,9 +485,10 @@ class TestCheckpointSurface:
         # stamp existed has no "format" entry and reads as version 0.
         unstamped = pickle.loads(pickle.dumps(_Unstamped(current)))
         assert type(unstamped) is PaneCheckpoint and unstamped.format == 0
-        # Format 1 is the layout whose direct-engine history held (y, c, Σv,
-        # Σv²) tuples; this runtime's moment records cannot pool with them.
-        stale_formats = (1, CHECKPOINT_FORMAT + 1)
+        # Formats 1 and 2 are the layouts whose direct-engine history held
+        # (y, c, Σv, Σv²) tuples and moment records; this runtime's holds
+        # interval samples.
+        stale_formats = (1, 2, CHECKPOINT_FORMAT + 1)
         for stale in (
             unstamped,
             *(dataclasses.replace(current, format=f) for f in stale_formats),

@@ -30,7 +30,7 @@ from hypothesis import strategies as st
 
 from repro.core.budget import AccuracyBudget
 from repro.core.quantiles import _sorted_run, _weight_moments, approximate_quantile
-from repro.core.query import StratumStats, grouped_mean, grouped_sum
+from repro.core.query import approximate_mean, grouped_mean, grouped_sum
 from repro.core.records import _StratumMembers, item_key, item_value
 from repro.core.strata import (
     StratumSample,
@@ -479,7 +479,7 @@ def test_all_negative_zero_group_sums_to_positive_zero():
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2**16), parts=st.integers(1, 4))
 def test_large_stratum_stats_read_the_array_directly(seed, parts):
-    """Above the vectorization threshold the merged array feeds sum/var as is."""
+    """The merged array feeds the moments as is, bitwise its tuples."""
     rng = np.random.default_rng(seed)
     runs = [rng.normal(10.0, 3.0, 1500).tolist() for _ in range(parts * 3)]
     samples = []
@@ -488,6 +488,6 @@ def test_large_stratum_stats_read_the_array_directly(seed, parts):
         sample.add(StratumSample("a", _StratumMembers("a", run), 4000, 4000 / 1500))
         samples.append(sample)
     merged = combine_worker_samples(samples)
-    got = StratumStats.from_stratum(merged["a"], item_value)
-    want = StratumStats.from_stratum(as_tuples(merged)["a"], item_value)
+    got = approximate_mean(merged, item_value).strata
+    want = approximate_mean(as_tuples(merged), item_value).strata
     same_floats(got, want)

@@ -1,12 +1,13 @@
-"""The direct engine's pooled moments are right at any offset.
+"""Pooled moments are right at any offset, on every engine.
 
 `repro.core.query.interval_moments` reduces each interval's kept values to
 per-stratum ``(Y, C, pivot, shift, M2)`` in one segmented pass, and
 `repro.core.query.pooled_result` pools a window of them (within + between
-sum of squares around a reference pivot).  The oracle is the standard
-library on the very same doubles: ``statistics.fmean`` and the exact
-rational ``statistics.variance`` of each stratum's values concatenated over
-the window's intervals.
+sum of squares around a reference pivot).  Every engine's ungrouped
+mean/sum pane goes through them, and so does every `approximate_mean`.
+The oracle is the standard library on the very same doubles:
+``statistics.fmean`` and the exact rational ``statistics.variance`` of each
+stratum's values concatenated over the window's intervals.
 
 Tolerances, fixed before any run: the variance within 1e-13 of itself (so a
 zero variance must read exactly zero); the mean within 1e-13 of the largest
@@ -16,6 +17,7 @@ its error is measured on the scale of the data it averages.
 """
 
 import math
+import pickle
 import random
 import statistics
 
@@ -26,7 +28,12 @@ from hypothesis import strategies as st
 
 from repro.core import query as query_module
 from repro.core.oasrs import FixedPerStratum, OASRSSampler
-from repro.core.query import StratumStats, interval_moments, pooled_result
+from repro.core.query import (
+    approximate_mean,
+    approximate_sum,
+    interval_moments,
+    pooled_result,
+)
 from repro.core.records import _StratumMembers, item_key, item_value
 from repro.core.strata import (
     StratumSample,
@@ -131,6 +138,15 @@ def test_every_form_reads_the_same_moments(form):
     want = interval_moments(make_sample(strata, "packed"), item_value)
     assert got[0] == want[0]
     assert np.array_equal(got[1], want[1])
+    # A pickled sample (a checkpoint's history) drops the memo and comes
+    # back holding tuples, which read the same bits again.
+    sample = make_sample(strata, form)
+    interval_moments(sample, item_value)
+    clone = pickle.loads(pickle.dumps(sample))
+    assert sample.moments and not clone.moments
+    again = interval_moments(clone, item_value)
+    assert again[0] == want[0]
+    assert np.array_equal(again[1], want[1])
 
 
 def test_packed_values_are_read_in_place(monkeypatch):
@@ -147,17 +163,20 @@ def test_packed_values_are_read_in_place(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Named regressions: four strata of N(offset, 1) at 10 % on the direct engine
+# Named regressions: four strata of N(offset, spread) at 10 %, every engine
 # ---------------------------------------------------------------------------
 
 
-def normal_stream(offset):
+def normal_stream(offset, spread=1.0):
     rng = random.Random(5)
-    return [(i * 0.001, (f"k{i % 4}", offset + rng.gauss(0.0, 1.0))) for i in range(10_000)]
+    return [
+        (i * 0.001, (f"k{i % 4}", offset + spread * rng.gauss(0.0, 1.0)))
+        for i in range(10_000)
+    ]
 
 
-def run_panes(offset, engine, monkeypatch):
-    """Pane results plus, on the direct engine, every pooled `QueryResult`."""
+def run_panes(offset, engine, monkeypatch, spread=1.0):
+    """Pane results plus every `QueryResult` the pane close pooled."""
     pooled = []
 
     def spy(moment_sets, kind):
@@ -168,25 +187,22 @@ def run_panes(offset, engine, monkeypatch):
     plan = build_plan(
         StreamQuery(kind="mean"), WindowConfig(10.0, 5.0),
         SystemConfig(sampling_fraction=0.1, seed=3), engine=engine, strategy="oasrs",
-        source=ListSource(normal_stream(offset)),
+        source=ListSource(normal_stream(offset, spread)),
     )
     results, _ = execute_plan(plan)
     return results, pooled
 
 
-@pytest.mark.parametrize(
-    "offset, tolerance, pipelined_tolerance", [(1e8, 1e-6, 1e-12), (1e12, 1e-4, 1e-8)]
-)
-def test_variance_does_not_follow_the_offset(
-    offset, tolerance, pipelined_tolerance, monkeypatch
-):
+@pytest.mark.parametrize("engine", ["direct", "pipelined", "batched"])
+@pytest.mark.parametrize("offset, tolerance", [(1e8, 1e-6), (1e12, 1e-4)])
+def test_variance_does_not_follow_the_offset(engine, offset, tolerance, monkeypatch):
     """The old ``(Σv² − Y·mean²)/(Y−1)`` read 2.06 for every stratum here at
     1e8, and pane variances of 0.0 and 31 048 instead of ≈0.0016 / 0.0009
-    at 1e12.  Against the off = 0 run, the offset only moves the values by
-    their rounding (half an ulp of the offset)."""
-    base_results, base = run_panes(0.0, "direct", monkeypatch)
-    results, shifted = run_panes(offset, "direct", monkeypatch)
-    assert len(shifted) == len(base) == 2
+    at 1e12.  Against the same engine's off = 0 run, the offset only moves
+    the values by their rounding (half an ulp of the offset)."""
+    base_results, base = run_panes(0.0, engine, monkeypatch)
+    results, shifted = run_panes(offset, engine, monkeypatch)
+    assert len(shifted) == len(base) == len(results) >= 1
     for got, want in zip(shifted, base):
         assert [s.key for s in got.strata] == [s.key for s in want.strata]
         for s, b in zip(got.strata, want.strata):
@@ -194,23 +210,44 @@ def test_variance_does_not_follow_the_offset(
             assert abs(s.variance - b.variance) <= tolerance, (s.key, s.variance)
     for got, want in zip(results, base_results):
         assert got.error.variance == pytest.approx(want.error.variance, rel=tolerance)
-    # The pipelined engine estimates the same first pane through
-    # `StratumStats.from_stratum`, whose two-pass variance lacks the
-    # (Σd)²/Y correction: 1e-9 of the variance at 1e12, the direct engine's
-    # side being the exact one (see the oracle above).
-    pipelined, _ = run_panes(offset, "pipelined", monkeypatch)
-    assert results[0].error.variance == pytest.approx(
-        pipelined[0].error.variance, rel=pipelined_tolerance
-    )
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e8, 1e12])
+def test_direct_and_pipelined_panes_are_equal(offset, monkeypatch):
+    """Both engines estimate the same first pane sample (spread 1e-3, where
+    a two-pass variance without the (Σd)²/Y correction goes wrong) through
+    the one pane close, so they read the same bits."""
+    direct, direct_pooled = run_panes(offset, "direct", monkeypatch, spread=1e-3)
+    pipelined, pipelined_pooled = run_panes(offset, "pipelined", monkeypatch, spread=1e-3)
+    assert len(pipelined) == 1  # the end-of-stream flush pane is dropped
+    assert pipelined[0].estimate == direct[0].estimate
+    assert pipelined[0].error.variance == direct[0].error.variance
+    assert pipelined_pooled[0].strata == direct_pooled[0].strata
+
+
+def test_each_interval_is_reduced_once(monkeypatch):
+    """The second pane pools both intervals; the first one's moments are
+    the memoised ones, not a second pass over its kept values."""
+    calls = []
+    real = query_module._segment_moments
+
+    def counted(sample, value_fn):
+        calls.append(sample)
+        return real(sample, value_fn)
+
+    monkeypatch.setattr(query_module, "_segment_moments", counted)
+    results, pooled = run_panes(0.0, "direct", monkeypatch)
+    assert len(results) == len(pooled) == 2
+    assert len(calls) == 2
 
 
 # ---------------------------------------------------------------------------
-# Cross-engine: the merged pane sample through `StratumStats.from_stratum`
+# Cross-engine: one interval pooled is the estimator; the merged pane agrees
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("chunk", [1, 64])
-def test_pooled_stats_equal_from_stratum_on_the_merged_pane(chunk):
+def test_pooled_stats_equal_the_merged_pane_estimate(chunk):
     rng = random.Random(11)
     sampler = OASRSSampler(FixedPerStratum(40), key_fn=item_key, rng=random.Random(2))
     samples = []
@@ -219,15 +256,37 @@ def test_pooled_stats_equal_from_stratum_on_the_merged_pane(chunk):
         for start in range(0, len(items), chunk):
             sampler.process_chunk(items[start : start + chunk])
         samples.append(sampler.close_interval())
+    for sample in samples:
+        one = pooled_result([interval_moments(sample, item_value)], "mean")
+        assert approximate_mean(sample, item_value) == one
     got = pooled_result([interval_moments(s, item_value) for s in samples], "mean")
-    want = [
-        StratumStats.from_stratum(s, item_value) for s in combine_worker_samples(samples)
-    ]
+    want = approximate_mean(combine_worker_samples(samples), item_value).strata
     assert [s.key for s in got.strata] == [s.key for s in want]
     for g, w in zip(got.strata, want):
         assert (g.y, g.c, g.weight) == (w.y, w.c, w.weight)
         for field in ("total", "mean", "variance"):
             assert getattr(g, field) == pytest.approx(getattr(w, field), rel=1e-12)
+
+
+@pytest.mark.parametrize("numpy", [True, False])
+def test_a_stratum_that_kept_nothing_still_counts(numpy, monkeypatch):
+    """An SRS micro-batch can keep none of a non-empty batch: its C stays in
+    the population, as it does in the merged pane, with zero moments."""
+    if not numpy:
+        monkeypatch.setattr(query_module, "_np", None)
+    first = make_sample([("a", [2.0, 4.0], 4), ("b", [], 6)], "tuples")
+    second = make_sample([("b", [], 5), ("a", [3.0], 2)], "tuples")
+    alone = approximate_mean(first, item_value)
+    assert alone.value == 12.0 / 10
+    assert [(s.key, s.y, s.c, s.mean, s.variance) for s in alone.strata] == [
+        ("a", 2, 4, 3.0, 2.0), ("b", 0, 6, 0.0, 0.0)
+    ]
+    pane = pooled_result([interval_moments(s, item_value) for s in (first, second)], "sum")
+    assert [(s.key, s.y, s.c, s.total) for s in pane.strata] == [
+        ("a", 3, 6, 9.0), ("b", 0, 11, 0.0)
+    ]
+    merged = approximate_sum(combine_worker_samples([first, second]), item_value)
+    assert pane.value == merged.value == 18.0
 
 
 def test_stdlib_fallback_agrees_with_numpy(monkeypatch):
@@ -240,10 +299,14 @@ def test_stdlib_fallback_agrees_with_numpy(monkeypatch):
         ]
         for _ in range(4)
     ]
-    samples = [make_sample(strata, "tuples") for strata in intervals]
-    with_numpy = pooled_result([interval_moments(s, item_value) for s in samples], "sum")
+
+    def pooled():  # fresh samples: each side computes its own moments
+        samples = [make_sample(strata, "tuples") for strata in intervals]
+        return pooled_result([interval_moments(s, item_value) for s in samples], "sum")
+
+    with_numpy = pooled()
     monkeypatch.setattr(query_module, "_np", None)
-    stdlib = pooled_result([interval_moments(s, item_value) for s in samples], "sum")
+    stdlib = pooled()
     assert stdlib.value == pytest.approx(with_numpy.value, rel=1e-12)
     assert [s.key for s in stdlib.strata] == [s.key for s in with_numpy.strata]
     for a, b in zip(stdlib.strata, with_numpy.strata):

@@ -25,6 +25,29 @@ order, which left its pane-1 margin one ulp from what first-appearance
 order gives.  The ``*@p90`` and ``native-streamapprox@budget-p90`` cases
 pin the DKW quantile pane and, on the budget run, the controller path that
 reads the pane's Equation-9 stratum stats.
+
+Ten cases were re-captured (``--only``, one name at a time: ``native-spark``,
+``native-flink``, ``native-flink@chunk256``, ``spark-srs``, ``spark-sts``,
+``spark-streamapprox``, ``spark-streamapprox@chunk256``,
+``flink-streamapprox``, ``flink-streamapprox@grouped``,
+``native-streamapprox@grouped``) when SUM / MEAN got one numerical form on
+every engine.  Their panes used to take per-stratum moments of the merged
+pane sample by an ``fsum`` two-pass (NumPy ``sum`` / ``var`` above 4 096
+kept items); now the pane pools per-interval moments — pivot, shift and
+the corrected two-pass ``Σd² − (Σd)²/Y`` of Chan, Golub & LeVeque —
+exactly as the direct engine's ``native-streamapprox`` pane already did.
+Both forms compute the same real numbers; they differ only in rounding,
+and the pooled one is the more accurate (≤ 5.2e-16 relative error against
+the exact ``statistics.variance``, ``tests/test_direct_moments.py``).  So
+``estimate`` and ``margin`` moved by at most one ulp, the accuracy losses
+derived from them followed (the full-weight ``native-spark`` /
+``native-flink`` panes now hit the exact mean: loss 7.1e-17 → 0.0), and
+sampled counts, pane counts and virtual seconds did not move.  The cases
+this change left byte-identical are the proof that the shared pane close
+*is* the direct engine's kernel: ``native-streamapprox``, its
+``@chunk256``, ``flink-streamapprox@chunk256``,
+``spark-streamapprox@grouped``, every ``*@p90`` and
+``native-streamapprox@budget-p90``.
 """
 
 import json

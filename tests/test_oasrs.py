@@ -14,6 +14,7 @@ from repro.core.oasrs import (
     ProportionalAllocation,
     oasrs_sample,
 )
+from repro.core.query import approximate_sum
 
 
 def make_items(spec):
@@ -143,7 +144,7 @@ class TestOASRSSampler:
             sample = oasrs_sample(
                 [("a", v) for v in values], 20, key_fn=KEY, rng=random.Random(seed)
             )
-            estimates.append(sample.scaled_total(lambda kv: kv[1]))
+            estimates.append(approximate_sum(sample, lambda kv: kv[1]).value)
         mean_est = statistics.fmean(estimates)
         assert abs(mean_est - truth) / truth < 0.02
 

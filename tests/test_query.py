@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from repro.core.oasrs import oasrs_sample
 from repro.core.query import (
-    StratumStats,
     approximate_count,
     approximate_mean,
     approximate_sum,
@@ -84,21 +83,26 @@ class TestWeightedEstimates:
         assert abs(est_mean - truth_sum / len(items)) < 2.0
 
 
+def stratum_stats(stratum, value_fn=None):
+    """The one stratum's `StratumStats` behind `approximate_mean`."""
+    ws = WeightedSample()
+    ws.add(stratum)
+    (stats,) = approximate_mean(ws, value_fn).strata
+    return stats
+
+
 class TestStratumStats:
     def test_variance_is_unbiased_sample_variance(self):
-        s = StratumSample("x", (1.0, 3.0, 5.0), 3, 1.0)
-        stats = StratumStats.from_stratum(s)
+        stats = stratum_stats(StratumSample("x", (1.0, 3.0, 5.0), 3, 1.0))
         assert stats.mean == pytest.approx(3.0)
         assert stats.variance == pytest.approx(4.0)  # ((4+0+4)/2)
 
     def test_single_item_variance_zero(self):
-        s = StratumSample("x", (2.0,), 5, 5.0)
-        assert StratumStats.from_stratum(s).variance == 0.0
+        assert stratum_stats(StratumSample("x", (2.0,), 5, 5.0)).variance == 0.0
 
     def test_value_fn_applied(self):
         s = StratumSample("x", (("k", 4.0), ("k", 8.0)), 2, 1.0)
-        stats = StratumStats.from_stratum(s, VAL)
-        assert stats.total == pytest.approx(12.0)
+        assert stratum_stats(s, VAL).total == pytest.approx(12.0)
 
 
 class TestGroupedQueries:

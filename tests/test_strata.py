@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.query import approximate_sum
 from repro.core.strata import (
     StratumSample,
     WeightedSample,
@@ -90,8 +91,7 @@ class TestWeightedSample:
     def test_all_and_weighted_items(self):
         ws = self._make()
         assert sorted(ws.all_items()) == [1.0, 2.0, 3.0, 10.0]
-        weights = dict(ws.weighted_items())
-        assert weights[1.0] == 2.0 and weights[10.0] == 1.0
+        assert ws["a"].weight == 2.0 and ws["b"].weight == 1.0
 
     def test_all_items_of_a_value_mode_sample_stay_columns(self):
         """Same items, order and types as the flat list — without building it."""
@@ -123,7 +123,7 @@ class TestWeightedSample:
     def test_scaled_total(self):
         ws = self._make()
         # (1+2+3)*2 + 10*1 = 22
-        assert ws.scaled_total() == pytest.approx(22.0)
+        assert approximate_sum(ws).value == pytest.approx(22.0)
 
     def test_empty_sample_fraction_zero(self):
         assert WeightedSample().sampling_fraction == 0.0
