@@ -326,6 +326,7 @@ class RecordBatch(list):
         super().__init__(events)
         self._cols = None  # built on first use
         self._seq = None
+        self._ordered = None  # (columns it was read from, verdict)
 
     @classmethod
     def of(cls, events) -> "RecordBatch":
@@ -403,6 +404,16 @@ class RecordBatch(list):
     def columnar_reason(self) -> Optional[str]:
         """Why the item columns are unavailable (None when they are)."""
         return self._columns()[5]
+
+    @property
+    def time_ordered(self) -> Optional[bool]:
+        """Whether no timestamp is below its predecessor's (None without a
+        timestamp column): one vectorised pass, cached with the columns."""
+        cols = self._columns()
+        if self._ordered is None or self._ordered[0] is not cols:
+            ts = cols[0]
+            self._ordered = (cols, None if ts is None else not (ts[1:] < ts[:-1]).any())
+        return self._ordered[1]
 
     @property
     def has_columns(self) -> bool:

@@ -1,48 +1,35 @@
 """MiniRDD — a from-scratch micro-batch data-parallel dataset.
 
-A faithful-in-structure miniature of Spark's Resilient Distributed Datasets
-[46]: an immutable, partitioned collection with *lazy* transformations
-recorded as a lineage DAG and *actions* that launch a job.  What matters for
-the reproduction is the cost structure, so every operation charges the
-`SimulatedCluster`:
+A miniature of Spark's Resilient Distributed Datasets [46] holding exactly
+what the batched sampling strategies call: an immutable, partitioned
+collection (``parallelize``), the two Spark sampling transformations
+(``sample``, ``sampleByKey``), recorded lazily, and the actions that launch
+a job (``collect``, ``process_all``).  What matters for the reproduction is
+the cost structure, so every operation charges the `SimulatedCluster`:
 
 * creating an RDD pays per-RDD bookkeeping and a per-item batch-formation
   copy (this is the overhead StreamApprox avoids by sampling *before*
   forming RDDs, §4.2.1),
 * an action launches a job plus one task per partition,
-* ``groupByKey`` / ``reduceByKey`` / ``sortBy`` shuffle items across
-  partitions and synchronise workers with a barrier,
 * ``sample`` / ``sampleByKey`` run the Spark sampling algorithms of
-  `repro.sampling` and charge their key-assignment and sort work.
+  `repro.sampling` and charge their key-assignment and sort work;
+  ``sampleByKey`` also shuffles every item and synchronises the workers
+  with barriers (the groupBy it stands on).
 
-The data itself is computed eagerly per-partition at action time, walking
-the lineage — narrow transformations are pipelined within a partition (one
-pass, no materialisation), exactly like Spark stages.
+The data itself is computed per partition at action time, walking the
+lineage, like a Spark stage.
 """
 
 from __future__ import annotations
 
-import math
 import random
-from typing import (
-    Callable,
-    Dict,
-    Generic,
-    Hashable,
-    Iterable,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    TypeVar,
-)
+from typing import Callable, Generic, Hashable, List, Optional, Sequence, Tuple, TypeVar
 
 from ...sampling.srs import ScaSRSSampler
 from ...sampling.sts import StratifiedSampler
 from ..cluster import SimulatedCluster
 
 T = TypeVar("T")
-U = TypeVar("U")
 K = Hashable
 V = TypeVar("V")
 
@@ -53,7 +40,7 @@ class MiniRDD(Generic[T]):
     """A partitioned, lazily transformed, cost-accounted dataset.
 
     Do not construct directly — use ``MiniRDD.parallelize`` or the
-    transformation methods, which thread the owning cluster through the
+    sampling transformations, which thread the owning cluster through the
     lineage.
     """
 
@@ -110,128 +97,6 @@ class MiniRDD(Generic[T]):
         if self._cached is None:
             self._cached = self._compute()
         return self._cached
-
-    def _derive(
-        self,
-        fn: Callable[[List[List[T]]], List[List[U]]],
-        num_partitions: Optional[int] = None,
-    ) -> "MiniRDD[U]":
-        parent = self
-
-        def compute() -> List[List[U]]:
-            return fn(parent._partitions())
-
-        return MiniRDD(
-            self._cluster,
-            compute=compute,
-            num_partitions=num_partitions or self.num_partitions,
-        )
-
-    # -- narrow transformations (pipelined, no shuffle) --------------------------
-
-    def map(self, fn: Callable[[T], U]) -> "MiniRDD[U]":
-        return self._derive(lambda parts: [[fn(x) for x in p] for p in parts])
-
-    def filter(self, pred: Callable[[T], bool]) -> "MiniRDD[T]":
-        return self._derive(lambda parts: [[x for x in p if pred(x)] for p in parts])
-
-    def flat_map(self, fn: Callable[[T], Iterable[U]]) -> "MiniRDD[U]":
-        return self._derive(
-            lambda parts: [[y for x in p for y in fn(x)] for p in parts]
-        )
-
-    def map_partitions(
-        self, fn: Callable[[List[T]], Iterable[U]]
-    ) -> "MiniRDD[U]":
-        return self._derive(lambda parts: [list(fn(p)) for p in parts])
-
-    def glom(self) -> "MiniRDD[List[T]]":
-        """Coalesce each partition into a single list element (Spark's glom).
-
-        This is how the batched engine exposes partitions as *chunks*: a
-        downstream map over a glommed RDD sees one list per partition and
-        can hand it to the vectorized chunk samplers
-        (`repro.core.oasrs.OASRSSampler.process_chunk` and friends) instead
-        of iterating item by item.
-        """
-        return self._derive(
-            lambda parts: [[list(p)] for p in parts], num_partitions=self.num_partitions
-        )
-
-    def union(self, other: "MiniRDD[T]") -> "MiniRDD[T]":
-        parent = self
-
-        def compute() -> List[List[T]]:
-            return parent._partitions() + other._partitions()
-
-        return MiniRDD(
-            self._cluster,
-            compute=compute,
-            num_partitions=self.num_partitions + other.num_partitions,
-        )
-
-    # -- wide transformations (shuffle + barrier) ---------------------------------
-
-    def group_by_key(self: "MiniRDD[Tuple[K, V]]") -> "MiniRDD[Tuple[K, List[V]]]":
-        """Hash-partition by key; shuffles every item and synchronises."""
-        cluster = self._cluster
-        parent = self
-
-        def compute() -> List[List[Tuple[K, List[V]]]]:
-            parts = parent._partitions()
-            n_items = sum(len(p) for p in parts)
-            cluster.shuffle_items(n_items)
-            cluster.barrier()
-            groups: Dict[K, List[V]] = {}
-            for p in parts:
-                for key, value in p:
-                    groups.setdefault(key, []).append(value)
-            out = [(k, vs) for k, vs in groups.items()]
-            return _split(out, parent.num_partitions)
-
-        return MiniRDD(cluster, compute=compute, num_partitions=self.num_partitions)
-
-    def reduce_by_key(
-        self: "MiniRDD[Tuple[K, V]]", fn: Callable[[V, V], V]
-    ) -> "MiniRDD[Tuple[K, V]]":
-        """Map-side combine then shuffle only the partials (cheaper than groupBy)."""
-        cluster = self._cluster
-        parent = self
-
-        def compute() -> List[List[Tuple[K, V]]]:
-            parts = parent._partitions()
-            partials: List[Dict[K, V]] = []
-            for p in parts:
-                local: Dict[K, V] = {}
-                for key, value in p:
-                    local[key] = fn(local[key], value) if key in local else value
-                partials.append(local)
-            cluster.shuffle_items(sum(len(d) for d in partials))
-            cluster.barrier()
-            merged: Dict[K, V] = {}
-            for local in partials:
-                for key, value in local.items():
-                    merged[key] = fn(merged[key], value) if key in merged else value
-            return _split(list(merged.items()), parent.num_partitions)
-
-        return MiniRDD(cluster, compute=compute, num_partitions=self.num_partitions)
-
-    def sort_by(self, key_fn: Callable[[T], object]) -> "MiniRDD[T]":
-        """Full sort: shuffles everything and pays n log2 n comparisons."""
-        cluster = self._cluster
-        parent = self
-
-        def compute() -> List[List[T]]:
-            parts = parent._partitions()
-            flat = [x for p in parts for x in p]
-            cluster.shuffle_items(len(flat))
-            cluster.barrier()
-            if len(flat) > 1:
-                cluster.sort(len(flat) * math.log2(len(flat)))
-            flat.sort(key=key_fn)
-            return _split(flat, parent.num_partitions)
-
-        return MiniRDD(cluster, compute=compute, num_partitions=self.num_partitions)
 
     # -- Spark sampling operators --------------------------------------------------
 
@@ -297,33 +162,11 @@ class MiniRDD(Generic[T]):
     def collect(self) -> List[T]:
         return [x for p in self._run_job() for x in p]
 
-    def count(self) -> int:
-        return sum(len(p) for p in self._run_job())
-
-    def reduce(self, fn: Callable[[T, T], T]) -> T:
-        items = self.collect()
-        if not items:
-            raise ValueError("reduce of an empty RDD")
-        acc = items[0]
-        for x in items[1:]:
-            acc = fn(acc, x)
-        return acc
-
-    def take(self, n: int) -> List[T]:
-        out: List[T] = []
-        for p in self._run_job():
-            for x in p:
-                if len(out) >= n:
-                    return out
-                out.append(x)
-        return out
-
     def process_all(self) -> int:
         """Run the user query over every item: the dominant per-item cost.
 
         Returns the number of items processed.  Engines call this to charge
-        the query execution itself (map/filter closures above are assumed to
-        be part of the same fused stage).
+        the query execution itself.
         """
         n = sum(len(p) for p in self._run_job())
         self._cluster.process_items(n)

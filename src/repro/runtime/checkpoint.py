@@ -89,9 +89,12 @@ class CheckpointPolicy:
 #: 1 is the one-sampler layout; 2 keeps it, but the direct engine's moment
 #: ``history`` holds `repro.core.query.interval_moments` records instead of
 #: ``(key, y, c, Σv, Σv²)`` tuples; 3 keeps that, but the direct engine's
-#: ``history`` holds interval samples, as the other engines' histories do.
+#: ``history`` holds interval samples, as the other engines' histories do;
+#: 4 keeps that, but the pipelined engine's state is the same ``history``
+#: (no ``recent`` pairs) and its exact path carries none (no ``pane_items``:
+#: a resumed run re-reads its panes from the replayed stream).
 #: An unstamped pickle reads as 0.
-CHECKPOINT_FORMAT = 3
+CHECKPOINT_FORMAT = 4
 
 
 @dataclass(frozen=True)

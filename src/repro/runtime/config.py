@@ -152,7 +152,7 @@ class SystemConfig:
 
     * ``chunk_size = K`` (``K >= 2``) routes items through the chunked
       sampler APIs (`OASRSSampler.process_chunk`, the vectorized SRS/STS
-      chunk samplers, the pipelined ``on_chunk`` operators) in runs of
+      chunk samplers, the pipelined engine's event-time loop) in runs of
       ``K`` — statistically equivalent to the per-item path, several
       times faster.  ``0`` (default) keeps the legacy item-at-a-time
       execution.  Honoured by every system through the unified runtime.

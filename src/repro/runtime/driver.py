@@ -20,9 +20,14 @@ What remains per engine is "ingest the next interval" and "what is in
 this pane":
 
 * `_ingest_batched` — micro-batches (§5.5, Spark-Streaming-style),
-* `_ingest_pipelined` — push-based operators (§4.2.2, Flink-style),
+* `_ingest_pipelined` — one event-time loop (§4.2.2, Flink-style): the
+  stream in ``chunk_size`` runs, intervals and panes closed by watermarks,
 * `_ingest_direct` — this repo's own executor: the sampling stack straight
   over slide-sized intervals, no engine simulation in the hot loop.
+
+Every engine relies on the stream being time-ordered (boundaries are
+binary searches over its timestamps); `_Run` refuses one that is not
+before any pane closes.
 
 ``chunk_size`` and ``parallelism`` are honoured uniformly: the planner
 has already rejected combinations the strategy cannot support, so every
@@ -50,7 +55,8 @@ import time
 from bisect import bisect_left
 from collections import deque
 from dataclasses import replace
-from operator import itemgetter
+from itertools import tee
+from operator import gt, itemgetter
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..core._vector import np as _np
@@ -60,7 +66,6 @@ from ..core.records import RecordBatch, item_key, item_value
 from ..core.strata import WeightedSample, combine_worker_samples
 from ..engine.batched.context import StreamingContext
 from ..engine.cluster import SimulatedCluster
-from ..engine.pipelined.dataflow import Pipeline
 from ..obs import NULL_METRICS, NULL_PANE_TIMER, NULL_TRACER, run_telemetry
 from .checkpoint import (
     CHECKPOINT_FORMAT,
@@ -142,6 +147,41 @@ def _record_stream(source) -> RecordBatch:
     for batch in batches:
         merged.extend(batch)
     return merged
+
+
+def _check_order(stream, columnar: bool) -> None:
+    """Refuse a stream whose timestamps go backwards (`PlanError`): the
+    batch's cached verdict on the column path, else one C-level pass."""
+    if columnar:
+        ordered = stream.time_ordered
+    else:
+        earlier, later = tee(map(_timestamp_of, stream))
+        next(later, None)
+        ordered = not any(map(gt, earlier, later))
+    if ordered:
+        return
+    i = next(i for i in range(1, len(stream)) if stream[i][0] < stream[i - 1][0])
+    raise PlanError(
+        f"stream is not time-ordered: event {i} at {stream[i][0]} follows "
+        f"{stream[i - 1][0]}"
+    )
+
+
+def _first_at(stream, ts_col, t: float, lo: int = 0) -> int:
+    """Index of the first event with timestamp ``>= t``; ``ts_col`` holds
+    the very same floats, so ``searchsorted``'s "left" is ``bisect_left``."""
+    if ts_col is not None:
+        return int(_np.searchsorted(ts_col, t, side="left"))
+    return bisect_left(stream, t, lo=lo, key=_timestamp_of)
+
+
+def _items(stream, ts_col, lo: int, hi: int):
+    """The items of events ``[lo, hi)``: on the column path a zero-copy
+    located view, whose strata the sampler's kernel groups by interned code
+    in the per-item path's first-appearance order (and RNG stream)."""
+    if ts_col is not None:
+        return stream.item_slice(lo, hi)
+    return [item for _ts, item in stream[lo:hi]]
 
 
 def _columnar_gate(stream, plan: ExecutionPlan, intern: bool):
@@ -251,7 +291,8 @@ class _Run:
 
     What the three engines used to set up separately lives here once.
     They read ``stream`` / ``plan`` (after projection interning),
-    ``columnar`` (the gate's verdict), ``strategy``, ``timer`` (a no-op
+    ``columnar`` (the gate's verdict) and ``ts_col`` (the timestamp column
+    on the column path, else None), ``strategy``, ``timer`` (a no-op
     singleton when telemetry is off, so loops instrument unconditionally —
     no branches and no dict lookups per interval), ``resume`` (the
     checkpoint being resumed; its common part — strategy, controller,
@@ -301,6 +342,8 @@ class _Run:
         self.stream, self.plan, self.columnar = stream, plan, reason is None
         if reason:
             self.info["columnar_fallback"] = reason
+        self.ts_col = stream.ts if self.columnar else None
+        _check_order(stream, self.columnar)
         # Decided once: an ungrouped SUM / MEAN pane pools its intervals'
         # moments, grouped and quantile panes need the kept values.
         query = plan.query
@@ -605,92 +648,105 @@ def _ingest_batched(run: _Run) -> SimulatedCluster:
 
 
 def _ingest_pipelined(run: _Run) -> SimulatedCluster:
-    """Operator pipeline: per-item (or ``chunk_size``-run) flow, panes at
-    watermarks.  Interval-sampling strategies insert the OASRS operator
-    (§4.2.2); ``none`` aggregates exact panes.
+    """Flink-style event-time loop (§4.2.2): the stream in runs, intervals
+    and panes closed by watermarks, no micro-batch and no barrier.
 
-    The window operator hands each fired pane to a callback that estimates
-    it and calls `_Run.close_pane`, so the control step runs before the
-    sampling operator opens the next interval.  Checkpoints add the
-    operator's window state (recent interval samples, or the exact path's
-    buffered items); resume preloads it and
-    restarts the dataflow at the checkpointed pane boundary, feeding the
-    same stream from the checkpointed position (`Pipeline.run`'s ``start``
-    keeps the chunk grid, and with it every sampling decision, where the
-    uninterrupted run had it).
+    Runs sit on the stream-global ``[i, i + chunk_size)`` grid (one item
+    each when ``chunk_size <= 1``), also after a resume: one-row and
+    multi-row feeds draw from different generators.  Per run, in this
+    order (virtual seconds are float sums, so the order is output):
+
+    1. the watermark of the run's first timestamp closes every interval
+       ending at or before it;
+    2. the run is charged ``ingest_items(n)``, then ``sample_items(n)``
+       (the exact ``none`` path: ``process_items(n)``, every item is kept);
+    3. the run is split at slide boundaries into ``process_chunk``
+       segments, closing the intervals that end inside it (one ``offer``
+       per item at chunk 1).
+
+    A closed interval is charged ``process_items(kept)`` — the items that
+    reach the window, the pipelined saving — and joins the window's
+    history; its pane fires unless its end lies beyond the last event.
+    After the stream, the watermark ``last_ts + 1e-9`` fires and the open
+    interval closes (charged only if it saw an item): the batched engine
+    emits no such flush pane, so it would skew cross-system comparisons.
+    An exact pane is the stream's rows in ``[end − length, end)``.
+
+    Checkpoints add the window history (empty on the exact path, whose
+    resumed run re-reads its panes from the replayed stream).
     """
-    stream, plan, timer = run.stream, run.plan, run.timer
-    config, window, query = plan.config, plan.window, plan.query
+    stream, plan, ts_col = run.stream, run.plan, run.ts_col
+    config, window, query, timer = plan.config, plan.window, plan.query, run.timer
     cluster = SimulatedCluster(
         nodes=config.nodes, cores_per_node=config.cores_per_node, costs=config.costs
     )
+    n, chunk = len(stream), max(config.chunk_size, 1)
     last_ts = stream[-1][0] if stream else 0.0
-    start, position, window_state = 0.0, 0, {}
+    sampled = run.strategy.samples_intervals
+    sampler = run.sampler() if sampled else None
+    history = deque(maxlen=window.intervals_per_window)
+    next_fire, position = window.slide, 0
     if run.resume is not None:
-        start, window_state = run.resume.pane_end, run.resume.state
+        history.extend(run.resume.state["history"])
+        next_fire = run.resume.pane_end + window.slide
         position = run.resume.stream_position
-    fed = len(stream) - position
-    pipeline = Pipeline(cluster)
-    if run.strategy.samples_intervals:
+    run.count(n - position, 0 if sampled else n - position)
 
-        def count_kept(sample):
-            kept = sample.total_items
-            run.count(0, kept)
-            return kept
+    def engine_state():
+        return {"history": tuple(history)}
 
-        def close_sampled(end, recent):
-            # The end-of-stream flush pane covers a partial interval beyond
-            # the last watermark; the batched engine emits no such pane, so
-            # keeping it would skew cross-system accuracy comparisons.
-            if end > last_ts:
+    def close(final: bool = False) -> None:
+        """Close the interval ending at ``next_fire``; fire its pane."""
+        nonlocal next_fire
+        end = next_fire
+        next_fire += window.slide
+        if sampled:
+            sample = sampler.close_interval()
+            if final and not sample.total_count:
                 return
+            run.count(0, sample.total_items)
+            cluster.process_items(sample.total_items)
+            history.append(sample)
+        if end > last_ts:  # the end-of-stream flush interval: no pane
+            return
+        at = _first_at(stream, ts_col, end)
+        if sampled:
             timer.lap("offer")
-            run.close_sampled_pane(
-                end, [sample for _ts, sample in recent],
-                bisect_left(stream, end, key=_timestamp_of),
-                lambda: {"recent": recent},
-            )
+            run.close_sampled_pane(end, list(history), at, engine_state)
+            return
+        timer.lap("ingest")
+        lo = _first_at(stream, ts_col, end - window.length)
+        sample = full_weight_sample(_items(stream, ts_col, lo, at), query.key_fn)
+        estimate, bound, groups = estimate_pane(sample, query, config.confidence)
+        kept = sample.total_items
+        run.close_pane(end, estimate, bound, groups, (), kept, kept, at, engine_state)
 
-        run.count(fed, 0)
-        pipeline.sample_oasrs(run.sampler(), slide=window.slide, start=start).charge(
-            count_fn=count_kept
-        ).window_samples(
-            intervals_per_window=window.intervals_per_window,
-            aggregate=close_sampled,
-            charge_processing=False,
-            preload=window_state.get("recent"),
-        )
-    else:
-
-        def close_exact(end, pane_items):
-            if end > last_ts:
-                return  # the flush pane, as above
-            timer.lap("ingest")
-            sample = full_weight_sample(
-                [item for _ts, item in pane_items], query.key_fn
-            )
-            estimate, bound, groups = estimate_pane(sample, query, config.confidence)
-            kept = sample.total_items
-            run.close_pane(
-                end, estimate, bound, groups, (), kept, kept,
-                bisect_left(stream, end, key=_timestamp_of),
-                lambda: {"pane_items": tuple(pane_items)},
-            )
-
-        # The exact path consumes every item at full weight: its sample
-        # cost *is* the stream.
-        run.count(fed, fed)
-        pipeline.charge().window(  # per-item query processing, charged once
-            length=window.length,
-            slide=window.slide,
-            aggregate=close_exact,
-            start=start,
-            charge_processing=False,
-            preload=window_state.get("pane_items"),
-        )
-    pipeline.sink_collect().run(
-        stream, chunk_size=config.chunk_size, columnar=run.columnar, start=position
-    )
+    i = position
+    while i < n:
+        j = min(i - i % chunk + chunk, n)
+        while stream[i][0] >= next_fire:  # 1. the run's watermark
+            close()
+        cluster.ingest_items(j - i)  # 2.
+        if not sampled:
+            cluster.process_items(j - i)
+        elif chunk == 1:
+            cluster.sample_items(1, "oasrs")
+            sampler.offer(stream[i][1])
+        else:
+            cluster.sample_items(j - i, "oasrs")
+            lo = i
+            while lo < j:  # 3.
+                hi = min(_first_at(stream, ts_col, next_fire, lo), j)
+                if hi <= lo:
+                    close()
+                    continue
+                sampler.process_chunk(_items(stream, ts_col, lo, hi))
+                lo = hi
+        i = j
+    if n > position:  # the end-of-stream watermark, then the open interval
+        while last_ts + 1e-9 >= next_fire:
+            close()
+    close(final=True)
     return cluster
 
 
@@ -715,9 +771,7 @@ def _ingest_direct(run: _Run) -> SimulatedCluster:
     cluster = SimulatedCluster(
         nodes=config.nodes, cores_per_node=config.cores_per_node, costs=config.costs
     )
-    # Columnar hot loop: interval boundaries from searchsorted on the
-    # timestamp column, intervals handed over as zero-copy column views.
-    ts_col = stream.ts if run.columnar else None
+    ts_col = run.ts_col
     run.sampler()  # built (or restored) before the first feed
     sample_interval = run.strategy.sample_interval
     # Stage label for the sampling section: sharded sampling crosses the
@@ -742,12 +796,7 @@ def _ingest_direct(run: _Run) -> SimulatedCluster:
         return {"history": tuple(history)}
 
     while start_idx < n:
-        if ts_col is not None:
-            # Equivalent to the bisect below: the column holds the very
-            # same float timestamps, "left" matches bisect_left.
-            end_idx = int(_np.searchsorted(ts_col, boundary, side="left"))
-        else:
-            end_idx = bisect_left(stream, boundary, lo=start_idx, key=_timestamp_of)
+        end_idx = _first_at(stream, ts_col, boundary, start_idx)
         lo = start_idx
         start_idx = end_idx
         pane_end = boundary
@@ -755,15 +804,7 @@ def _ingest_direct(run: _Run) -> SimulatedCluster:
         cluster.sample_items(end_idx - lo, "oasrs")
         timer.lap("ingest")
         sampling_started = time.perf_counter()
-        if ts_col is not None:
-            # Column hand-off: a zero-copy view; the sampler's columnar
-            # kernel groups strata by interned code with the same
-            # first-appearance order (and RNG stream) as the per-item
-            # dict grouping.
-            rows = stream.item_slice(lo, end_idx)
-        else:
-            rows = [item for _ts, item in stream[lo:end_idx]]
-        sample = sample_interval(rows)
+        sample = sample_interval(_items(stream, ts_col, lo, end_idx))
         sampling_seconds += time.perf_counter() - sampling_started
         timer.lap(sampling_stage)
         run.count(end_idx - lo, sample.total_items)

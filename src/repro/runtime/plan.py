@@ -9,8 +9,9 @@ sampling-strategy name:
 
 * ``engine = "batched"``   — micro-batch panes on the Spark-style engine
   (`repro.engine.batched`),
-* ``engine = "pipelined"`` — push-based operators on the Flink-style
-  engine (`repro.engine.pipelined`),
+* ``engine = "pipelined"`` — the Flink-style event-time loop of
+  `repro.runtime.driver`: items (or ``chunk_size`` runs) pushed through
+  the sampler, intervals and panes closed by watermarks,
 * ``engine = "direct"``    — this repo's own executor: the sampling stack
   straight over slide intervals, no engine simulation in the hot loop.
 

@@ -13,8 +13,8 @@ synchronises.  That is why Flink-based StreamApprox tops every throughput
 figure in the paper.
 
 Declaratively: the pipelined engine driving the ``oasrs`` strategy
-(`repro.runtime.strategies.OASRSStrategy`): the sampling operator feeds
-the run's one sampler as items stream in.
+(`repro.runtime.strategies.OASRSStrategy`): the driver's event-time loop
+feeds the run's one sampler as items stream in.
 """
 
 from __future__ import annotations
@@ -27,10 +27,10 @@ __all__ = ["FlinkStreamApproxSystem"]
 class FlinkStreamApproxSystem(StreamSystem):
     """Pipelined dataflow with the OASRS sampling operator.
 
-    Items flow one at a time (or in ``SystemConfig.chunk_size`` runs through
-    the operators' ``on_chunk`` fast path) into the sampling operator; each
-    slide boundary emits a weighted interval sample that the window operator
-    merges and aggregates — the cheapest structure of all six systems.
+    Items flow one at a time (or in ``SystemConfig.chunk_size`` runs) into
+    the run's sampler; each slide boundary closes a weighted interval
+    sample that the window pane merges and aggregates — the cheapest
+    structure of all six systems.
     ``SystemConfig.parallelism`` shards each interval's sampling over real
     worker processes at interval close.
 

@@ -276,6 +276,49 @@ class TestPlanLevelResume:
             assert pane_fingerprint(resumed) == pane_fingerprint(base)
 
 
+class TestPipelinedResume:
+    """The pipelined loop's checkpoints: the exact path (native-flink) keeps
+    no window state, the sampled path (flink-streamapprox) its interval
+    history; resuming from any of them, in memory or through ``to_bytes``,
+    gives the uninterrupted run's panes bit for bit."""
+
+    @pytest.mark.parametrize("chunk_size", [0, 256])
+    @pytest.mark.parametrize("strategy", ["none", "oasrs"])
+    def test_resume_from_every_checkpoint_is_bitwise(self, strategy, chunk_size):
+        stream = tiny_stream(7, n=2000)
+        policy = CheckpointPolicy(every=1)
+
+        def plan(**overrides):
+            return build_plan(
+                StreamQuery(kind="mean"), WindowConfig(6.0, 3.0),
+                SystemConfig(sampling_fraction=0.4, seed=11, chunk_size=chunk_size,
+                             **overrides),
+                engine="pipelined", strategy=strategy,
+                source=ListSource(stream), name="pipelined-resume",
+            )
+
+        base, base_cluster = execute_plan(plan())
+        store = CheckpointStore()
+        observed, _ = execute_plan(plan(checkpoint=policy), checkpoint_store=store)
+        assert observed == base and len(store) == len(base) == 3
+        for index in store.indices():
+            checkpoint = store.get(index)
+            assert set(checkpoint.state) == {"strategy", "controller", "history"}
+            # The window's last two interval samples; nothing on the exact path.
+            history = checkpoint.state["history"]
+            assert len(history) == (min(index, 2) if strategy == "oasrs" else 0)
+            for resume_from in (
+                checkpoint, PaneCheckpoint.from_bytes(checkpoint.to_bytes())
+            ):
+                resumed, cluster = execute_plan(
+                    plan(checkpoint=policy), resume_from=resume_from
+                )
+                assert resumed == base
+                assert cluster.stats.items_ingested == (
+                    len(stream) - checkpoint.stream_position
+                )
+
+
 MERGE_QUERIES = {
     "p90": StreamQuery(kind="quantile", q=0.9),
     "grouped-sum": StreamQuery(kind="sum", group_fn=item_key),
@@ -486,9 +529,9 @@ class TestCheckpointSurface:
         unstamped = pickle.loads(pickle.dumps(_Unstamped(current)))
         assert type(unstamped) is PaneCheckpoint and unstamped.format == 0
         # Formats 1 and 2 are the layouts whose direct-engine history held
-        # (y, c, Σv, Σv²) tuples and moment records; this runtime's holds
-        # interval samples.
-        stale_formats = (1, 2, CHECKPOINT_FORMAT + 1)
+        # (y, c, Σv, Σv²) tuples and moment records; 3 is the one whose
+        # pipelined state held (end, sample) pairs and exact-pane items.
+        stale_formats = (1, 2, 3, CHECKPOINT_FORMAT + 1)
         for stale in (
             unstamped,
             *(dataclasses.replace(current, format=f) for f in stale_formats),

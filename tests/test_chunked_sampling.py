@@ -1,7 +1,7 @@
 """Property tests for the vectorized chunk-based sampling path.
 
 The contract of the chunk API (`Reservoir.offer_many`,
-`OASRSSampler.process_chunk`, the pipelined ``on_chunk`` operators):
+`OASRSSampler.process_chunk`, the pipelined engine's chunk runs):
 
 * chunk_size = 1 — *identical* to the per-item path, bit for bit (same RNG
   draws, same reservoir contents),
@@ -178,27 +178,6 @@ class TestOASRSProcessChunk:
         sampler.close_interval()
         # Water-filling rebalanced from the observed counters.
         assert policy.capacity_for("b", 2) <= 100
-
-
-class TestBatchedEngineChunks:
-    """Partitions-as-chunks plumbing in the batched engine."""
-
-    def test_glom_exposes_partitions_as_chunk_lists(self):
-        from repro.engine.batched.context import StreamingContext
-        from repro.engine.batched.rdd import MiniRDD
-
-        ctx = StreamingContext(nodes=1, cores_per_node=2)
-        rdd = MiniRDD.parallelize(ctx.cluster, list(range(20)), num_partitions=4)
-        glommed = rdd.glom().collect()
-        assert len(glommed) == 4
-        assert sorted(x for part in glommed for x in part) == list(range(20))
-        # A chunk sampler can eat each partition whole.
-        sampler = OASRSSampler(
-            FixedPerStratum(3), key_fn=lambda x: x % 2, rng=random.Random(0)
-        )
-        for part in glommed:
-            sampler.process_chunk(part)
-        assert sampler.close_interval().total_count == 20
 
 
 class TestChunkedEngines:

@@ -8,14 +8,14 @@ errors for genuinely invalid input.
 """
 
 import random
+from dataclasses import replace
 
 import pytest
 
 from repro.core.oasrs import FixedPerStratum, OASRSSampler, WaterFillingAllocation, oasrs_sample
 from repro.core.query import approximate_mean, approximate_sum
 from repro.engine.batched.dstream import Batcher, SlidingWindower
-from repro.engine.cluster import SimulatedCluster
-from repro.engine.pipelined.dataflow import Pipeline
+from repro.runtime import ListSource, PlanError, build_plan, execute_plan
 from repro.system import (
     ALL_SYSTEMS,
     FlinkStreamApproxSystem,
@@ -24,6 +24,7 @@ from repro.system import (
     SystemConfig,
     WindowConfig,
 )
+from repro.workloads.synthetic import stream_by_rates
 
 KEY = lambda it: it[0]  # noqa: E731
 VAL = lambda it: it[1]  # noqa: E731
@@ -45,10 +46,6 @@ class TestEmptyStreams:
         sample = sampler.close_interval()
         assert len(sample) == 0
         assert approximate_sum(sample).value == 0.0
-
-    def test_pipeline_empty_stream(self):
-        out = Pipeline(SimulatedCluster()).sink_collect().run([])
-        assert out == []
 
 
 class TestSingleItemStreams:
@@ -126,10 +123,32 @@ class TestExtremeConfigurations:
 
 
 class TestInvalidInput:
-    def test_out_of_order_rejected_by_pipeline(self):
-        p = Pipeline(SimulatedCluster()).sink_collect()
-        with pytest.raises(ValueError):
-            p.run([(2.0, "a"), (1.0, "b")])
+    @pytest.mark.parametrize("engine", ["direct", "batched", "pipelined"])
+    @pytest.mark.parametrize("chunk_size", [0, 256])
+    @pytest.mark.parametrize("feed", ["columns", "shim"])
+    def test_out_of_order_stream_rejected_before_any_pane(
+        self, monkeypatch, engine, chunk_size, feed
+    ):
+        """Every engine's interval boundaries are binary searches over the
+        timestamps; one swapped pair must be refused, not windowed."""
+        stream = stream_by_rates({"A": 600, "B": 200}, duration=25, seed=3)
+        swapped = list(stream)
+        swapped[5000], swapped[5001] = swapped[5001], swapped[5000]
+        assert swapped[5000][0] > swapped[5001][0]
+        if feed == "shim":
+            monkeypatch.setenv("REPRO_NO_COLUMNAR", "1")
+        panes, info = [], {}
+        plan = build_plan(
+            StreamQuery(kind="mean"), WINDOW, SystemConfig(chunk_size=chunk_size),
+            engine=engine, strategy="oasrs", source=ListSource(swapped),
+        )
+        with pytest.raises(PlanError, match="event 5001 at .* follows"):
+            execute_plan(plan, run_info=info, on_pane=panes.append)
+        assert panes == []
+        assert ("columnar_fallback" in info) == (feed == "shim")
+        # The ordered stream runs, on the same plan shape.
+        results, _cluster = execute_plan(replace(plan, source=ListSource(stream)))
+        assert len(results) == 4 + (engine != "pipelined")
 
     def test_pre_start_timestamp_rejected_by_batcher(self):
         with pytest.raises(ValueError):

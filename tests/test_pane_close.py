@@ -219,9 +219,7 @@ def test_one_sampler_fed_and_checkpointed_one_way(
     for index in store.indices():
         state = store.get(index).state
         assert "sampler" not in state
-        assert set(state) == {
-            "strategy", "controller", "recent" if engine == "pipelined" else "history"
-        }
+        assert set(state) == {"strategy", "controller", "history"}
         assert state["strategy"]["sampler"]["kind"] == kind
 
     # Every re-target — the seed before the first pane, then one per pane —
@@ -233,7 +231,7 @@ def test_one_sampler_fed_and_checkpointed_one_way(
         assert targets == []
 
     # Whole-interval engines feed each interval exactly once; the pipelined
-    # operator offers items as they stream in instead.
+    # loop offers items (or chunk runs) as they stream in instead.
     observed = info["telemetry"].metrics.snapshot()["counters"]["items.observed"]
     assert observed == len(stream_30s())
     if engine == "pipelined":

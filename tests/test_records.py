@@ -577,6 +577,14 @@ class TestBuildOracle:
         assert batch.ts.tobytes() == want.tobytes()
         assert want.tolist()[:3] == [1.0, 2.0, 3.0] and np.isnan(want[3])
 
+    def test_time_order_verdict_is_cached_with_the_columns(self):
+        batch = RecordBatch([(0.0, ("a", 1.0)), (1.0, ("b", 2.0)), (1.0, ("a", 3.0))])
+        assert batch.time_ordered is True
+        assert batch._ordered[0] is batch._cols  # read once per column build
+        batch.append((0.5, ("b", 4.0)))  # a new length rebuilds both
+        assert batch.time_ordered is False
+        assert RecordBatch([("t", ("a", 1.0))]).time_ordered is None
+
     def test_wrong_arity_events_are_refused_not_truncated(self):
         """``zip(*events)`` used to stop at the shortest event and drop the
         rest of a longer one; the per-item path raises on the same stream."""

@@ -375,6 +375,75 @@ class TestDirectDriver:
         assert results == [] and info["sampling_seconds"] == 0.0
 
 
+def run_plan(stream, strategy="oasrs", chunk_size=0, engine="pipelined"):
+    plan = build_plan(
+        query=QUERY, window=WINDOW, engine=engine, strategy=strategy,
+        config=SystemConfig(sampling_fraction=0.3, seed=4, chunk_size=chunk_size),
+        source=ListSource(stream),
+    )
+    info = {}
+    results, cluster = execute_plan(plan, run_info=info)
+    return results, cluster, info
+
+
+class TestPipelinedDriver:
+    """The Flink-style event-time loop: what each run and pane costs."""
+
+    @pytest.mark.parametrize("strategy", ["oasrs", "none"])
+    @pytest.mark.parametrize("chunk_size", [0, 256])
+    def test_no_batch_overheads(self, stream, strategy, chunk_size):
+        """Structural Flink property: no jobs, tasks, RDDs or barriers."""
+        _results, cluster, _info = run_plan(stream, strategy, chunk_size)
+        s = cluster.stats
+        assert (s.jobs_launched, s.tasks_launched, s.rdds_created, s.barriers) == (
+            0, 0, 0, 0
+        )
+        assert s.items_shuffled == 0 and cluster.elapsed() > 0
+
+    @pytest.mark.parametrize("chunk_size", [0, 256])
+    def test_every_item_ingested_and_offered(self, stream, chunk_size):
+        _results, cluster, _info = run_plan(stream, "oasrs", chunk_size)
+        assert cluster.stats.items_ingested == len(stream)
+        assert cluster.stats.items_sampled == len(stream)
+
+    def test_processing_covers_kept_items_and_the_unreported_flush(self, stream):
+        """Only kept items reach the window, the last partial interval's
+        too — though its flush pane is never reported (12 s at slide 5:
+        the direct engine reports the pane at 15, this loop does not)."""
+        results, cluster, info = run_plan(stream)
+        direct, _cluster, direct_info = run_plan(stream, engine="direct")
+        assert [r.end for r in direct] == [5.0, 10.0, 15.0]
+        assert [r.end for r in results] == [5.0, 10.0]
+        assert cluster.stats.items_processed == info["sampled_total"]
+        # Same budget, same draws: the flush interval was sampled and charged.
+        assert info["sampled_total"] == direct_info["sampled_total"]
+        assert info["sampled_total"] > results[-1].sampled_items
+
+    @pytest.mark.parametrize("strategy", ["oasrs", "none"])
+    @pytest.mark.parametrize("chunk_size", [0, 1, 7, 256])
+    def test_pane_ends_fall_on_slide_multiples(self, strategy, chunk_size):
+        late = [(12.5 + 0.01 * i, ("A", float(i % 5))) for i in range(2000)]
+        results, _cluster, _info = run_plan(late, strategy, chunk_size)
+        # The stream starts inside the third interval and ends at 32.49.
+        assert [r.end for r in results] == [5.0, 10.0, 15.0, 20.0, 25.0, 30.0]
+
+    @pytest.mark.parametrize("chunk_size", [0, 256])
+    def test_exact_panes_hold_exactly_their_window(self, stream, chunk_size):
+        results, cluster, info = run_plan(stream, "none", chunk_size)
+        assert cluster.stats.items_processed == len(stream) == info["sampled_total"]
+        for pane in results:
+            inside = [v for ts, (_k, v) in stream if pane.end - 10.0 <= ts < pane.end]
+            assert pane.total_items == pane.sampled_items == len(inside)
+            assert pane.estimate == pytest.approx(sum(inside) / len(inside), rel=1e-12)
+
+    @pytest.mark.parametrize("strategy", ["oasrs", "none"])
+    @pytest.mark.parametrize("chunk_size", [0, 256])
+    def test_empty_stream(self, strategy, chunk_size):
+        results, cluster, info = run_plan([], strategy, chunk_size)
+        assert results == [] and info["sampled_total"] == 0
+        assert cluster.elapsed() == 0.0
+
+
 class TestBatchedHook:
     def test_handle_batch_subclass_runs_through_runtime(self, stream):
         class EchoSystem(BatchedSystem):
