@@ -62,9 +62,8 @@ from typing import (
 
 from ..obs import NULL_METRICS
 from .oasrs import AllocationPolicy, KeyFn, OASRSSampler
-from .records import _StratumMembers
 from .recovery import FaultSchedule, RecoveryEvent, restore_attrs, snapshot_attrs
-from .strata import StratumSample, WeightedSample, combine_worker_samples, stratum_weight
+from .strata import WeightedSample, combine_worker_samples
 
 T = TypeVar("T")
 
@@ -90,31 +89,26 @@ def _run_shard(
     n_live: int,
     seed: int,
     chunk_size: int,
-) -> List[Tuple[object, object, int]]:
+) -> tuple:
     """Sample one shard for one interval; return a picklable payload.
 
     The sampler is rebuilt from ``seed`` every interval — that is what
     keeps pooled, in-process, and resumed executions bitwise identical:
     no RNG state survives inside a worker, only in the coordinator.
 
-    One ``(key, kept, count)`` row per stratum.  ``kept`` is the stratum's
-    ``float64`` value array when the sampler fed on column views (the key
-    is constant over the stratum, so the values are the whole sample), and
-    the list of kept items otherwise; `ShardedExecutor._decode` reads both.
+    The payload is the shard's `WeightedSample` as the arguments of
+    `WeightedSample.of_columns`: keys, counts, kept sizes, and the packed
+    ``float64`` values when the sampler fed on column views, the per-stratum
+    item tuples otherwise.
     """
     sampler: OASRSSampler = OASRSSampler(
         _ScaledPolicy(policy, n_live), key_fn=key_fn, rng=random.Random(seed)
     )
     for start in range(0, len(shard), chunk_size):
         sampler.process_chunk(shard[start : start + chunk_size])
-    return [
-        (
-            s.key,
-            s.items.value_array() if type(s.items) is _StratumMembers else list(s.items),
-            s.count,
-        )
-        for s in sampler.close_interval()
-    ]
+    sample = sampler.close_interval()
+    members = None if sample.packed is not None else sample.members
+    return sample.keys, sample.counts, sample.sizes, sample.packed, members
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +150,7 @@ def _pool_worker_main(conn, policy, key_fn, chunk_size, source) -> None:
                 shard = transport[1]
             started = perf_counter()
             payload = _run_shard(shard, policy, key_fn, n_live, seed, chunk_size)
-            kept = sum(len(members) for _key, members, _count in payload)
+            kept = sum(payload[2])
             conn.send((payload, (len(shard), kept, perf_counter() - started)))
     except KeyboardInterrupt:
         pass
@@ -571,10 +565,12 @@ class ShardedExecutor(Generic[T]):
                 )
                 for slot in range(n_live)
             ]
-        merged = combine_worker_samples([self._decode(p) for p in payloads])
+        merged = combine_worker_samples(
+            [WeightedSample.of_columns(*payload) for payload in payloads]
+        )
         observe = getattr(self._policy, "observe", None)
         if observe is not None:
-            observe({s.key: s.count for s in merged})
+            observe(dict(zip(merged.keys, merged.counts)))
         if remove:
             self._retire(remove)
         return merged
@@ -609,17 +605,6 @@ class ShardedExecutor(Generic[T]):
             self._m_shard_seconds.observe(seconds)
             payloads.append(payload)
         return payloads
-
-    @staticmethod
-    def _decode(payload: List[Tuple[object, object, int]]) -> WeightedSample[T]:
-        """A `_run_shard` payload as the shard's `WeightedSample`."""
-        sample: WeightedSample[T] = WeightedSample()
-        for key, kept, count in payload:
-            members = tuple(kept) if type(kept) is list else _StratumMembers(key, kept)
-            sample.add(
-                StratumSample(key, members, count, stratum_weight(count, len(kept)))
-            )
-        return sample
 
 
 class ShardedIntervalSampler(Generic[T]):

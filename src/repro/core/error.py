@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Sequence
 
-from .query import QueryResult, StratumStats
+from .query import QueryResult, StratumStats, _StrataColumns
 
 __all__ = [
     "ErrorBound",
@@ -97,46 +97,52 @@ class ErrorBound:
         return f"{self.value:.6g} ± {self.margin:.6g} ({self.confidence:.1%})"
 
 
-def _stratum_sum_variance(s: StratumStats) -> float:
-    """One stratum's contribution to Equation 6."""
-    if s.y <= 1 or s.c <= s.y:
-        # Degenerate (single sample: variance unknown, assume 0 as the paper's
-        # formulas do) or fully-sampled stratum (finite-population correction
-        # kills the term).
+def _sum_variance(columns) -> float:
+    # Y <= 1 leaves s² unknown (0, as in the paper's formulas); C <= Y is a
+    # fully kept stratum, whose finite-population correction is 0.
+    return math.fsum([
+        ci * (ci - yi) * vi / yi
+        for yi, ci, vi in zip(columns.y, columns.c, columns.variance)
+        if 1 < yi < ci
+    ])
+
+
+def _mean_variance(columns) -> float:
+    population = sum(columns.c)
+    if population == 0:
         return 0.0
-    return s.c * (s.c - s.y) * s.variance / s.y
+    # Added left to right (from Python 3.12 ``sum`` of floats is
+    # compensated); ``ω ** 2`` is libm ``pow``, not always ``ω * ω``.
+    total = 0.0
+    for yi, ci, vi in zip(columns.y, columns.c, columns.variance):
+        if 1 < yi < ci:
+            omega = ci / population
+            total += (omega ** 2) * (vi / yi) * ((ci - yi) / ci)
+    return total
 
 
 def variance_of_sum(strata: Sequence[StratumStats]) -> float:
     """Equation 6: variance of the approximate SUM across strata."""
-    return math.fsum(_stratum_sum_variance(s) for s in strata)
+    return _sum_variance(_StrataColumns.of(strata))
 
 
 def variance_of_mean(strata: Sequence[StratumStats]) -> float:
     """Equation 9: variance of the approximate MEAN across strata."""
-    population = sum(s.c for s in strata)
-    if population == 0:
-        return 0.0
-    total = 0.0
-    for s in strata:
-        if s.y <= 1 or s.c <= s.y or s.c == 0:
-            continue
-        omega = s.c / population
-        total += (omega ** 2) * (s.variance / s.y) * ((s.c - s.y) / s.c)
-    return total
+    return _mean_variance(_StrataColumns.of(strata))
 
 
 def estimate_error(result: QueryResult, confidence: float = 0.95) -> ErrorBound:
     """Attach an error bound to a query result (the ``estimateError`` step).
 
     SUM-like results (sum, count, histogram entries) use Equation 6;
-    MEAN-like results use Equation 9.  COUNT is exact under OASRS (the
-    counters are maintained outside the sample), so its variance is zero.
+    MEAN-like results use Equation 9, both read from the result's stratum
+    columns.  COUNT is exact under OASRS (the counters are maintained
+    outside the sample), so its variance is zero.
     """
     if result.kind == "sum":
-        variance = variance_of_sum(result.strata)
+        variance = _sum_variance(result.columns)
     elif result.kind == "mean":
-        variance = variance_of_mean(result.strata)
+        variance = _mean_variance(result.columns)
     elif result.kind == "count":
         variance = 0.0
     else:

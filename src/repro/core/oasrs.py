@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import random
 from array import array
-from itertools import repeat
+from operator import itemgetter
 from typing import (
     Callable,
     Dict,
@@ -50,9 +50,9 @@ from typing import (
 from ._vector import derive_generator as _derive_generator
 from ._vector import np as _np
 from .records import L2_SLICE as _L2_SLICE
-from .records import ColumnSlice, _StratumMembers, item_key
+from .records import ColumnSlice, item_key
 from .reservoir import itemwise_offer, segmented_offer
-from .strata import StratumSample, WeightedSample, stratum_weight
+from .strata import WeightedSample
 
 T = TypeVar("T")
 Key = Hashable
@@ -130,12 +130,14 @@ class ProportionalAllocation(AllocationPolicy):
             raise ValueError(f"total sample size must be positive, got {total}")
         self.total = total
         self._last_counts: Dict[Key, int] = {}
+        self._last_total = 0
 
     def observe(self, counts: Dict[Key, int]) -> None:
         self._last_counts = dict(counts)
+        self._last_total = sum(self._last_counts.values())
 
     def capacity_for(self, key: Key, known_strata: int) -> int:
-        total_seen = sum(self._last_counts.values())
+        total_seen = self._last_total
         if total_seen == 0:
             strata = max(1, known_strata)
             return max(1, self.total // strata)
@@ -159,7 +161,7 @@ def water_filling_capacities(counts: Dict[Key, int], budget: int) -> Dict[Key, i
         return {}
     remaining = budget
     capacities: Dict[Key, int] = {}
-    pending = sorted(active.items(), key=lambda kc: kc[1])
+    pending = sorted(active.items(), key=itemgetter(1))
     while pending:
         level = remaining // len(pending)
         key, count = pending[0]
@@ -170,8 +172,7 @@ def water_filling_capacities(counts: Dict[Key, int], budget: int) -> Dict[Key, i
             pending.pop(0)
         else:
             # Every remaining stratum is larger than the level: split evenly.
-            for key, _count in pending:
-                capacities[key] = max(1, level)
+            capacities.update(dict.fromkeys(map(itemgetter(0), pending), max(1, level)))
             pending = []
     return capacities
 
@@ -217,14 +218,19 @@ class WaterFillingAllocation(AllocationPolicy):
         if self._last_counts:
             self._capacities = water_filling_capacities(self._last_counts, total)
 
-    def capacity_for(self, key: Key, known_strata: int) -> int:
-        if key in self._capacities:
-            return self._capacities[key]
+    def _even_share(self, known_strata: int) -> int:
         # Before the first observation, split the budget over the declared
         # sources (§2.3: strata are the registered sub-stream sources) or,
         # lacking a declaration, over the strata seen so far.
-        strata = max(1, self.expected_strata or known_strata)
-        return max(1, self.total // strata)
+        return max(1, self.total // max(1, self.expected_strata or known_strata))
+
+    def capacity_for(self, key: Key, known_strata: int) -> int:
+        return self._capacities.get(key, self._even_share(known_strata))
+
+    def rebalance(self, keys) -> Dict[Key, int]:
+        keys = list(keys)
+        share = self._even_share(len(keys))
+        return {key: self._capacities.get(key, share) for key in keys}
 
 
 def _positive(capacity: int) -> int:
@@ -513,12 +519,6 @@ class OASRSSampler(Generic[T]):
         self._values[offset[numbers] + slots] = chunk.values[rows]
         return len(rows)
 
-    def _region(self, number: int, count: int):
-        """The filled slots, after ``count`` arrivals, of one stratum in the
-        value buffer (a view)."""
-        start = self._offset[number]
-        return self._values[start : start + min(count, self._cap[number])]
-
     def _leave_value_mode(self) -> None:
         """Move the interval's kept floats into the item store.
 
@@ -526,37 +526,44 @@ class OASRSSampler(Generic[T]):
         interval; if a caller does, the floats become the ``(key, value)``
         tuples the per-item feed would have stored.
         """
-        for number, count in enumerate(self._counts()):
-            if count:
-                values = self._region(number, count).tolist()
-                self._kept[number] = list(zip(repeat(self._keys[number]), values))
+        sample = self.peek()
+        for key, members in zip(sample.keys, sample.members):
+            self._kept[self._index[key]] = list(members)
         self._value_mode = False
 
     def peek(self) -> WeightedSample[T]:
-        """Current interval's weighted sample *without* resetting state."""
-        sample: WeightedSample[T] = WeightedSample()
-        counts = self._counts()
-        active = [number for number, count in enumerate(counts) if count]
-        if self._value_mode and active:
-            # One array, owned by the sample, holds every stratum's kept
-            # floats; they become (key, value) tuples only if a consumer
-            # actually indexes the members.
-            packed = _np.concatenate(
-                [self._region(number, counts[number]) for number in active]
+        """Current interval's weighted sample *without* resetting state:
+        the strata that received an item, in numbering order, their kept
+        floats (value mode) copied into one array the sample owns."""
+        if not self._value_mode:
+            counts = self._counts()
+            active = [number for number, count in enumerate(counts) if count]
+            members = [tuple(self._kept[number]) for number in active]
+            return WeightedSample.of_columns(
+                [self._keys[number] for number in active],
+                [counts[number] for number in active],
+                list(map(len, members)),
+                members=members,
             )
-        start = 0
-        for number in active:
-            key = self._keys[number]
-            count = counts[number]
-            if self._value_mode:
-                end = start + min(count, self._cap[number])
-                kept = _StratumMembers(key, packed[start:end])
-                start = end
-            else:
-                kept = tuple(self._kept[number])
-            weight = stratum_weight(count, len(kept))
-            sample.add(StratumSample(key, kept, count, weight))
-        return sample
+        seen = _np.asarray(self._seen, dtype=_np.int64)
+        active = _np.flatnonzero(seen)
+        kept = _np.minimum(seen[active], _np.frombuffer(self._cap, _np.int64)[active])
+        sizes = kept.tolist()
+        if sum(sizes) == self._room:
+            # Every slot is filled, so no stratum was re-sized mid-interval:
+            # the buffer already holds the strata's values in numbering order.
+            packed = self._values[: self._room].copy()
+        else:
+            starts = _np.frombuffer(self._offset, dtype=_np.int64)[active].tolist()
+            values = self._values
+            packed = _np.concatenate(
+                [values[start : start + size] for start, size in zip(starts, sizes)]
+            )
+        keys = self._keys
+        return WeightedSample.of_columns(
+            [keys[number] for number in active.tolist()], seen[active].tolist(), sizes,
+            packed=packed,
+        )
 
     def close_interval(self) -> WeightedSample[T]:
         """Finish the interval: emit its sample and reset for the next one.
@@ -568,7 +575,7 @@ class OASRSSampler(Generic[T]):
         """
         sample = self.peek()
         if isinstance(self._policy, (ProportionalAllocation, WaterFillingAllocation)):
-            self._policy.observe({s.key: s.count for s in sample})
+            self._policy.observe(dict(zip(sample.keys, sample.counts)))
         strata = len(self._keys)
         self._seen = [0] * strata
         self._kept = [[] for _ in range(strata)]
@@ -590,14 +597,17 @@ class OASRSSampler(Generic[T]):
         safe at any point — mid-interval it leaves active reservoirs alone.
         """
         capacities = self._policy.rebalance(self._keys)
-        for number, key in enumerate(self._keys):
-            if self._seen[number] == 0:
-                capacity = self._cap[number] = _positive(capacities[key])
-                if self._value_mode:
-                    # Mid-interval: the re-sized stratum's slots move to
-                    # the end of the buffer.
-                    self._offset[number] = self._room
-                    self._room += capacity
+        counts = self._counts()
+        fresh = [number for number, count in enumerate(counts) if not count]
+        sizes = [capacities[self._keys[number]] for number in fresh]
+        _positive(min(sizes, default=1))
+        for number, capacity in zip(fresh, sizes):
+            self._cap[number] = capacity
+            if self._value_mode:
+                # Mid-interval: the re-sized stratum's slots move to the
+                # end of the buffer.
+                self._offset[number] = self._room
+                self._room += capacity
 
 
 def oasrs_sample(

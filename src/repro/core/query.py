@@ -23,8 +23,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain
-from operator import itemgetter
+from operator import attrgetter, itemgetter, mul
 from typing import Callable, Dict, Generic, Hashable, List, Optional, TypeVar
+from typing import NamedTuple
 
 from ._vector import np as _np
 from .records import item_key as _item_key
@@ -81,28 +82,63 @@ def _stratum_stats(key: Hashable, c: int, values: List[float]) -> StratumStats:
     return StratumStats(key, y, c, stratum_weight(c, y), mean * y, mean, variance)
 
 
-@dataclass(frozen=True)
-class QueryResult(Generic[T]):
-    """An approximate scalar plus the per-stratum statistics behind it."""
+class _StrataColumns(NamedTuple):
+    """`StratumStats` as columns: one list per field, one entry per stratum."""
 
-    value: float
-    strata: List[StratumStats]
-    kind: str
+    key: list
+    y: list
+    c: list
+    weight: list
+    total: list
+    mean: list
+    variance: list
+
+    @classmethod
+    def of(cls, strata) -> "_StrataColumns":
+        strata = list(strata)
+        return cls(*[list(map(attrgetter(name), strata)) for name in cls._fields])
+
+
+class QueryResult(Generic[T]):
+    """An approximate scalar plus the per-stratum statistics behind it.
+
+    ``columns`` holds the statistics, one list per `StratumStats` field;
+    ``strata``, the objects, is what the caller passed or is built from
+    the columns on first access.
+    """
+
+    def __init__(self, value: float, strata, kind: str, columns=None):
+        self.value, self.kind = value, kind
+        self._strata = None if strata is None else list(strata)
+        self.columns = _StrataColumns.of(self._strata) if columns is None else columns
+
+    @property
+    def strata(self) -> List[StratumStats]:
+        if self._strata is None:
+            self._strata = list(map(StratumStats, *self.columns))
+        return self._strata
+
+    def __eq__(self, other):
+        if not isinstance(other, QueryResult):
+            return NotImplemented
+        return (self.value, self.columns, self.kind) == (
+            other.value, other.columns, other.kind
+        )
 
     def __float__(self) -> float:
         return self.value
 
 
-def _linear_result(strata: List[StratumStats], kind: str) -> QueryResult:
+def _linear_result(columns: _StrataColumns, kind: str) -> QueryResult:
     """Equations 2–4 over per-stratum statistics: SUM = Σ total·W, MEAN =
     SUM / Σ C (0 for an empty interval), COUNT = Σ C."""
-    value = math.fsum(s.total * s.weight for s in strata)
-    population = sum(s.c for s in strata)
+    value = math.fsum(map(mul, columns.total, columns.weight))
+    population = sum(columns.c)
     if kind == "mean":
         value = value / population if population else 0.0
     elif kind == "count":
         value = float(population)
-    return QueryResult(value=value, strata=strata, kind=kind)
+    return QueryResult(value, None, kind, columns)
 
 
 def interval_moments(sample: WeightedSample[T], value_fn: Optional[ValueFn]):
@@ -116,9 +152,9 @@ def interval_moments(sample: WeightedSample[T], value_fn: Optional[ValueFn]):
     ``M2 = Σd² − (Σd)²/Y`` is the corrected two-pass sum of squares (Chan,
     Golub & LeVeque) and ``shift = Σd / Y`` is what rounding the mean
     dropped — the segment mean is ``pivot + shift``.  Value-mode samples
-    are read from the one array `repro.core.oasrs.OASRSSampler.peek`
-    packed (copied only when the strata do not tile one array), tuple-mode
-    samples go through ``value_fn`` once.
+    are read from their packed array (`WeightedSample.packed`; merged
+    samples concatenate their strata's arrays once), tuple-mode samples go
+    through ``value_fn`` once.
 
     Computed once per ``value_fn`` and kept on the sample
     (`WeightedSample.moments`): a sliding window pools every interval into
@@ -131,29 +167,25 @@ def interval_moments(sample: WeightedSample[T], value_fn: Optional[ValueFn]):
 
 
 def _segment_moments(sample: WeightedSample[T], value_fn: Optional[ValueFn]):
-    strata = list(sample)
-    keys = [stratum.key for stratum in strata]
+    keys = sample.keys
     if _np is None:  # rows are (C, kept values): `pooled_result` pools those
-        return keys, [(stratum.count, stratum.values(value_fn)) for stratum in strata]
-    ys = [len(stratum.items) for stratum in strata]
-    rows = _np.zeros((len(strata), 5))
-    rows[:, 0], rows[:, 1] = ys, [stratum.count for stratum in strata]
+        return keys, [(stratum.count, stratum.values(value_fn)) for stratum in sample]
+    rows = _np.zeros((len(keys), 5))
+    rows[:, 0], rows[:, 1] = sample.sizes, sample.counts
     kept = rows[:, 0] > 0
-    y = _np.array([n for n in ys if n], dtype=_np.intp)
+    y = rows[kept, 0].astype(_np.intp)
     if not y.size:
         return keys, rows
     starts = _np.cumsum(y) - y
-    arrays = sample.value_arrays(value_fn)
-    if not arrays:
-        items = chain.from_iterable(stratum.items for stratum in strata)
-        fn = itemgetter(1) if value_fn is _item_value else (value_fn or float)
-        values = _np.fromiter(map(fn, items), dtype=_np.float64, count=sum(ys))
-    else:
-        values = arrays[0].base
-        if values is None or values.size != sum(ys) or any(
-            array.base is not values for array in arrays
-        ):
+    values = sample.packed
+    if values is None or (value_fn is not None and value_fn is not _item_value):
+        arrays = sample.value_arrays(value_fn)
+        if arrays:
             values = _np.concatenate(arrays)
+        else:
+            items = chain.from_iterable(sample.members)
+            fn = itemgetter(1) if value_fn is _item_value else (value_fn or float)
+            values = _np.fromiter(map(fn, items), dtype=_np.float64, count=int(y.sum()))
     pivot = _np.add.reduceat(values, starts) / y
     # One scratch array, written in place: fresh ones would page-fault.
     d = _np.repeat(pivot, y)
@@ -177,21 +209,27 @@ def pooled_result(moment_sets, kind: str) -> QueryResult:
     ``total`` is ``Y × mean``; the weight ``ΣC / ΣY`` re-derives from
     Equation 1.  A stratum that kept nothing reads zero moments.
     """
-    index: Dict[Hashable, int] = {}
-    rows = [index.setdefault(k, len(index)) for keys, _ in moment_sets for k in keys]
+    keys = moment_sets[0][0]
+    if all(other == keys for other, _ in moment_sets):
+        # The steady state: every interval saw the same strata.
+        rows = list(range(len(keys))) * len(moment_sets)
+    else:
+        index: Dict[Hashable, int] = {}
+        rows = [index.setdefault(k, len(index)) for ks, _ in moment_sets for k in ks]
+        keys = list(index)
     if _np is None:
-        kept = [(0, [])] * len(index)
+        kept = [(0, [])] * len(keys)
         for at, (c, values) in zip(rows, chain.from_iterable(p for _, p in moment_sets)):
             kept[at] = (kept[at][0] + c, kept[at][1] + values)
-        strata = [_stratum_stats(key, c, values) for key, (c, values) in zip(index, kept)]
-        return _linear_result(strata, kind)
+        strata = [_stratum_stats(key, c, values) for key, (c, values) in zip(keys, kept)]
+        return _linear_result(_StrataColumns.of(strata), kind)
     y, c, pivot, shift, m2 = _np.concatenate([part for _, part in moment_sets]).T
     at = _np.array(rows, dtype=_np.intp)
 
     def per_stratum(weights):
-        return _np.bincount(at, weights=weights, minlength=len(index))
+        return _np.bincount(at, weights=weights, minlength=len(keys))
 
-    ys = per_stratum(y)
+    ys, cs = per_stratum(y), per_stratum(c)
     n = _np.maximum(ys, 1.0)
     ref = per_stratum(y * pivot) / n
     u = (pivot - ref[at]) + shift
@@ -199,16 +237,13 @@ def pooled_result(moment_sets, kind: str) -> QueryResult:
     dev = u - mean_u[at]
     m2 = per_stratum(m2) + per_stratum(y * dev * dev)
     mean = ref + mean_u
-    stats = zip(
-        ys.astype(_np.int64).tolist(), per_stratum(c).astype(_np.int64).tolist(),
+    columns = _StrataColumns(
+        list(keys), ys.astype(_np.int64).tolist(), cs.astype(_np.int64).tolist(),
+        _np.where((cs > ys) & (ys > 0), cs / n, 1.0).tolist(),  # Equation 1
         (mean * ys).tolist(), mean.tolist(),
         (m2 / _np.maximum(ys - 1, 1) * (ys > 1)).tolist(),
     )
-    strata = [
-        StratumStats(key, y, c, stratum_weight(c, y), total, mean, variance)
-        for key, (y, c, total, mean, variance) in zip(index, stats)
-    ]
-    return _linear_result(strata, kind)
+    return _linear_result(columns, kind)
 
 
 def approximate_sum(
@@ -361,7 +396,7 @@ def grouped_sum_results(
             for stratum in sample
             if len(stratum.items)
         ]
-        out[group] = _linear_result(strata, "sum")
+        out[group] = _linear_result(_StrataColumns.of(strata), "sum")
     return out
 
 

@@ -167,11 +167,11 @@ def _rebuild_column_slice(items: List[Tuple[Hashable, float]]):
 class _StratumMembers:
     """One stratum's members: a constant key over a run of float values.
 
-    A lazy sequence of ``(key, value)`` tuples: what
-    `repro.core.oasrs.OASRSSampler.peek` emits as the ``items`` of a
-    `repro.core.strata.StratumSample` whose kept values live in the
-    sampler's value buffer, and what a fully-kept column chunk is wrapped
-    in.  Estimators that only need the numeric values read them through
+    A lazy sequence of ``(key, value)`` tuples: the ``items`` of a
+    `repro.core.strata.StratumSample` built from a value-mode
+    `repro.core.strata.WeightedSample` (a view of its packed array), and
+    what a fully-kept column chunk is wrapped in.  Estimators that only
+    need the numeric values read them through
     `value_array` (merges, quantiles, grouped sums, large-stratum moments)
     or `value_list` (small-stratum ``fsum`` moments) without any tuple
     ever being built; per-item access materializes the whole run once
@@ -258,9 +258,15 @@ def members_view(parts):
     part, no tuple built) — or None unless every part is value-mode."""
     if not parts or not all(type(part) is _StratumMembers for part in parts):
         return None
-    codes = _np.repeat(_np.arange(len(parts), dtype=_np.int32), list(map(len, parts)))
     values = _np.concatenate([part.value_array() for part in parts])
-    return ColumnSlice(codes, values, [part.key for part in parts])
+    return packed_view([part.key for part in parts], list(map(len, parts)), values)
+
+
+def packed_view(keys, sizes, values):
+    """Strata whose kept values lie packed in order in ``values``, ``sizes``
+    each, as one `ColumnSlice` (one code per stratum)."""
+    codes = _np.repeat(_np.arange(len(keys), dtype=_np.int32), sizes)
+    return ColumnSlice(codes, values, keys)
 
 
 class _Interner(dict):

@@ -18,10 +18,11 @@ interval.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Generic, Hashable, List, Sequence, Tuple, TypeVar
+from dataclasses import dataclass
+from itertools import accumulate, chain
+from typing import Dict, Generic, Hashable, List, Optional, Sequence, Tuple, TypeVar
 
-from .records import concat_members, members_view
+from .records import _StratumMembers, concat_members, members_view, packed_view
 from .records import item_value as _item_value
 
 T = TypeVar("T")
@@ -114,7 +115,6 @@ class StratumSample(Generic[T]):
         return None
 
 
-@dataclass
 class WeightedSample(Generic[T]):
     """All strata sampled within one time interval (the pair *sample, W*).
 
@@ -122,15 +122,56 @@ class WeightedSample(Generic[T]):
     union of per-stratum samples together with their weights, ready for an
     approximate linear query (`repro.core.query`) and error estimation
     (`repro.core.error`).
+
+    The sample is columns, one entry per stratum in stratum order: ``keys``,
+    the counters ``counts`` (``C_i``), the kept sizes ``sizes`` (``Y_i``)
+    and the kept items — in value mode one ``float64`` array, ``packed``,
+    stratum after stratum, else ``members``, one item sequence per stratum.
+    `StratumSample` objects, with their Equation-1 weights, are built only
+    when a consumer iterates or indexes the sample (the merges, the budget
+    controller, pickles), and are kept from then on.
     """
 
-    strata: Dict[Key, StratumSample[T]] = field(default_factory=dict)
-    #: `repro.core.query.interval_moments` by value function, so an interval
-    #: is reduced once however many panes pool it.  A cache: `add` drops it
-    #: and a pickle leaves it out (its keys may be lambdas).
-    moments: Dict[object, object] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+    def __init__(self, strata: Optional[Dict[Key, StratumSample[T]]] = None) -> None:
+        self._keys, self.counts, self.sizes = [], [], []
+        self.packed, self._members, self._strata = None, [], {}
+        #: `repro.core.query.interval_moments` by value function, so an
+        #: interval is reduced once however many panes pool it.  A cache:
+        #: `add` drops it and a pickle leaves it out (its keys may be lambdas).
+        self.moments: Dict[object, object] = {}
+        for stratum in (strata or {}).values():
+            self.add(stratum)
+
+    @classmethod
+    def of_columns(cls, keys, counts, sizes, packed=None, members=None):
+        """A sample straight from its columns; ``packed`` (value mode) or
+        ``members`` holds the kept items."""
+        sample: WeightedSample[T] = cls()
+        sample._keys, sample.counts, sample.sizes = keys, counts, sizes
+        sample.packed, sample._members, sample._strata = packed, members, None
+        return sample
+
+    @property
+    def members(self) -> List[Sequence[T]]:
+        """The kept items, one sequence per stratum (value mode: lazy
+        ``(key, value)`` views of ``packed``)."""
+        if self._members is None:
+            starts = accumulate(self.sizes, initial=0)
+            self._members = [
+                _StratumMembers(key, self.packed[start : start + size])
+                for key, start, size in zip(self._keys, starts, self.sizes)
+            ]
+        return self._members
+
+    @property
+    def strata(self) -> Dict[Key, StratumSample[T]]:
+        """Key -> `StratumSample`, built from the columns on first use."""
+        if self._strata is None:
+            weights = map(stratum_weight, self.counts, self.sizes)
+            self._strata = dict(zip(self._keys, map(
+                StratumSample, self._keys, self.members, self.counts, weights
+            )))
+        return self._strata
 
     def __getstate__(self) -> dict:
         return {"strata": self.strata}
@@ -138,37 +179,48 @@ class WeightedSample(Generic[T]):
     def __setstate__(self, state: dict) -> None:
         self.__init__(state["strata"])
 
+    def __eq__(self, other):
+        if not isinstance(other, WeightedSample):
+            return NotImplemented
+        return self.strata == other.strata
+
     def add(self, stratum: StratumSample[T]) -> None:
-        if stratum.key in self.strata:
+        strata, members = self.strata, self.members
+        if stratum.key in strata:
             raise KeyError(f"stratum {stratum.key!r} already present")
-        self.strata[stratum.key] = stratum
+        strata[stratum.key] = stratum
+        self.packed = None  # the members no longer tile one array
+        self._keys.append(stratum.key)
+        self.counts.append(stratum.count)
+        self.sizes.append(len(stratum.items))
+        members.append(stratum.items)
         self.moments.clear()
 
     def __len__(self) -> int:
-        return len(self.strata)
+        return len(self._keys)
 
     def __iter__(self):
         return iter(self.strata.values())
 
     def __contains__(self, key: Key) -> bool:
-        return key in self.strata
+        return key in self._keys
 
     def __getitem__(self, key: Key) -> StratumSample[T]:
         return self.strata[key]
 
     @property
     def keys(self) -> List[Key]:
-        return list(self.strata.keys())
+        return list(self._keys)
 
     @property
     def total_items(self) -> int:
         """Total sampled items across strata (Σ Y_i)."""
-        return sum(s.sample_size for s in self)
+        return sum(self.sizes)
 
     @property
     def total_count(self) -> int:
         """Total received items across strata (Σ C_i)."""
-        return sum(s.count for s in self)
+        return sum(self.counts)
 
     @property
     def sampling_fraction(self) -> float:
@@ -179,25 +231,27 @@ class WeightedSample(Generic[T]):
         return self.total_items / total
 
     def value_arrays(self, value_fn=None):
-        """Every stratum's `StratumSample.value_array`, in stratum order.
+        """Every stratum's kept values as a ``float64`` array (what
+        `StratumSample.value_array` reads), in stratum order.
 
         None as soon as one stratum is off the columnar path: estimators
         either read the whole sample as arrays or not at all.
         """
-        arrays = [stratum.value_array(value_fn) for stratum in self]
-        return None if any(array is None for array in arrays) else arrays
+        if value_fn is not None and value_fn is not _item_value:
+            return None
+        readers = [getattr(items, "value_array", None) for items in self.members]
+        return None if None in readers else [read() for read in readers]
 
     def all_items(self) -> Sequence[T]:
         """Every sampled item, flat (order: stratum insertion order) — for an
-        all-value-mode sample a `ColumnSlice` over the concatenated arrays:
-        the list's items, ``len``, slicing and iteration, no tuple built."""
-        columns = members_view([stratum.items for stratum in self])
+        all-value-mode sample a `ColumnSlice` over the packed values: the
+        list's items, ``len``, slicing and iteration, no tuple built."""
+        if self.packed is not None:
+            return packed_view(self.keys, self.sizes, self.packed)
+        columns = members_view(self.members)
         if columns is not None:
             return columns
-        out: List[T] = []
-        for stratum in self:
-            out.extend(stratum.items)
-        return out
+        return list(chain.from_iterable(self.members))
 
     def merge(self, *others: "WeightedSample[T]") -> "WeightedSample[T]":
         """Merge interval samples over *disjoint* stratum partitions.

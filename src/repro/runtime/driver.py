@@ -503,9 +503,11 @@ class _Run:
         if self.pools_moments:
             moments = [interval_moments(sample, query.value_fn) for sample in samples]
             result = pooled_result(moments, query.kind)
-            estimate, groups, strata = result.value, {}, result.strata
+            estimate, groups, columns = result.value, {}, result.columns
+            # Stratum objects only for the budget controller, the one reader.
+            strata = result.strata if self.controller is not None else ()
             bound = estimate_error(result, confidence=confidence)
-            sampled, population = sum(s.y for s in strata), sum(s.c for s in strata)
+            sampled, population = sum(columns.y), sum(columns.c)
         else:
             pane = combine_worker_samples(samples)
             args = (pane, query, confidence)
@@ -704,8 +706,9 @@ def _ingest_pipelined(run: _Run) -> SimulatedCluster:
             sample = sampler.close_interval()
             if final and not sample.total_count:
                 return
-            run.count(0, sample.total_items)
-            cluster.process_items(sample.total_items)
+            kept = sample.total_items
+            run.count(0, kept)
+            cluster.process_items(kept)
             history.append(sample)
         if end > last_ts:  # the end-of-stream flush interval: no pane
             return
@@ -807,8 +810,9 @@ def _ingest_direct(run: _Run) -> SimulatedCluster:
         sample = sample_interval(_items(stream, ts_col, lo, end_idx))
         sampling_seconds += time.perf_counter() - sampling_started
         timer.lap(sampling_stage)
-        run.count(end_idx - lo, sample.total_items)
-        cluster.process_items(sample.total_items)
+        kept = sample.total_items
+        run.count(end_idx - lo, kept)
+        cluster.process_items(kept)
         history.append(sample)
         run.close_sampled_pane(pane_end, list(history), start_idx, engine_state)
     run.info["sampling_seconds"] = sampling_seconds

@@ -57,21 +57,23 @@ FORMS = ("packed", "arrays", "tuples")
 def make_sample(strata, form):
     """One interval's `WeightedSample` over ``[(key, values, count)]``.
 
-    ``packed`` lays the strata out as `OASRSSampler.peek` does — views of
-    one array, in stratum order; ``arrays`` gives each stratum its own
-    array; ``tuples`` holds ``(key, value)`` items.
+    ``packed`` lays the strata out as `OASRSSampler.peek` does — one
+    array, in stratum order; ``arrays`` gives each stratum its own array;
+    ``tuples`` holds ``(key, value)`` items.
     """
+    if form == "packed":
+        return WeightedSample.of_columns(
+            [key for key, _values, _count in strata],
+            [count for _key, _values, count in strata],
+            [len(values) for _key, values, _count in strata],
+            packed=np.array([v for _key, values, _count in strata for v in values]),
+        )
     sample = WeightedSample()
-    packed = np.array([v for _key, values, _count in strata for v in values])
-    start = 0
     for key, values, count in strata:
-        if form == "packed":
-            members = _StratumMembers(key, packed[start : start + len(values)])
-        elif form == "arrays":
+        if form == "arrays":
             members = _StratumMembers(key, np.array(values))
         else:
             members = tuple((key, v) for v in values)
-        start += len(values)
         sample.add(StratumSample(key, members, count, stratum_weight(count, len(values))))
     return sample
 

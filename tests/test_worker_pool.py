@@ -32,6 +32,7 @@ from repro.core.distributed import ShardedExecutor, ShardedIntervalSampler, _run
 from repro.core.oasrs import FixedPerStratum, WaterFillingAllocation
 from repro.core.records import RecordBatch, _StratumMembers, item_key
 from repro.core.recovery import FaultSchedule, ShardKill
+from repro.core.strata import WeightedSample
 from repro.obs import MetricsRegistry
 from repro.runtime import (
     CheckpointPolicy,
@@ -151,28 +152,34 @@ class TestReplyFormat:
         events, _spans = as_events(make_intervals(1))
         shard = RecordBatch(events).item_slice(0, len(events))[1::2]
         payload = _run_shard(shard, WaterFillingAllocation(200), item_key, 2, 5, 256)
-        assert payload, "empty payload"
-        for _key, kept, count in payload:
-            assert isinstance(kept, np.ndarray) and kept.dtype == np.float64
-            assert 0 < len(kept) <= count
+        keys, counts, sizes, packed, members = payload
+        assert keys, "empty payload"
+        assert isinstance(packed, np.ndarray) and packed.dtype == np.float64
+        assert members is None and len(packed) == sum(sizes)
+        assert all(0 < size <= count for size, count in zip(sizes, counts))
         # The bytes on the pipe hold arrays only: unpickling builds no tuple
         # per kept item.
         revived = pickle.loads(pickle.dumps(payload))
-        assert all(isinstance(kept, np.ndarray) for _key, kept, _count in revived)
-        sample = ShardedExecutor._decode(revived)
-        for key, kept, count in payload:
+        assert isinstance(revived[3], np.ndarray) and revived[4] is None
+        sample = WeightedSample.of_columns(*revived)
+        start = 0
+        for key, count, size in zip(keys, counts, sizes):
+            kept = packed[start : start + size].tolist()
             assert type(sample[key].items) is _StratumMembers
-            assert sample[key].items == [(key, v) for v in kept.tolist()]
+            assert sample[key].items == [(key, v) for v in kept]
             assert sample[key].count == count
+            start += size
 
     def test_tuple_strata_round_trip(self):
         """A custom ``key_fn`` sees item tuples; they come back as they went."""
         items = make_intervals(1)[0]
         payload = _run_shard(items, WaterFillingAllocation(200), KEY, 2, 5, 256)
-        sample = ShardedExecutor._decode(pickle.loads(pickle.dumps(payload)))
-        for key, kept, count in payload:
-            assert type(kept) is list and set(kept) <= set(items)
-            assert sample[key].items == tuple(kept)
+        keys, counts, _sizes, packed, members = payload
+        assert packed is None
+        sample = WeightedSample.of_columns(*pickle.loads(pickle.dumps(payload)))
+        for key, count, kept in zip(keys, counts, members):
+            assert type(kept) is tuple and set(kept) <= set(items)
+            assert sample[key].items == kept
             assert sample[key].count == count
 
 
