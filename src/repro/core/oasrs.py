@@ -549,16 +549,17 @@ class OASRSSampler(Generic[T]):
         active = _np.flatnonzero(seen)
         kept = _np.minimum(seen[active], _np.frombuffer(self._cap, _np.int64)[active])
         sizes = kept.tolist()
-        if sum(sizes) == self._room:
-            # Every slot is filled, so no stratum was re-sized mid-interval:
-            # the buffer already holds the strata's values in numbering order.
-            packed = self._values[: self._room].copy()
-        else:
-            starts = _np.frombuffer(self._offset, dtype=_np.int64)[active].tolist()
-            values = self._values
-            packed = _np.concatenate(
-                [values[start : start + size] for start, size in zip(starts, sizes)]
-            )
+        starts = _np.frombuffer(self._offset, dtype=_np.int64)[active]
+        ends = starts + kept
+        # Strata whose filled slots touch are copied as one slice; a run breaks
+        # at empty slots or at a stratum re-sized mid-interval.
+        head = _np.empty(len(starts), dtype=bool)
+        head[0], head[1:] = True, starts[1:] != ends[:-1]
+        runs = head.nonzero()[0]
+        first = starts[runs].tolist()
+        last = ends[runs[1:] - 1].tolist() + [int(ends[-1])]
+        values = self._values
+        packed = _np.concatenate([values[a:b] for a, b in zip(first, last)])
         keys = self._keys
         return WeightedSample.of_columns(
             [keys[number] for number in active.tolist()], seen[active].tolist(), sizes,

@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 from itertools import chain
 from operator import attrgetter, itemgetter, mul
-from typing import Callable, Dict, Generic, Hashable, List, Optional, TypeVar
+from typing import Callable, Dict, Generic, Hashable, List, Optional, Tuple, TypeVar
 from typing import NamedTuple
 
 from ._vector import np as _np
@@ -103,20 +103,24 @@ class QueryResult(Generic[T]):
     """An approximate scalar plus the per-stratum statistics behind it.
 
     ``columns`` holds the statistics, one list per `StratumStats` field;
-    ``strata``, the objects, is what the caller passed or is built from
-    the columns on first access.
+    ``strata``, the objects, is a tuple of what the caller passed or is
+    built from the columns on first access.
     """
 
     def __init__(self, value: float, strata, kind: str, columns=None):
         self.value, self.kind = value, kind
-        self._strata = None if strata is None else list(strata)
+        self._strata = None if strata is None else tuple(strata)
         self.columns = _StrataColumns.of(self._strata) if columns is None else columns
 
     @property
-    def strata(self) -> List[StratumStats]:
+    def strata(self) -> Tuple[StratumStats, ...]:
         if self._strata is None:
-            self._strata = list(map(StratumStats, *self.columns))
+            self._strata = tuple(map(StratumStats, *self.columns))
         return self._strata
+
+    def __repr__(self) -> str:
+        kind, strata = self.kind, len(self.columns.key)
+        return f"QueryResult(value={self.value!r}, kind={kind!r}, strata={strata})"
 
     def __eq__(self, other):
         if not isinstance(other, QueryResult):
@@ -209,14 +213,9 @@ def pooled_result(moment_sets, kind: str) -> QueryResult:
     ``total`` is ``Y × mean``; the weight ``ΣC / ΣY`` re-derives from
     Equation 1.  A stratum that kept nothing reads zero moments.
     """
-    keys = moment_sets[0][0]
-    if all(other == keys for other, _ in moment_sets):
-        # The steady state: every interval saw the same strata.
-        rows = list(range(len(keys))) * len(moment_sets)
-    else:
-        index: Dict[Hashable, int] = {}
-        rows = [index.setdefault(k, len(index)) for ks, _ in moment_sets for k in ks]
-        keys = list(index)
+    index: Dict[Hashable, int] = {}
+    rows = [index.setdefault(k, len(index)) for ks, _ in moment_sets for k in ks]
+    keys = list(index)
     if _np is None:
         kept = [(0, [])] * len(keys)
         for at, (c, values) in zip(rows, chain.from_iterable(p for _, p in moment_sets)):

@@ -33,7 +33,7 @@ from repro.core.oasrs import (
     ProportionalAllocation,
     WaterFillingAllocation,
 )
-from repro.core.query import StratumStats, interval_moments, pooled_result
+from repro.core.query import QueryResult, StratumStats, interval_moments, pooled_result
 from repro.core.records import RecordBatch, _StratumMembers, item_key, item_value
 from repro.core.strata import StratumSample, WeightedSample, stratum_weight
 from repro.runtime import (
@@ -431,6 +431,18 @@ def test_pow_is_libm_pow_not_a_square():
         ((b.c / 2**53) ** 2) * (b.variance / b.y) * ((b.c - b.y) / b.c)
     )
     assert term != squared
+
+
+def test_query_result_strata_are_a_read_only_view_of_its_columns():
+    sample = WeightedSample.of_columns(
+        ["a", "b"], [4, 3], [2, 3], packed=np.array([1.0, 4.0, 2.0, 7.0, 3.0])
+    )
+    result = pooled_result([interval_moments(sample, item_value)], "mean")
+    assert isinstance(result.strata, tuple)
+    assert [s.key for s in result.strata] == result.columns.key == ["a", "b"]
+    assert repr(result) == f"QueryResult(value={result.value!r}, kind='mean', strata=2)"
+    built = QueryResult(result.value, list(result.strata), "mean")
+    assert built == result and isinstance(built.strata, tuple)
 
 
 def test_proportional_rebalance_at_400_strata():
