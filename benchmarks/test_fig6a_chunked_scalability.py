@@ -5,25 +5,28 @@ benchmark measures the repo's own execution speed.  It runs
 `NativeStreamApproxSystem` — OASRS directly over the fig6a microbenchmark
 workload at the figure's 40% sampling fraction — in three modes:
 
-* ``item`` — the default ``chunk_size`` 0 feed (`OASRSSampler.offer_many`):
-  the per-item rule, draw for draw what one ``offer`` per item decides — on
-  this column stream taken from the codes, a Python-level step only for rows
-  that arrive after their reservoir filled,
-* ``chunk=K`` — the vectorized chunk path (`OASRSSampler.process_chunk`
-  with batched RNG draws and pooled interval moments),
+* ``default`` — ``chunk_size`` 0: each interval goes to
+  `OASRSSampler.offer_many` in one call (decided in L2-sized slices),
+* ``chunk=K`` — the interval fed as ``K``-row `OASRSSampler.process_chunk`
+  calls,
 * ``shard=4`` — the real multi-process `ShardedExecutor` (4 workers).
+
+OASRS has one draw rule (`repro.core.reservoir.segmented_offer`, one
+uniform per row in stream order), so ``chunk_size`` is a pure speed knob:
+the default and every ``chunk=K`` row keep the same sample and report
+``==`` pane estimates, which is asserted.  What the chunk size costs is a
+kernel call (~16 us whatever its size) per chunk, so ``chunk=64`` is the
+slow baseline the speedups are read against.
 
 Two wall-clock throughputs are reported per mode: ``end-to-end`` (the
 whole `timed_execute` processing path) and ``sampling path`` (only the
-offer/process_chunk section — the code the chunk API replaces, and the
-stable basis for the speedup assertion; the end-to-end ratio adds shared
-slicing/estimation time to both sides and is noisier run to run).
-Asserted claims: chunks >= 256 beat item-at-a-time end to end; large
-chunks (>= 1024) beat the item-at-a-time sampling path by >= 2x; and
-4-way sharding keeps accuracy within the same error bounds as the
-single-process run.  ``chunk=64`` is reported, not gated: a kernel call
-costs ~16 us whatever its size, so 64-row chunks pay more in call overhead
-than the item feed pays in per-row steps and read on either side of it.
+offer/process_chunk section — the stable basis for the speedup assertion;
+the end-to-end ratio adds shared slicing/estimation time to both sides and
+is noisier run to run).  Asserted claims: every single-process setting
+gives the same pane estimates; the default and large chunks (>= 1024)
+beat ``chunk=64`` on the sampling path by >= ``MIN_SPEEDUP``; chunk 4096
+does not fall off a cache cliff against 1024; and 4-way sharding keeps
+accuracy within the same error bounds as the single-process run.
 
 Note on sharding: the sharded mode runs over the persistent worker pool
 (processes spawned once per run, each interval named to the forked
@@ -45,16 +48,18 @@ from conftest import MICRO_QUERY, RESULTS_DIR, WINDOW
 
 FRACTION = 0.4  # the fig6a operating point
 CHUNKS = (64, 256, 1024, 4096)
-GATED_CHUNKS = (256, 1024, 4096)  # end-to-end gate; 64 is reported only
+BASELINE = "chunk=64"  # the kernel's call overhead at its largest share
 REPEATS = 3  # best-of, to shrug off scheduler noise
-# Required sampling-path speedup at chunk >= 1024.  The checked-in margin is
-# well above 2x on an idle box; shared CI runners are throttled and noisy, so
-# CI relaxes the gate via this env var rather than flaking unrelated PRs.
+# Required sampling-path speedup of the default and chunk >= 1024 over
+# chunk=64.  The checked-in margin is well above 2x on an idle box; shared
+# CI runners are throttled and noisy, so CI relaxes the gate via this env
+# var rather than flaking unrelated PRs.
 MIN_SPEEDUP = float(os.environ.get("REPRO_FIG6A_MIN_SPEEDUP", "2.0"))
 
 
 def _throughput(stream, chunk_size=0, parallelism=1):
-    """Best-of-REPEATS (end-to-end, sampling-path) items/s for one mode."""
+    """Best-of-REPEATS (end-to-end, sampling-path) items/s and the pane
+    estimates for one mode."""
     best_total = 0.0
     best_sampling = 0.0
     for _ in range(REPEATS):
@@ -65,7 +70,7 @@ def _throughput(stream, chunk_size=0, parallelism=1):
             parallelism=parallelism,
         )
         system = NativeStreamApproxSystem(MICRO_QUERY, WINDOW, config)
-        _results, _cluster, wall = system.timed_execute(stream)
+        results, _cluster, wall = system.timed_execute(stream)
         fallback = system._run_info.get("parallel_fallback")
         assert fallback is None, (
             f"parallelism={parallelism} silently degraded: {fallback}"
@@ -78,12 +83,12 @@ def _throughput(stream, chunk_size=0, parallelism=1):
         )
         best_total = max(best_total, len(stream) / wall)
         best_sampling = max(best_sampling, len(stream) / system.last_sampling_seconds)
-    return best_total, best_sampling
+    return best_total, best_sampling, [r.estimate for r in results]
 
 
 def sweep(stream):
     rows = {}
-    rows["item-at-a-time"] = _throughput(stream)
+    rows["default"] = _throughput(stream)
     for chunk in CHUNKS:
         rows[f"chunk={chunk}"] = _throughput(stream, chunk_size=chunk)
     rows["shard=4"] = _throughput(stream, chunk_size=4096, parallelism=4)
@@ -91,9 +96,10 @@ def sweep(stream):
 
 
 def test_fig6a_chunked(benchmark, micro_stream):
-    rows = benchmark.pedantic(sweep, args=(micro_stream,), rounds=1, iterations=1)
+    runs = benchmark.pedantic(sweep, args=(micro_stream,), rounds=1, iterations=1)
+    rows = {setting: run[:2] for setting, run in runs.items()}
 
-    base_total, base_sampling = rows["item-at-a-time"]
+    base_total, base_sampling = rows[BASELINE]
     lines = ["fig6a_chunked_scalability — wall-clock throughput (items/s)"]
     lines.append(
         f"{'setting':<16}{'end-to-end':>14}{'speedup':>9}"
@@ -113,13 +119,14 @@ def test_fig6a_chunked(benchmark, micro_stream):
         benchmark.extra_info[f"wall_throughput/{setting}"] = round(total, 1)
         benchmark.extra_info[f"sampling_throughput/{setting}"] = round(sampling, 1)
 
-    # Chunks that amortise the kernel's fixed cost beat the item feed end
-    # to end (chunk=64 does not, see the module docstring)...
-    for chunk in GATED_CHUNKS:
-        assert rows[f"chunk={chunk}"][0] > base_total
-    # ...and large chunks beat the item-at-a-time sampling path >= MIN_SPEEDUP.
-    for chunk in (1024, 4096):
-        assert rows[f"chunk={chunk}"][1] >= MIN_SPEEDUP * base_sampling
+    # One draw rule: the chunk size changes no estimate...
+    estimates = runs["default"][2]
+    for chunk in CHUNKS:
+        assert runs[f"chunk={chunk}"][2] == estimates, f"chunk={chunk} moved a pane"
+    # ...only the speed: the default feed and large chunks amortise the
+    # kernel's per-call cost that 64-row chunks pay >= MIN_SPEEDUP times over.
+    for setting in ("default", "chunk=1024", "chunk=4096"):
+        assert rows[setting][1] >= MIN_SPEEDUP * base_sampling, setting
     # Growing the chunk from 1024 to 4096 must not fall off a cache cliff:
     # L2-sized sub-slicing keeps the working set bounded, so throughput is
     # monotone-or-flat (10% tolerance for scheduler noise).

@@ -577,8 +577,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--systems", nargs="+", choices=list(_CLI_SYSTEMS),
                        default=_DEFAULT_SYSTEMS)
         p.add_argument("--chunk-size", type=int, default=0, dest="chunk_size",
-                       help="vectorized chunk size, honoured by every system "
-                            "(0 = per-item execution)")
+                       help="sampling run length, honoured by every system; "
+                            "changes no sample (0 = whole intervals)")
         p.add_argument("--parallelism", type=int, default=1,
                        help="real worker processes for interval sampling "
                             "(OASRS-based systems; others reject it)")

@@ -11,13 +11,15 @@ OASRS is the paper's core contribution.  Within each time interval it:
 4. on interval close, assigns each stratum the Equation-1 weight
    ``W_i = C_i / Y_i`` (when the reservoir overflowed) or ``1``.
 
-The sampler is *online*: items are processed one at a time with O(1) work
-(``offer``) or, on hot paths, chunk at a time — one
-`repro.core.reservoir.segmented_offer` call decides the whole chunk for
-every stratum at once (``process_chunk``, statistically equivalent) — and
-it is *adaptive*:
-per-stratum reservoir capacities come from a policy that may be
-re-evaluated every interval (e.g. driven by the query budget, see
+The sampler is *online*: every arrival is decided by one draw rule,
+`repro.core.reservoir.segmented_offer`, which decides a run of rows for
+every stratum at once from one uniform per row of a NumPy generator.  A
+feed may be a whole interval (``offer_many``), a chunk (``process_chunk``)
+or one item (``offer`` queues it for the next run); the decisions do not
+depend on how the rows are grouped, so the sample and the generator's
+state are the same for every grouping of the same rows.  It is
+*adaptive*: per-stratum reservoir capacities come from a policy that may
+be re-evaluated every interval (e.g. driven by the query budget, see
 `repro.core.budget`).
 
 Two capacity policies from the paper are provided:
@@ -47,11 +49,11 @@ from typing import (
     TypeVar,
 )
 
-from ._vector import derive_generator as _derive_generator
-from ._vector import np as _np
+import numpy as _np
+
 from .records import L2_SLICE as _L2_SLICE
 from .records import ColumnSlice, item_key
-from .reservoir import itemwise_offer, segmented_offer
+from .reservoir import segmented_offer
 from .strata import WeightedSample
 
 T = TypeVar("T")
@@ -250,8 +252,9 @@ class OASRSSampler(Generic[T]):
     key_fn:
         Maps an item to its stratum key (its sub-stream source).
     rng:
-        Seeded ``random.Random`` for reproducibility.  Each stratum draws
-        from this shared generator.
+        Seeded ``random.Random`` for reproducibility.  The first decided
+        row seeds the sampler's NumPy generator from it (64 bits); every
+        stratum's decisions come from that one generator.
 
     Usage
     -----
@@ -269,17 +272,13 @@ class OASRSSampler(Generic[T]):
 
     Strata are numbered in first-arrival order for the sampler's lifetime
     and every per-stratum quantity is a column indexed by that number:
-    capacity ``N``, arrival counter ``C``, and the reservoir's slots.  The
-    counters ``C`` follow the feed: a plain list while items arrive one at
-    a time (``offer`` pays nothing for the chunk path's existence), an
-    ``int64`` array from an interval's first column view or multi-row chunk
-    on, which either draw rule advances in place.  A feed that mixes the
-    two inside one interval converts, O(strata) per switch.  An interval's
-    kept items live in one of two stores — a
-    list of item objects per stratum, or, for `ColumnSlice` chunks, one
-    flat ``float64`` buffer in which every stratum owns ``N`` consecutive
-    slots.  Which rows enter which slot is decided without looking at the
-    payload, so both stores receive the same decisions.
+    capacity ``N``, arrival counter ``C`` (one ``int64`` array, which the
+    kernel advances in place), and the reservoir's slots.  An interval's
+    kept items live in one of two stores — a list of item objects per
+    stratum, or, for `ColumnSlice` chunks, one flat ``float64`` buffer in
+    which every stratum owns ``N`` consecutive slots.  Which rows enter
+    which slot is decided without looking at the payload, so both stores
+    receive the same decisions.
     """
 
     def __init__(
@@ -291,22 +290,23 @@ class OASRSSampler(Generic[T]):
         self._policy = policy
         self._key_fn = key_fn
         self._rng = rng if rng is not None else random.Random()
-        # The chunk kernel's generator, derived from ``rng`` by the first
-        # multi-row chunk (item-at-a-time runs never consume that draw).
+        # The kernel's generator, derived from ``rng`` by the first decided row.
         self._gen = None
         self._index: Dict[Key, int] = {}
         self._keys: List[Key] = []
         self._cap = array("q")
-        self._seen = []
-        # True once ``_seen`` is the kernel's int64 array (see class docs).
-        self._chunked = False
+        # Arrival counters; `_decide` extends them once per feed that
+        # numbered new strata.
+        self._seen = _np.zeros(0, dtype=_np.int64)
         self._kept: List[list] = []
         # Value mode: this interval's kept items are floats in ``_values``,
         # stratum ``s`` owning ``_cap[s]`` slots from ``_offset[s]``.
         self._value_mode = False
-        self._values = None if _np is None else _np.empty(0)
+        self._values = _np.empty(0)
         self._offset = array("q")
         self._room = 0
+        # Items `offer` queued, decided as one run by the next feed or read.
+        self._pending: List[T] = []
         # `_strata_of`'s code -> stratum-number table for one batch key table.
         self._lut = None
         self._lut_table = None
@@ -314,76 +314,46 @@ class OASRSSampler(Generic[T]):
     @property
     def strata_seen(self) -> int:
         """Number of distinct strata observed since construction."""
+        if self._pending:
+            self._decide_pending()
         return len(self._keys)
 
     def _register(self, key: Key) -> int:
         """Number a newly arrived stratum and give it its capacity."""
         number = len(self._keys)
         capacity = _positive(self._policy.capacity_for(key, number + 1))
-        if self._chunked:
-            self._count_in_list()
         self._index[key] = number
         self._keys.append(key)
         self._cap.append(capacity)
-        self._seen.append(0)
         self._kept.append([])
         self._offset.append(self._room)
         self._room += capacity
         return number
 
-    def _slot_for(self, number: int) -> int:
-        """Algorithm 1 for one arrival: the slot it takes, or -1 if rejected."""
-        seen = int(self._seen[number]) + 1  # either form of the counters
-        self._seen[number] = seen
-        capacity = self._cap[number]
-        if seen <= capacity:
-            return seen - 1
-        # Accept with probability capacity / i where i == seen.
-        if self._rng.random() * seen < capacity:
-            return self._rng.randrange(capacity)
-        return -1
+    def offer(self, item: T) -> None:
+        """Queue one arriving item for its stratum's reservoir; O(1).
 
-    def offer(self, item: T) -> Key:
-        """Route one arriving item to its stratum's reservoir; O(1)."""
-        key = self._key_fn(item)
-        if self._chunked:
-            if self._value_mode:
-                self._leave_value_mode()
-            self._count_in_list()
-        number = self._index.get(key)
-        if number is None:
-            number = self._register(key)
-        # `_slot_for`, inlined: this is the per-item hot path.
-        seen = self._seen[number] + 1
-        self._seen[number] = seen
-        capacity = self._cap[number]
-        if seen <= capacity:
-            self._kept[number].append(item)
-        elif self._rng.random() * seen < capacity:
-            self._kept[number][self._rng.randrange(capacity)] = item
-        return key
+        Queued items are decided as one run by the next feed or read
+        (``process_chunk``, ``offer_many``, ``peek``, ``close_interval``,
+        ``rebalance``), which is exact: a row's decision does not depend
+        on the rows it is grouped with.
+        """
+        self._pending.append(item)
+
+    def _decide_pending(self) -> None:
+        items, self._pending = self._pending, []
+        self.process_chunk(items)
 
     def offer_many(self, items: Iterable[T]) -> None:
-        """Offer items in order, each decided as ``offer`` decides it.
-
-        A `ColumnSlice` is decided from its codes in one call, its kept
-        values staying floats (`repro.core.reservoir.itemwise_offer`: the
-        sample and the RNG state equal the per-item loop's exactly).
-        """
-        if self._takes_columns(items) and len(items):
-            self._process_columns(items, kernel=False)
-            return
-        offer = self.offer
-        for item in items:
-            offer(item)
+        """Offer items in order: one ``process_chunk`` over all of them."""
+        self.process_chunk(items)
 
     def _takes_columns(self, items) -> bool:
         """A column view, canonical stratifier, no tuple-kept item so far."""
         return (
-            _np is not None
-            and isinstance(items, ColumnSlice)
+            isinstance(items, ColumnSlice)
             and self._key_fn is item_key
-            and (self._value_mode or not any(self._seen))
+            and (self._value_mode or not self._seen.any())
         )
 
     def process_chunk(self, items: Sequence[T]) -> int:
@@ -398,12 +368,14 @@ class OASRSSampler(Generic[T]):
         generator — a `repro.core.records.ColumnSlice` chunk (canonical
         ``item_key`` stratifier) and the list of its item tuples therefore
         sample identically, bit for bit; the column chunk merely skips
-        building the tuples.  Statistically equivalent to offering each
-        item individually (acceptance probability ``N / i``, uniform
-        slot); a one-item chunk takes ``offer``'s own step, draw for draw.
-        Chunks larger than `repro.core.records.L2_SLICE` are
+        building the tuples.  Nor does it depend on the chunk boundaries:
+        the kernel draws one uniform per row in stream order, so any split
+        of the same rows into chunks (one-row chunks included) keeps the
+        same items.  Chunks larger than `repro.core.records.L2_SLICE` are
         processed slice by slice to keep the working set cache-sized.
         """
+        if self._pending:
+            self._decide_pending()
         if not hasattr(items, "__len__"):
             items = list(items)
         n = len(items)
@@ -415,7 +387,7 @@ class OASRSSampler(Generic[T]):
         if n == 0:
             return 0
         if self._takes_columns(items):
-            return self._process_columns(items, kernel=n > 1)
+            return self._process_columns(items)
         if self._value_mode:
             self._leave_value_mode()
         index = self._index
@@ -425,53 +397,27 @@ class OASRSSampler(Generic[T]):
             key = key_fn(item)
             number = index.get(key)
             strata.append(self._register(key) if number is None else number)
-        if n == 1 or _np is None:
-            # The textbook step on the Python RNG, exactly as `offer` takes
-            # it, so chunk_size=1 runs match item-at-a-time runs.
-            placed = []
-            for row, number in enumerate(strata):
-                slot = self._slot_for(number)
-                if slot >= 0:
-                    placed.append((row, number, slot))
-        else:
-            rows, numbers, slots = self._decide(
-                _np.fromiter(strata, dtype=_np.intp, count=n)
-            )
-            placed = list(zip(rows.tolist(), numbers.tolist(), slots.tolist()))
+        rows, numbers, slots = self._decide(_np.fromiter(strata, _np.intp, n))
         kept = self._kept
-        for row, number, slot in placed:
+        for row, number, slot in zip(rows.tolist(), numbers.tolist(), slots.tolist()):
             store = kept[number]
             if slot < len(store):
                 store[slot] = items[row]
             else:
                 store.append(items[row])
-        return len(placed)
+        return len(rows)
 
-    def _decide(self, strata, kernel: bool = True):
-        """`segmented_offer` on the kernel's generator or — ``kernel`` False, the
-        generator left underived — `itemwise_offer` on the Python RNG."""
-        self._count_in_array()
-        cap = _np.frombuffer(self._cap, dtype=_np.int64)
-        if not kernel:
-            return itemwise_offer(strata, self._seen, cap, self._rng)
+    def _decide(self, strata):
+        """`segmented_offer` over ``strata``, counters extended to new strata."""
+        seen, strata_seen = self._seen, len(self._keys)
+        if len(seen) < strata_seen:
+            grown = _np.zeros(strata_seen, dtype=_np.int64)
+            grown[: len(seen)] = seen
+            self._seen = seen = grown
         if self._gen is None:
-            self._gen = _derive_generator(self._rng)
-        return segmented_offer(strata, self._seen, cap, self._gen)
-
-    def _count_in_array(self) -> None:
-        """Hand the arrival counters to the chunk kernel (no-op once done)."""
-        if not self._chunked:
-            self._seen = _np.array(self._seen, dtype=_np.int64)
-            self._chunked = True
-
-    def _count_in_list(self) -> None:
-        """Take the arrival counters back for item-at-a-time counting."""
-        self._seen = self._seen.tolist()
-        self._chunked = False
-
-    def _counts(self) -> List[int]:
-        """The arrival counters as plain ints, whichever form they are in."""
-        return self._seen.tolist() if self._chunked else self._seen
+            self._gen = _np.random.default_rng(self._rng.getrandbits(64))
+        cap = _np.frombuffer(self._cap, dtype=_np.int64)
+        return segmented_offer(strata, seen, cap, self._gen)
 
     def _strata_of(self, chunk: ColumnSlice):
         """Stratum number of every row of a column chunk.
@@ -497,7 +443,7 @@ class OASRSSampler(Generic[T]):
             strata = self._lut[chunk.codes]
         return strata
 
-    def _process_columns(self, chunk: ColumnSlice, kernel: bool) -> int:
+    def _process_columns(self, chunk: ColumnSlice) -> int:
         """Column chunk: `_decide`, then scatter the kept values into the buffer."""
         strata = self._strata_of(chunk)
         offset = _np.frombuffer(self._offset, dtype=_np.int64)
@@ -513,7 +459,7 @@ class OASRSSampler(Generic[T]):
             grown = _np.empty(max(self._room, 2 * len(self._values)))
             grown[: len(self._values)] = self._values
             self._values = grown
-        rows, numbers, slots = self._decide(strata, kernel)
+        rows, numbers, slots = self._decide(strata)
         # NumPy assigns index arrays front to back, so of two rows naming
         # one slot the later stays (tests/test_segmented_kernel.py pins it).
         self._values[offset[numbers] + slots] = chunk.values[rows]
@@ -522,9 +468,9 @@ class OASRSSampler(Generic[T]):
     def _leave_value_mode(self) -> None:
         """Move the interval's kept floats into the item store.
 
-        The runtime never mixes column and per-item feeds inside one
-        interval; if a caller does, the floats become the ``(key, value)``
-        tuples the per-item feed would have stored.
+        The runtime never mixes column and tuple feeds inside one interval;
+        if a caller does, the floats become the ``(key, value)`` tuples the
+        tuple feed would have stored.
         """
         sample = self.peek()
         for key, members in zip(sample.keys, sample.members):
@@ -535,8 +481,10 @@ class OASRSSampler(Generic[T]):
         """Current interval's weighted sample *without* resetting state:
         the strata that received an item, in numbering order, their kept
         floats (value mode) copied into one array the sample owns."""
+        if self._pending:
+            self._decide_pending()
         if not self._value_mode:
-            counts = self._counts()
+            counts = self._seen.tolist()
             active = [number for number, count in enumerate(counts) if count]
             members = [tuple(self._kept[number]) for number in active]
             return WeightedSample.of_columns(
@@ -545,7 +493,7 @@ class OASRSSampler(Generic[T]):
                 list(map(len, members)),
                 members=members,
             )
-        seen = _np.asarray(self._seen, dtype=_np.int64)
+        seen = self._seen
         active = _np.flatnonzero(seen)
         kept = _np.minimum(seen[active], _np.frombuffer(self._cap, _np.int64)[active])
         sizes = kept.tolist()
@@ -577,10 +525,9 @@ class OASRSSampler(Generic[T]):
         sample = self.peek()
         if isinstance(self._policy, (ProportionalAllocation, WaterFillingAllocation)):
             self._policy.observe(dict(zip(sample.keys, sample.counts)))
-        strata = len(self._keys)
-        self._seen = [0] * strata
-        self._kept = [[] for _ in range(strata)]
-        self._chunked = self._value_mode = False
+        self._seen[:] = 0
+        self._kept = [[] for _ in range(len(self._keys))]
+        self._value_mode = False
         self.rebalance()
         return sample
 
@@ -597,9 +544,10 @@ class OASRSSampler(Generic[T]):
         strata that have not received an item are re-sized, so the call is
         safe at any point — mid-interval it leaves active reservoirs alone.
         """
+        if self._pending:
+            self._decide_pending()
         capacities = self._policy.rebalance(self._keys)
-        counts = self._counts()
-        fresh = [number for number, count in enumerate(counts) if not count]
+        fresh = (self._seen == 0).nonzero()[0].tolist()
         sizes = [capacities[self._keys[number]] for number in fresh]
         _positive(min(sizes, default=1))
         for number, capacity in zip(fresh, sizes):

@@ -23,7 +23,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Hashable, List, Optional, Tuple, TypeVar
 
-from ._vector import np as _np
+import numpy as _np
+
 from .error import estimate_error
 from .query import ValueFn, histogram_with_errors
 from .strata import WeightedSample

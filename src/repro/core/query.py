@@ -27,7 +27,8 @@ from operator import attrgetter, itemgetter, mul
 from typing import Callable, Dict, Generic, Hashable, List, Optional, Tuple, TypeVar
 from typing import NamedTuple
 
-from ._vector import np as _np
+import numpy as _np
+
 from .records import item_key as _item_key
 from .records import item_value as _item_value
 from .strata import WeightedSample, stratum_weight
@@ -69,8 +70,9 @@ class StratumStats:
 
 def _stratum_stats(key: Hashable, c: int, values: List[float]) -> StratumStats:
     """One stratum's moments over its kept ``values`` by ``fsum``: the pivot,
-    shift and corrected two-pass of `interval_moments` without NumPy.  An
-    empty stratum reads zero moments."""
+    shift and corrected two-pass of `interval_moments`, for
+    `grouped_sum_results`' per-group restrictions.  An empty stratum reads
+    zero moments."""
     y = len(values)
     n = max(y, 1)
     pivot = math.fsum(values) / n
@@ -172,8 +174,6 @@ def interval_moments(sample: WeightedSample[T], value_fn: Optional[ValueFn]):
 
 def _segment_moments(sample: WeightedSample[T], value_fn: Optional[ValueFn]):
     keys = sample.keys
-    if _np is None:  # rows are (C, kept values): `pooled_result` pools those
-        return keys, [(stratum.count, stratum.values(value_fn)) for stratum in sample]
     rows = _np.zeros((len(keys), 5))
     rows[:, 0], rows[:, 1] = sample.sizes, sample.counts
     kept = rows[:, 0] > 0
@@ -216,12 +216,6 @@ def pooled_result(moment_sets, kind: str) -> QueryResult:
     index: Dict[Hashable, int] = {}
     rows = [index.setdefault(k, len(index)) for ks, _ in moment_sets for k in ks]
     keys = list(index)
-    if _np is None:
-        kept = [(0, [])] * len(keys)
-        for at, (c, values) in zip(rows, chain.from_iterable(p for _, p in moment_sets)):
-            kept[at] = (kept[at][0] + c, kept[at][1] + values)
-        strata = [_stratum_stats(key, c, values) for key, (c, values) in zip(keys, kept)]
-        return _linear_result(_StrataColumns.of(strata), kind)
     y, c, pivot, shift, m2 = _np.concatenate([part for _, part in moment_sets]).T
     at = _np.array(rows, dtype=_np.intp)
 

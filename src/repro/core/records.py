@@ -48,7 +48,7 @@ from itertools import chain, repeat
 from operator import itemgetter
 from typing import Hashable, Iterable, List, Optional, Tuple
 
-from ._vector import np as _np
+import numpy as _np
 
 __all__ = [
     "L2_SLICE",
@@ -343,8 +343,7 @@ class RecordBatch(list):
 
     def with_seq(self, seqs) -> "RecordBatch":
         """Attach the broker production-sequence column (int64)."""
-        if _np is not None:
-            self._seq = _np.asarray(seqs, dtype=_np.int64)
+        self._seq = _np.asarray(seqs, dtype=_np.int64)
         return self
 
     # -- column access ------------------------------------------------------
@@ -362,8 +361,6 @@ class RecordBatch(list):
         timestamps, a ``set(map(...))`` each for item type and arity, intern.
         """
         n = len(self)
-        if _np is None:
-            return (None, None, None, None, n, "numpy unavailable")
         split = _split_events(self)
         if split is None:
             return (None, None, None, None, n, "events are not (ts, item) pairs")
@@ -453,7 +450,7 @@ class RecordBatch(list):
         return cache[token]
 
     def _project(self, key_fn, value_fn) -> Optional["RecordBatch"]:
-        split = _split_events(self) if _np is not None else None
+        split = _split_events(self)
         if split is None:
             return None
         ts_vals, items = split

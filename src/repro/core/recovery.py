@@ -32,7 +32,8 @@ from array import array
 from dataclasses import dataclass
 from typing import Any, Dict, List, Tuple
 
-from ._vector import np as _np
+import numpy as _np
+
 from .oasrs import OASRSSampler
 
 __all__ = [
@@ -75,22 +76,25 @@ def restore_attrs(obj: Any, state: Dict[str, Any]) -> None:
 def sampler_state(sampler: OASRSSampler) -> Dict[str, Any]:
     """Capture an `OASRSSampler` mid-stream as plain data.
 
-    Includes the shared ``random.Random`` state, the chunk kernel's NumPy
-    generator (by value — `derive_generator` consumes bits from the parent
-    ``random.Random``, so re-deriving on restore would desynchronize every
-    later draw), the strata in numbering order with their capacities and
-    counters, the interval's store (item lists, or the used part of the
+    Items queued by ``offer`` are decided first (the sample they give does
+    not depend on when).  Includes the shared ``random.Random`` state, the
+    kernel's NumPy generator (by value — deriving it consumed bits from
+    the parent ``random.Random``, so re-deriving on restore would
+    desynchronize every later draw), the strata in numbering order with
+    their capacities and counters, the interval's store (item lists, or the used part of the
     value buffer with its region offsets), and the allocation policy's
     attributes.  Callables (``key_fn``) are deliberately *not* captured:
     restore targets a sampler built by the same plan, which supplies them.
     """
+    if sampler._pending:
+        sampler._decide_pending()
     gen = sampler._gen
     return {
         "rng": sampler._rng.getstate(),
         "gen": None if gen is None else copy.deepcopy(gen.bit_generator.state),
         "keys": list(sampler._keys),
         "cap": sampler._cap.tolist(),
-        "seen": list(sampler._counts()),
+        "seen": sampler._seen.tolist(),
         "kept": [list(store) for store in sampler._kept],
         "value_mode": sampler._value_mode,
         "offset": sampler._offset.tolist(),
@@ -118,12 +122,10 @@ def restore_sampler(sampler: OASRSSampler, state: Dict[str, Any]) -> OASRSSample
     sampler._keys = list(state["keys"])
     sampler._index = {key: number for number, key in enumerate(sampler._keys)}
     sampler._cap = array("q", state["cap"])
-    sampler._seen = list(state["seen"])
-    sampler._chunked = False
+    sampler._seen = _np.array(state["seen"], dtype=_np.int64)
     sampler._kept = [list(store) for store in state["kept"]]
+    sampler._pending = []
     sampler._value_mode = state["value_mode"]
-    if sampler._value_mode:
-        sampler._count_in_array()
     sampler._offset = array("q", state["offset"])
     sampler._room = state["room"]
     if state["values"] is not None:

@@ -8,21 +8,23 @@ from a stream whose length is unknown in advance (Vitter, 1985).  The first
 ``capacity / i`` of being in the reservoir — the textbook invariant the
 paper's Algorithm 1 relies on.
 
-The implementation is intentionally dependency-free and allocation-light:
-one list of at most ``capacity`` items and one integer counter.
+Two forms are provided:
 
-Two execution paths are provided:
+* ``Reservoir`` — the textbook single reservoir, one item at a time (one
+  ``random()`` draw per item once it is full): one list of at most
+  ``capacity`` items and one integer counter.  `repro.core.stratify`'s
+  value sketch is its user.
+* ``segmented_offer`` — the algorithm decided for a run of rows and every
+  stratum at once: given each row's stratum, the per-stratum counters and
+  capacities, and a NumPy generator, it returns which rows enter which
+  slot.  It draws one uniform per row in stream order, so splitting the
+  rows into several calls changes no decision.  It never looks at a
+  payload, so one set of decisions can be applied to any store (a
+  ``float64`` slot buffer, a list of item tuples).  It is OASRS's only
+  draw rule (`repro.core.oasrs`).
 
-* ``Reservoir.offer`` — the textbook per-item step (one ``random()`` draw
-  per item once the reservoir is full),
-* ``segmented_offer`` — the same algorithm decided for a whole chunk and
-  every stratum at once: given each row's stratum, the per-stratum counters
-  and capacities, and a NumPy generator, it returns which rows enter which
-  slot.  It never looks at a payload, so one set of decisions can be
-  applied to any store (a ``float64`` slot buffer, a list of item tuples).
-  Both realise the per-item acceptance probability ``capacity / i`` with a
-  uniform victim slot, so samples are statistically interchangeable.
-  ``itemwise_offer`` is the same contract under ``offer``'s own draw rule.
+Both realise the per-item acceptance probability ``capacity / i`` with a
+uniform victim slot.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from __future__ import annotations
 import random
 from typing import Generic, Iterable, Iterator, List, Optional, Sequence, TypeVar
 
-from ._vector import np as _np
+import numpy as _np
 
 T = TypeVar("T")
 
@@ -144,11 +146,26 @@ def reservoir_sample(
     return reservoir.items
 
 
-def _rank_arrivals(strata, seen):
-    """``(order, by, arrival)``: the rows sorted by stratum then arrival, the
-    stratum of each, and its 1-based arrival index ``i`` in that stratum
-    (``seen`` before the chunk + its rank among the chunk's rows of the
-    stratum).  ``seen`` is advanced in place.  O(rows + strata), no loop.
+def segmented_offer(strata, seen, cap, gen):
+    """Algorithm 1 for one run of rows, decided segment-wise over its strata.
+
+    ``strata[r]`` is the stratum number of stream row ``r``; ``seen`` and
+    ``cap`` are the per-stratum ``int64`` arrival counters and capacities.
+    Row ``r`` is the ``i``-th arrival of its stratum: ``seen`` before the
+    run plus its rank among the run's rows of that stratum.  With one
+    uniform ``U`` per row, drawn in stream-row order, and ``j = ⌊U·i⌋``: a
+    fill row (``i ≤ N``) takes slot ``i − 1``; a steady row is kept iff
+    ``j < N`` — probability ``N / i`` — and then lands in slot ``j``,
+    uniform on ``0..N−1`` given acceptance.  Each row's decision depends
+    only on its own ``U`` and ``i``, so any split of a run into several
+    calls decides every row alike and leaves ``gen`` in the same state.
+
+    Returns ``(rows, numbers, slots)``: the kept rows, each one's stratum
+    number, and the slot it takes *within that stratum*, ordered by stratum
+    and, inside a stratum, by arrival.  Apply the writes in the order
+    returned — two kept rows of a stratum may name the same slot, and the
+    later arrival wins, as it would have item by item.  ``seen`` is
+    advanced in place.  O(rows + strata), no Python-level loop.
     """
     n = strata.shape[0]
     # A stable sort keeps arrival order inside each stratum; 16-bit keys
@@ -162,53 +179,8 @@ def _rank_arrivals(strata, seen):
     arrival = (seen - count.cumsum() + count)[by]
     arrival += _np.arange(1, n + 1)
     seen += count
-    return order, by, arrival
-
-
-def segmented_offer(strata, seen, cap, gen):
-    """Algorithm 1 for one chunk of rows, run segment-wise over its strata.
-
-    ``strata[r]`` is the stratum number of stream row ``r``; ``seen`` and
-    ``cap`` are the per-stratum ``int64`` arrival counters and capacities.
-    Row ``r`` is the ``i``-th arrival of its stratum (`_rank_arrivals`).
-    With one uniform ``U`` per row, drawn in stream-row order,
-    and ``j = ⌊U·i⌋``: a fill row (``i ≤ N``) takes slot ``i − 1``; a
-    steady row is kept iff ``j < N`` — probability ``N / i`` — and then
-    lands in slot ``j``, uniform on ``0..N−1`` given acceptance.
-
-    Returns ``(rows, numbers, slots)``: the kept rows, each one's stratum
-    number, and the slot it takes *within that stratum*, ordered by stratum
-    and, inside a stratum, by arrival.  Apply the writes in the order
-    returned — two kept rows of a stratum may name the same slot, and the
-    later arrival wins, as it would have item by item.  ``seen`` is
-    advanced in place.  O(rows + strata), no Python-level loop.
-    """
-    order, by, arrival = _rank_arrivals(strata, seen)
-    slot = (gen.random(strata.shape[0])[order] * arrival).astype(_np.int64)
+    slot = (gen.random(n)[order] * arrival).astype(_np.int64)
     room = cap[by]
     _np.putmask(slot, arrival <= room, arrival - 1)
-    kept = (slot < room).nonzero()[0]
-    return order[kept], by[kept], slot[kept]
-
-
-def itemwise_offer(strata, seen, cap, rng):
-    """`segmented_offer`'s contract under ``Reservoir.offer``'s draw rule.
-
-    Decided as a per-item loop on ``rng`` (a ``random.Random``) decides,
-    draw for draw: a fill row draws nothing; the steady rows — the only
-    Python-level loop — call ``random()`` and ``randrange(N)`` in stream order.
-    """
-    order, by, arrival = _rank_arrivals(strata, seen)
-    room = cap[by]
-    slot = arrival - 1
-    steady = (slot >= room).nonzero()[0]
-    if steady.size:
-        # Back to stream order: one ascending run per stratum, merged.
-        steady = steady[order[steady].argsort(kind="stable")]
-        random, randrange = rng.random, rng.randrange
-        slot[steady] = [  # a rejected row gets slot N, dropped below
-            randrange(n) if random() * i < n else n
-            for i, n in zip(arrival[steady].tolist(), room[steady].tolist())
-        ]
     kept = (slot < room).nonzero()[0]
     return order[kept], by[kept], slot[kept]

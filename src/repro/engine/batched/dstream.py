@@ -18,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Generic, Iterable, Iterator, List, Tuple, TypeVar
 
+import numpy as _np
+
 T = TypeVar("T")
 
 __all__ = ["MicroBatch", "WindowPane", "Batcher", "SlidingWindower"]
@@ -111,8 +113,6 @@ class Batcher(Generic[T]):
         emitted, a trailing partial batch only when non-empty, and a
         timestamp before ``start`` raises, exactly as in ``batches``.
         """
-        from ...core._vector import np as _np
-
         ts = batch.ts
         n = len(batch)
         if pos < n and float(ts[pos:].min()) < self.start:

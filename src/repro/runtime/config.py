@@ -150,12 +150,14 @@ class SystemConfig:
     *real* execution fast paths introduced with the vectorized sampling
     stack:
 
-    * ``chunk_size = K`` (``K >= 2``) routes items through the chunked
-      sampler APIs (`OASRSSampler.process_chunk`, the vectorized SRS/STS
-      chunk samplers, the pipelined engine's event-time loop) in runs of
-      ``K`` — statistically equivalent to the per-item path, several
-      times faster.  ``0`` (default) keeps the legacy item-at-a-time
-      execution.  Honoured by every system through the unified runtime.
+    * ``chunk_size = K`` (``K >= 2``) feeds the sampling stage in runs of
+      ``K`` (`OASRSSampler.process_chunk`, the pipelined engine's
+      event-time loop); ``0`` (default) and ``1`` feed whole intervals
+      (on the pipelined engine, every run between two watermarks).  It is
+      a pure speed knob: OASRS decides every row by one draw rule that
+      does not depend on how rows are grouped, so every ``chunk_size``
+      returns the same panes.  What it may move is the simulated cost —
+      the pipelined engine charges virtual seconds per run.
     * ``parallelism = N`` (``N >= 2``) shards each sampling interval over
       ``N`` real worker processes via
       `repro.core.distributed.ShardedExecutor`.  Supported by every

@@ -55,11 +55,13 @@ import time
 from bisect import bisect_left
 from collections import deque
 from dataclasses import replace
+from functools import partial
 from itertools import tee
 from operator import gt, itemgetter
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from ..core._vector import np as _np
+import numpy as _np
+
 from ..core.error import estimate_error
 from ..core.query import StratumStats, interval_moments, pooled_result
 from ..core.records import RecordBatch, item_key, item_value
@@ -187,8 +189,8 @@ def _items(stream, ts_col, lo: int, hi: int):
 def _columnar_gate(stream, plan: ExecutionPlan, intern: bool):
     """The run's one columnar decision: ``(stream, plan, fallback reason)``.
 
-    The columnar path is on by default and engages when NumPy is present,
-    the stream's item columns built (plain ``(hashable key, float)``
+    The columnar path is on by default and engages when the stream's item
+    columns are built (plain ``(hashable key, float)``
     2-tuples), and the query's projections are the canonical
     `repro.core.records.item_key` / `repro.core.records.item_value`
     (identity comparison — a custom callable could observe anything about
@@ -216,8 +218,6 @@ def _columnar_gate(stream, plan: ExecutionPlan, intern: bool):
     query = plan.query
     if os.environ.get("REPRO_NO_COLUMNAR"):
         return stream, plan, "columnar path disabled via REPRO_NO_COLUMNAR"
-    if _np is None:
-        return stream, plan, "numpy unavailable"
     if not isinstance(stream, RecordBatch):
         return stream, plan, "stream is not a RecordBatch"
     canonical = query.key_fn is item_key and query.value_fn is item_value
@@ -654,8 +654,7 @@ def _ingest_pipelined(run: _Run) -> SimulatedCluster:
     and panes closed by watermarks, no micro-batch and no barrier.
 
     Runs sit on the stream-global ``[i, i + chunk_size)`` grid (one item
-    each when ``chunk_size <= 1``), also after a resume: one-row and
-    multi-row feeds draw from different generators.  Per run, in this
+    each when ``chunk_size <= 1``), also after a resume.  Per run, in this
     order (virtual seconds are float sums, so the order is output):
 
     1. the watermark of the run's first timestamp closes every interval
@@ -663,8 +662,12 @@ def _ingest_pipelined(run: _Run) -> SimulatedCluster:
     2. the run is charged ``ingest_items(n)``, then ``sample_items(n)``
        (the exact ``none`` path: ``process_items(n)``, every item is kept);
     3. the run is split at slide boundaries into ``process_chunk``
-       segments, closing the intervals that end inside it (one ``offer``
-       per item at chunk 1).
+       segments, closing the intervals that end inside it.
+
+    One-item runs are charged one by one, but the sampler takes every run
+    up to the next watermark in one ``process_chunk``: its decisions do
+    not depend on how the rows are grouped, so ``chunk_size`` changes no
+    sample.
 
     A closed interval is charged ``process_items(kept)`` — the items that
     reach the window, the pipelined saving — and joins the window's
@@ -724,27 +727,31 @@ def _ingest_pipelined(run: _Run) -> SimulatedCluster:
         kept = sample.total_items
         run.close_pane(end, estimate, bound, groups, (), kept, kept, at, engine_state)
 
+    if sampled:
+        charge = partial(cluster.sample_items, kind="oasrs")
+    else:
+        charge = cluster.process_items
     i = position
     while i < n:
-        j = min(i - i % chunk + chunk, n)
         while stream[i][0] >= next_fire:  # 1. the run's watermark
             close()
-        cluster.ingest_items(j - i)  # 2.
-        if not sampled:
-            cluster.process_items(j - i)
-        elif chunk == 1:
-            cluster.sample_items(1, "oasrs")
-            sampler.offer(stream[i][1])
+        if chunk == 1:  # the one-item runs up to the next watermark
+            j = min(_first_at(stream, ts_col, next_fire, i), n)
+            for _ in range(j - i):
+                cluster.ingest_items(1)  # 2.
+                charge(1)
         else:
-            cluster.sample_items(j - i, "oasrs")
-            lo = i
-            while lo < j:  # 3.
-                hi = min(_first_at(stream, ts_col, next_fire, lo), j)
-                if hi <= lo:
-                    close()
-                    continue
-                sampler.process_chunk(_items(stream, ts_col, lo, hi))
-                lo = hi
+            j = min(i - i % chunk + chunk, n)
+            cluster.ingest_items(j - i)  # 2.
+            charge(j - i)
+        lo = i
+        while sampled and lo < j:  # 3.
+            hi = min(_first_at(stream, ts_col, next_fire, lo), j)
+            if hi <= lo:
+                close()
+                continue
+            sampler.process_chunk(_items(stream, ts_col, lo, hi))
+            lo = hi
         i = j
     if n > position:  # the end-of-stream watermark, then the open interval
         while last_ts + 1e-9 >= next_fire:

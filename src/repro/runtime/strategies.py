@@ -45,7 +45,8 @@ from __future__ import annotations
 import random
 from typing import Dict, List, Optional, Sequence, Type
 
-from ..core._vector import np as _np
+import numpy as _np
+
 from ..core.distributed import ShardedExecutor, ShardedIntervalSampler
 from ..core.oasrs import OASRSSampler, WaterFillingAllocation
 from ..core.records import ColumnSlice, _StratumMembers, item_key
@@ -102,7 +103,7 @@ def count_strata(items: Sequence[object], key_fn) -> int:
     with the canonical key projection count distinct interned codes
     instead of hashing items one by one — same count, one vectorized pass.
     """
-    if _np is not None and isinstance(items, ColumnSlice) and key_fn is item_key:
+    if isinstance(items, ColumnSlice) and key_fn is item_key:
         return max(1, int(_np.unique(items.codes).size))
     return max(1, len({key_fn(item) for item in items}))
 
@@ -114,7 +115,7 @@ def full_weight_sample(items: Sequence[object], key_fn) -> WeightedSample:
     in one vectorized pass; stratum order (first appearance) and member
     tuples are identical to the per-item dict grouping.
     """
-    if _np is not None and isinstance(items, ColumnSlice) and key_fn is item_key:
+    if isinstance(items, ColumnSlice) and key_fn is item_key:
         sample = WeightedSample()
         codes, values, table = items.codes, items.values, items.key_table
         if codes.size == 0:
@@ -245,8 +246,8 @@ class BoundStrategy:
 
         ``rows`` is a located `repro.core.records.ColumnSlice` or a plain
         item list; ``chunk_size > 1`` feeds it as chunk-size runs through
-        the sampler's vectorized ``process_chunk``, otherwise ``offer_many``
-        takes the per-item decisions (a column view's in one call).
+        the sampler's ``process_chunk``, otherwise ``offer_many`` takes it
+        in one call.  Either way the sample is the same.
         """
         sampler, chunk = self._sampler, self.plan.config.chunk_size
         if chunk > 1:

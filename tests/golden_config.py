@@ -48,12 +48,13 @@ _SEVEN = [
     FlinkStreamApproxSystem,
 ]
 
-# Systems whose chunked execution predates the unified runtime; their
-# chunk_size > 1 output is part of the golden contract too.
+# Systems whose chunk_size > 1 output is part of the golden contract too:
+# the pipelined engine charges virtual seconds per run, so chunk 256 reads
+# different seconds there.  The direct and batched StreamApprox systems
+# return the default case bit for bit at every chunk size
+# (tests/test_segmented_kernel.py pins the panes on all three engines).
 _CHUNKED = [
     NativeFlinkSystem,
-    NativeStreamApproxSystem,
-    SparkStreamApproxSystem,
     FlinkStreamApproxSystem,
 ]
 

@@ -133,9 +133,8 @@ class TestSamplerRoundTrip:
         assert observed._rng.getstate() == plain._rng.getstate()
 
     def test_vectorized_reservoir_rng_round_trips(self):
-        # Chunks >= VECTOR_MIN route through each reservoir's private NumPy
-        # generator; its bit-stream position must survive the round-trip.
-        pytest.importorskip("numpy")
+        # Every row is decided on the sampler's NumPy generator; its
+        # bit-stream position must survive the round-trip.
         chunk = [("a", float(i)) for i in range(256)]
         original = make_sampler(99, total=8)
         original.process_chunk(chunk)
@@ -243,8 +242,9 @@ def pane_fingerprint(results):
 
 class TestPlanLevelResume:
     """Default ``chunk_size`` 0: whole intervals through ``offer_many`` — the
-    column feed on these (projected, columnar) streams, the per-item loop
-    under ``REPRO_NO_COLUMNAR``; the two must agree pane for pane."""
+    column feed on these (projected, columnar) streams, item tuples under
+    ``REPRO_NO_COLUMNAR``; one draw rule decides both, so they agree pane
+    for pane."""
 
     @pytest.mark.parametrize("engine", ["direct", "batched"])
     @settings(max_examples=10, deadline=None)

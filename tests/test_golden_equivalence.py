@@ -48,6 +48,23 @@ this change left byte-identical are the proof that the shared pane close
 ``@chunk256``, ``flink-streamapprox@chunk256``,
 ``spark-streamapprox@grouped``, every ``*@p90`` and
 ``native-streamapprox@budget-p90``.
+
+Ten default-chunk StreamApprox cases were re-captured (``--only`` with
+``'*-streamapprox'``, ``'*-streamapprox@grouped'``, ``'*-streamapprox@p90'``
+and ``native-streamapprox@budget-p90``) when OASRS got one draw rule: the
+default ``chunk_size`` 0 used to decide steady arrivals on the Python RNG
+(``random()``, then ``randrange(N)``) and now goes through the segmented
+kernel like every other chunk size.  Same law — the *i*-th arrival of a
+stratum is kept with probability ``N / i`` in a uniform slot — different
+draws: ``estimate``, ``margin``, group sums and accuracy losses moved;
+sampled counts, pane counts and virtual seconds did not.  The evidence is
+``tests/test_statistical_validation.py``: the 200-seed coverage cells at
+chunk 0 stay in band before and after, and a two-sample test on the kept
+arrivals of the item rule and the segmented rule.  The
+``native-streamapprox@chunk256`` and ``spark-streamapprox@chunk256``
+cases now equal their default cases bit for bit and were deleted;
+``flink-streamapprox@chunk256`` stays, because the pipelined engine
+charges virtual seconds per run.  Every other case is byte-identical.
 """
 
 import json

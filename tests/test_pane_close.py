@@ -247,7 +247,6 @@ def test_one_sampler_fed_and_checkpointed_one_way(
 
 @pytest.mark.parametrize("chunk_size", [4096, 0], ids=["chunk4096", "item"])
 def test_columnar_batched_run_builds_no_member_tuples(monkeypatch, chunk_size):
-    pytest.importorskip("numpy")
     from repro.core.records import _StratumMembers
 
     def materialized(self):
@@ -263,9 +262,8 @@ def test_columnar_batched_run_builds_no_member_tuples(monkeypatch, chunk_size):
 
 
 def test_offer_many_makes_no_python_call_per_fill_row():
-    pytest.importorskip("numpy")
     from repro.core.oasrs import FixedPerStratum, OASRSSampler
-    from repro.core.records import RecordBatch, item_key
+    from repro.core.records import L2_SLICE, RecordBatch, item_key
 
     def python_calls(rows):
         rng = random.Random(rows)
@@ -283,4 +281,6 @@ def test_offer_many_makes_no_python_call_per_fill_row():
         assert sampler.close_interval().total_items == rows  # all fill rows
         return len(calls)
 
-    assert python_calls(20_000) == python_calls(200)
+    # Up to one L2 slice, the feed is one kernel call whatever its length
+    # (longer feeds are decided slice by slice, one call chain per slice).
+    assert python_calls(L2_SLICE) == python_calls(200)

@@ -24,6 +24,7 @@ import sys
 from collections import Counter, namedtuple
 from operator import itemgetter
 
+import numpy as np
 import pytest
 
 from hypothesis import given, settings
@@ -54,8 +55,6 @@ from repro.system import NativeStreamApproxSystem
 from repro.system import WindowConfig as SysWindow
 from repro.workloads.netflow import flow_bytes, flow_protocol, netflow_stream
 from repro.workloads.synthetic import stream_by_rates
-
-np = pytest.importorskip("numpy")
 
 events_strategy = st.lists(
     st.tuples(
@@ -232,17 +231,18 @@ def test_columnar_matches_shim_bitwise(engine, strategy):
 
 
 def test_columnar_matches_shim_at_small_chunks():
-    # chunk=64 exercises the small-chunk Python-grouping route of
-    # `OASRSSampler._process_columns`; chunk=1 the single-offer route.
+    # One draw rule: the whole-interval feed (chunk 0 and 1), small chunks
+    # and the per-item shim all keep the chunk-256 run's sample.
     stream = _columnar_stream()
-    for chunk in (1, 64):
+    want = _fingerprint(execute_plan(_plan(stream, "direct", "oasrs", chunk_size=256))[0])
+    for chunk in (0, 1, 64):
         columnar, _ = execute_plan(_plan(stream, "direct", "oasrs", chunk_size=chunk))
         os.environ["REPRO_NO_COLUMNAR"] = "1"
         try:
             shim, _ = execute_plan(_plan(stream, "direct", "oasrs", chunk_size=chunk))
         finally:
             os.environ.pop("REPRO_NO_COLUMNAR", None)
-        assert _fingerprint(columnar) == _fingerprint(shim), f"chunk={chunk}"
+        assert _fingerprint(columnar) == _fingerprint(shim) == want, f"chunk={chunk}"
 
 
 # ---------------------------------------------------------------------------
@@ -276,13 +276,9 @@ def test_chunked_columnar_resume_matches_uninterrupted(seed, chunk):
 @pytest.mark.parametrize("shim", [False, True], ids=["columnar", "shim"])
 def test_chunked_pipelined_resume_keeps_the_chunk_grid(shim, monkeypatch):
     """Resume from every checkpoint of a run whose fire boundaries leave
-    one-row chunk segments.
-
-    One-row segments are decided on the Python RNG and longer ones on the
-    NumPy generator, so a resumed feed must cut the stream where the
-    uninterrupted run did: on the stream-global chunk grid, not on one
-    shifted to the checkpointed position.
-    """
+    one-row chunk segments: every resumed run returns the uninterrupted
+    run's panes (the resumed loop charges on the stream-global chunk grid,
+    not on one shifted to the checkpointed position)."""
     if shim:
         monkeypatch.setenv("REPRO_NO_COLUMNAR", "1")
     stream = stream_by_rates({"A": 640, "B": 160, "C": 8}, duration=30, seed=7)

@@ -9,21 +9,23 @@ to one of two stores.  Pinned here:
   twice in one chunk goes to the later arrival; an underfull stratum keeps
   everything at weight 1;
 * *one decision, two stores* — a column chunk and the list of its item
-  tuples sample ``repr``-equally for any mix of chunk sizes (one-row chunks
-  take the textbook Python-RNG step in both), any stratum count, and any
-  assignment of interned codes to keys;
-* *two draw rules over one ranking* — ``offer_many`` on a column view
-  (`repro.core.reservoir.itemwise_offer`) leaves the sample, the strata and
-  the Python RNG exactly where a ``for item: offer(item)`` loop leaves them,
-  and never derives the kernel's generator;
+  tuples sample ``repr``-equally for any mix of chunk sizes, any stratum
+  count, and any assignment of interned codes to keys;
+* *one draw rule* — any grouping of the same rows (an ``offer`` loop,
+  ``offer_many``, ``process_chunk`` at any size, column or tuple rows)
+  leaves the sample, the strata and both generators in the same state, so
+  every engine returns the same panes at every ``chunk_size`` and under
+  ``REPRO_NO_COLUMNAR``;
 * *resumable* — the array state and the one generator survive a snapshot,
   mid-interval and at every pane checkpoint of a 400-strata chunked plan,
   in memory and through ``to_bytes``.
 """
 
+import os
 import pickle
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -48,9 +50,7 @@ from repro.runtime import (
     build_plan,
     execute_plan,
 )
-from repro.workloads.synthetic import SubStreamSpec, make_stream
-
-np = pytest.importorskip("numpy")
+from repro.workloads.synthetic import SubStreamSpec, make_stream, stream_by_rates
 
 
 def column_view(items):
@@ -192,7 +192,6 @@ class TestColumnarEqualsTupleChunks:
         self, sizes, strata, capacity, seed
     ):
         items = make_items(strata, 300, seed)
-        sizes = sizes + [7]  # at least one multi-row chunk derives the generator
         columnar, tuples = run_both(
             items, sizes, lambda: FixedPerStratum(capacity), seed, intervals=1
         )
@@ -291,10 +290,10 @@ class TestColumnarEqualsTupleChunks:
 
 
 # ---------------------------------------------------------------------------
-# The item rule in column form: offer, draw for draw
+# One draw rule: the grouping of the rows changes nothing
 # ---------------------------------------------------------------------------
 
-ITEM_RULE_POLICIES = {
+POLICIES = {
     "fixed": FixedPerStratum,
     "equal": lambda capacity: EqualAllocation(3 * capacity),
     "water": lambda capacity: WaterFillingAllocation(3 * capacity),
@@ -304,70 +303,93 @@ KEY_MAKERS = {
     "int": lambda i: i + 2,
     "mixed": lambda i: f"k{i:02d}" if i % 2 else i + 2,
 }
+FEEDS = ("offer", "offer_many", "chunk")
 
 
 @st.composite
-def item_rule_cases(draw):
+def grouped_intervals(draw):
+    """Intervals of rows, each cut into segments fed by a drawn feed."""
     strata = draw(st.integers(1, 40))
     make_key = KEY_MAKERS[draw(st.sampled_from(sorted(KEY_MAKERS)))]
     keys = [make_key(i) for i in range(strata)]
     rng = random.Random(draw(st.integers(0, 2**16)))
     intervals = []
     for _ in range(draw(st.integers(1, 3))):
-        n = draw(st.one_of(st.integers(1, 700), st.just(L2_SLICE + 300)))
+        n = draw(st.one_of(st.integers(0, 700), st.just(L2_SLICE + 300)))
         # Some strata are first seen only in the interval's second half.
         early = keys[: draw(st.integers(1, strata))]
         items = [
             (rng.choice(early if row < n // 2 else keys), rng.gauss(50.0, 5.0))
             for row in range(n)
         ]
-        cuts = sorted(draw(st.lists(st.integers(0, n), max_size=2)))
-        # Rows past ``tail`` are offered one by one, after the column feed.
-        tail = draw(st.sampled_from([n, n, max(0, n - 5)]))
-        intervals.append((items, cuts, tail))
+        cuts = sorted(draw(st.lists(st.integers(0, n), max_size=3)))
+        bounds = [0] + cuts + [n]
+        segments = [
+            (
+                lo,
+                hi,
+                draw(st.sampled_from(FEEDS)),
+                draw(st.booleans()),  # column rows, else tuple rows
+                draw(st.sampled_from([1, 2, 5, 64, 4096])),
+            )
+            for lo, hi in zip(bounds, bounds[1:])
+        ]
+        intervals.append((items, segments))
     return intervals
 
 
-class TestItemRuleInColumnForm:
-    @settings(max_examples=400, deadline=None)
+def feed_segment(sampler, items, view, segment):
+    lo, hi, how, columnar, size = segment
+    rows = view[lo:hi] if columnar else items[lo:hi]
+    if how == "offer":
+        for item in items[lo:hi]:
+            sampler.offer(item)
+    elif how == "offer_many":
+        sampler.offer_many(rows)
+    else:
+        feed(sampler, rows, [size])
+
+
+def generator_state(sampler):
+    return None if sampler._gen is None else sampler._gen.bit_generator.state
+
+
+class TestOneDrawRule:
+    @settings(max_examples=300, deadline=None)
     @given(
-        intervals=item_rule_cases(),
-        policy=st.sampled_from(sorted(ITEM_RULE_POLICIES)),
+        intervals=grouped_intervals(),
+        policy=st.sampled_from(sorted(POLICIES)),
         capacity=st.integers(1, 200),
         seed=st.integers(0, 2**16),
     )
-    def test_offer_many_on_columns_equals_the_offer_loop(
+    def test_any_grouping_keeps_the_same_sample_and_generator(
         self, intervals, policy, capacity, seed
     ):
-        make_policy = ITEM_RULE_POLICIES[policy]
-        columns = OASRSSampler(make_policy(capacity), item_key, random.Random(seed))
-        loop = OASRSSampler(make_policy(capacity), item_key, random.Random(seed))
-        for items, cuts, tail in intervals:
+        make_policy = POLICIES[policy]
+        grouped = OASRSSampler(make_policy(capacity), item_key, random.Random(seed))
+        whole = OASRSSampler(make_policy(capacity), item_key, random.Random(seed))
+        for items, segments in intervals:
             view = column_view(items)
-            bounds = [0] + [min(cut, tail) for cut in cuts] + [tail]
-            for lo, hi in zip(bounds, bounds[1:]):
-                columns.offer_many(view[lo:hi])
-            for item in items[tail:]:
-                columns.offer(item)  # leaves value mode mid-interval
-            for item in items:
-                loop.offer(item)
-            assert columns.strata_seen == loop.strata_seen
-            assert columns._keys == loop._keys and columns._cap == loop._cap
-            assert fingerprint(columns.peek()) == fingerprint(loop.peek())
-            assert fingerprint(columns.close_interval()) == fingerprint(
-                loop.close_interval()
+            for segment in segments:
+                feed_segment(grouped, items, view, segment)
+            whole.offer_many(items)
+            assert grouped.strata_seen == whole.strata_seen
+            assert grouped._keys == whole._keys and grouped._cap == whole._cap
+            assert fingerprint(grouped.peek()) == fingerprint(whole.peek())
+            assert fingerprint(grouped.close_interval()) == fingerprint(
+                whole.close_interval()
             )
-            assert columns._rng.getstate() == loop._rng.getstate()
-        assert columns._gen is None
+            assert grouped._rng.getstate() == whole._rng.getstate()
+            assert generator_state(grouped) == generator_state(whole)
 
-    def test_column_feed_keeps_floats_and_a_tuple_interval_keeps_the_loop(self):
+    def test_column_feed_keeps_floats_and_a_tuple_interval_keeps_tuples(self):
         items = make_items(3, 500, seed=2)
         sampler = OASRSSampler(FixedPerStratum(20), item_key, random.Random(1))
         sampler.offer_many(column_view(items))
         assert {type(s.items).__name__ for s in sampler.close_interval()} == {
             "_StratumMembers"
         }
-        # An interval that already holds item tuples stays on the loop.
+        # An interval that already holds item tuples stays in the tuple store.
         sampler.offer(items[0])
         sampler.offer_many(column_view(items)[1:])
         assert {type(s.items) for s in sampler.close_interval()} == {tuple}
@@ -376,18 +398,62 @@ class TestItemRuleInColumnForm:
 
     @settings(max_examples=25, deadline=None)
     @given(capacity=st.integers(1, 12), seed=st.integers(0, 2**16))
-    def test_one_row_column_chunks_equal_offer_draw_for_draw(self, capacity, seed):
+    def test_one_row_chunks_equal_one_run(self, capacity, seed):
         items = make_items(4, 200, seed)
         view = column_view(items)
-        chunked = OASRSSampler(FixedPerStratum(capacity), item_key, random.Random(seed))
-        loop = OASRSSampler(FixedPerStratum(capacity), item_key, random.Random(seed))
-        kept = sum(chunked.process_chunk(view[row : row + 1]) for row in range(len(items)))
+        samplers = [
+            OASRSSampler(FixedPerStratum(capacity), item_key, random.Random(seed))
+            for _ in range(3)
+        ]
+        rows, loop, run = samplers
+        kept = sum(rows.process_chunk(view[row : row + 1]) for row in range(len(items)))
         for item in items:
             loop.offer(item)
-        assert kept >= min(len(items), capacity)
-        assert fingerprint(chunked.close_interval()) == fingerprint(loop.close_interval())
-        assert chunked._rng.getstate() == loop._rng.getstate()
-        assert chunked._gen is None
+        assert run.process_chunk(view) == kept >= min(len(items), capacity)
+        prints = {fingerprint(sampler.close_interval()) for sampler in samplers}
+        assert len(prints) == 1
+        assert rows._rng.getstate() == loop._rng.getstate() == run._rng.getstate()
+        assert generator_state(rows) == generator_state(loop) == generator_state(run)
+
+    def test_offer_decides_at_the_next_read(self):
+        sampler = OASRSSampler(FixedPerStratum(2), item_key, random.Random(0))
+        sampler.offer(("a", 1.0))
+        assert sampler._gen is None  # queued, not yet decided
+        assert sampler.peek()["a"].count == 1
+        assert sampler._gen is not None and not sampler._pending
+
+
+def chunk_stream():
+    # Odd interval lengths: a chunk of 2 leaves a one-row tail.
+    return stream_by_rates({"A": 803, "B": 201, "C": 21}, duration=12, seed=5)
+
+
+@pytest.mark.parametrize("engine", ["direct", "pipelined", "batched"])
+def test_chunk_size_changes_no_pane(engine):
+    stream = chunk_stream()
+
+    def panes(chunk, shim=False):
+        if shim:
+            os.environ["REPRO_NO_COLUMNAR"] = "1"
+        try:
+            plan = build_plan(
+                StreamQuery(kind="mean"), WindowConfig(10.0, 5.0),
+                SystemConfig(sampling_fraction=0.4, seed=3, chunk_size=chunk),
+                engine=engine, strategy="oasrs", source=ListSource(stream),
+            )
+            info = {}
+            results, _ = execute_plan(plan, run_info=info)
+        finally:
+            os.environ.pop("REPRO_NO_COLUMNAR", None)
+        assert ("columnar_fallback" in info) == shim
+        return results
+
+    base = panes(0)
+    assert len(base) >= 2
+    for chunk in (1, 2, 256, 4096):
+        assert panes(chunk) == base, f"chunk_size={chunk}"
+    for chunk in (0, 2):
+        assert panes(chunk, shim=True) == base, f"REPRO_NO_COLUMNAR, chunk_size={chunk}"
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,9 @@ only the public plan API, so it runs on any commit).
 
 The pooled run also pins which message kind carried each interval:
 every fault-free interval of a column-backed run is an index span on all
-three engines, and only the kill interval ships pickled items (as does
-every interval of the item-at-a-time pipelined dataflow, ``chunk_size``
-0, whose operators hand the sampler tuples one by one).
+three engines and at both chunk sizes (at ``chunk_size`` 0 the pipelined
+loop hands the sampler each run between two watermarks as one view), and
+only the kill interval ships pickled items.
 """
 
 import argparse
@@ -143,9 +143,6 @@ def test_pooled_and_in_process_match_the_parent_digest(
     intervals = len({int(ts // width) for ts, _item in stream})
     counters = info["telemetry"].metrics.snapshot()["counters"]
     kills = 1 if case[4] else 0
-    if case[1] == "pipelined" and case[3] == 0:
-        # Item-at-a-time dataflow: the operator offers tuples, not views.
-        kills = intervals
     assert counters["transport.span_intervals"] == intervals - kills
     assert counters["transport.pickle_intervals"] == kills
     assert counters["transport.inprocess_intervals"] == 0

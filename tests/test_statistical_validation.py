@@ -14,8 +14,10 @@ import statistics
 import pytest
 
 from repro.core.error import estimate_error
-from repro.core.oasrs import oasrs_sample
+from repro.core.oasrs import FixedPerStratum, OASRSSampler, oasrs_sample
 from repro.core.query import approximate_mean, approximate_sum
+from repro.core.records import item_key
+from repro.core.reservoir import Reservoir
 from repro.metrics.accuracy import coverage_rate
 from repro.runtime import ListSource, build_plan, execute_plan
 from repro.runtime.report import exact_panes, join_ground_truth
@@ -167,11 +169,11 @@ class TestSystemLevelCoverage:
 
 
 class TestManyStrataChunkedCoverage:
-    """The chunk kernel is *right*, not merely unchanged (ROADMAP 4b).
+    """The one draw rule is *right*, not merely unchanged.
 
-    200 equal-rate strata through ``chunk_size=256`` on every engine: over
-    200 sampler seeds the reported 95 % intervals must cover the exact
-    pane answer at the nominal rate.  Three binomial standard deviations
+    200 equal-rate strata through the default ``chunk_size`` 0 and through
+    ``chunk_size=256`` on every engine: over 200 sampler seeds the reported
+    95 % intervals must cover the exact pane answer at the nominal rate.  Three binomial standard deviations
     over the 200 independent runs are 0.046; the mean/sum band below is
     tighter, and two-sided — an interval that is too wide is as wrong as
     one that is too narrow.  The p90 DKW bracket is conservative by
@@ -195,14 +197,15 @@ class TestManyStrataChunkedCoverage:
 
     @pytest.mark.parametrize("kind", ["mean", "sum", "quantile"])
     @pytest.mark.parametrize("engine", ["direct", "pipelined", "batched"])
-    def test_intervals_cover_at_the_nominal_rate(self, stream, engine, kind):
+    @pytest.mark.parametrize("chunk", [0, 256])
+    def test_intervals_cover_at_the_nominal_rate(self, stream, chunk, engine, kind):
         query = StreamQuery(kind=kind, q=0.9, name=kind)
         truth = exact_panes(stream, query, self.WINDOW)
         covered = panes = 0
         for seed in range(self.SEEDS):
             plan = build_plan(
                 query, self.WINDOW,
-                SystemConfig(sampling_fraction=0.3, seed=seed, chunk_size=256),
+                SystemConfig(sampling_fraction=0.3, seed=seed, chunk_size=chunk),
                 engine=engine, strategy="oasrs", source=ListSource(stream), name=kind,
             )
             results, _cluster = execute_plan(plan)
@@ -211,6 +214,74 @@ class TestManyStrataChunkedCoverage:
                 covered += pane.error.covers(pane.exact)
         assert panes >= 3 * self.SEEDS
         if kind == "quantile":
-            assert covered / panes >= self.DKW_FLOOR, (engine, covered, panes)
+            assert covered / panes >= self.DKW_FLOOR, (chunk, engine, covered, panes)
         else:
-            assert 0.92 <= covered / panes <= 0.98, (engine, kind, covered, panes)
+            assert 0.92 <= covered / panes <= 0.98, (chunk, engine, kind, covered, panes)
+
+
+class TestSegmentedRuleMatchesTheItemRule:
+    """Two-sample test: the segmented rule keeps what the item rule kept.
+
+    The item rule is the per-item Algorithm R that the default
+    ``chunk_size`` used to run — one ``random()`` and, on acceptance, one
+    ``randrange(N)`` per steady arrival on the sampler's shared
+    ``random.Random``, in stream order; a `Reservoir` per stratum on one
+    shared generator makes exactly those calls.  Both rules keep
+    ``min(C, N)`` items per stratum, so what is compared is *which*
+    arrivals they keep: per stratum, the kept counts in ten arrival-order
+    deciles over 400 seeds, as a 2 × 10 chi-square homogeneity test.  Its
+    critical value at the 0.1 % level (9 degrees of freedom) is 27.88; a
+    rule that favoured early or late arrivals fails it.
+    """
+
+    SEEDS = 400
+    SIZES = {"a": 900, "b": 300, "c": 120}
+    CAPACITY = 40
+    DECILES = 10
+    CRITICAL = 27.88  # chi-square, 9 degrees of freedom, upper 0.1 %
+
+    @pytest.fixture(scope="class")
+    def items(self):
+        """One interval; an item's value is its arrival index in its stratum."""
+        keys = [key for key, size in self.SIZES.items() for _ in range(size)]
+        random.Random(3).shuffle(keys)
+        arrivals = dict.fromkeys(self.SIZES, 0)
+        items = []
+        for key in keys:
+            items.append((key, float(arrivals[key])))
+            arrivals[key] += 1
+        return items
+
+    def kept_by_decile(self, items, keep):
+        table = {key: [0] * self.DECILES for key in self.SIZES}
+        for seed in range(self.SEEDS):
+            for key, arrival in keep(items, seed):
+                table[key][int(arrival) * self.DECILES // self.SIZES[key]] += 1
+        return table
+
+    def segmented(self, items, seed):
+        sampler = OASRSSampler(
+            FixedPerStratum(self.CAPACITY), item_key, random.Random(seed)
+        )
+        sampler.offer_many(items)
+        return sampler.close_interval().all_items()
+
+    def item_rule(self, items, seed):
+        rng = random.Random(seed)
+        reservoirs = {key: Reservoir(self.CAPACITY, rng=rng) for key in self.SIZES}
+        for item in items:
+            reservoirs[item[0]].offer(item)
+        return [item for reservoir in reservoirs.values() for item in reservoir]
+
+    def test_kept_arrivals_are_homogeneous_per_stratum(self, items):
+        segmented = self.kept_by_decile(items, self.segmented)
+        item_rule = self.kept_by_decile(items, self.item_rule)
+        for key, size in self.SIZES.items():
+            rows = (segmented[key], item_rule[key])
+            kept = self.SEEDS * min(size, self.CAPACITY)
+            assert sum(rows[0]) == sum(rows[1]) == kept
+            statistic = 0.0
+            for column in zip(*rows):
+                expected = sum(column) / 2  # the two rows have equal totals
+                statistic += sum((seen - expected) ** 2 / expected for seen in column)
+            assert statistic < self.CRITICAL, (key, statistic, rows)

@@ -95,7 +95,6 @@ class TestWeightedSample:
 
     def test_all_items_of_a_value_mode_sample_stay_columns(self):
         """Same items, order and types as the flat list — without building it."""
-        pytest.importorskip("numpy")
         from repro.core.oasrs import FixedPerStratum, OASRSSampler
         from repro.core.records import ColumnSlice, RecordBatch, item_key
         from repro.engine.batched.rdd import _split

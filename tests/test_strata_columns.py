@@ -54,7 +54,7 @@ from repro.runtime import driver
 def ref_peek(sampler):
     """One `StratumSample` per active stratum, from the sampler's state."""
     sample = WeightedSample()
-    counts = sampler._counts()
+    counts = sampler._seen.tolist()
     active = [number for number, count in enumerate(counts) if count]
     if sampler._value_mode and active:
         regions = [
@@ -307,7 +307,7 @@ def test_column_path_matches_the_object_path(scenario):
         if scenario["rebalance"] and isinstance(policy, WaterFillingAllocation):
             # Mid-interval re-target: only strata without an item re-size
             # (in value mode their slots move to the end of the buffer).
-            counts = sampler._counts()
+            counts = sampler._seen.tolist()
             before = sampler._cap.tolist()
             policy.set_total(policy.total + 37)
             sampler.rebalance()
