@@ -15,9 +15,9 @@ The sampler is *online*: every arrival is decided by one draw rule,
 `repro.core.reservoir.segmented_offer`, which decides a run of rows for
 every stratum at once from one uniform per row of a NumPy generator.  A
 feed may be a whole interval (``offer_many``), a chunk (``process_chunk``)
-or one item (``offer`` queues it for the next run); the decisions do not
-depend on how the rows are grouped, so the sample and the generator's
-state are the same for every grouping of the same rows.  It is
+or one item (``offer``); the decisions do not depend on how the rows are
+grouped, so the sample and the generator's state are the same for every
+grouping of the same rows.  It is
 *adaptive*: per-stratum reservoir capacities come from a policy that may
 be re-evaluated every interval (e.g. driven by the query budget, see
 `repro.core.budget`).
@@ -305,8 +305,6 @@ class OASRSSampler(Generic[T]):
         self._values = _np.empty(0)
         self._offset = array("q")
         self._room = 0
-        # Items `offer` queued, decided as one run by the next feed or read.
-        self._pending: List[T] = []
         # `_strata_of`'s code -> stratum-number table for one batch key table.
         self._lut = None
         self._lut_table = None
@@ -314,8 +312,6 @@ class OASRSSampler(Generic[T]):
     @property
     def strata_seen(self) -> int:
         """Number of distinct strata observed since construction."""
-        if self._pending:
-            self._decide_pending()
         return len(self._keys)
 
     def _register(self, key: Key) -> int:
@@ -331,18 +327,8 @@ class OASRSSampler(Generic[T]):
         return number
 
     def offer(self, item: T) -> None:
-        """Queue one arriving item for its stratum's reservoir; O(1).
-
-        Queued items are decided as one run by the next feed or read
-        (``process_chunk``, ``offer_many``, ``peek``, ``close_interval``,
-        ``rebalance``), which is exact: a row's decision does not depend
-        on the rows it is grouped with.
-        """
-        self._pending.append(item)
-
-    def _decide_pending(self) -> None:
-        items, self._pending = self._pending, []
-        self.process_chunk(items)
+        """Offer one arriving item: a one-row ``process_chunk``."""
+        self.process_chunk((item,))
 
     def offer_many(self, items: Iterable[T]) -> None:
         """Offer items in order: one ``process_chunk`` over all of them."""
@@ -374,8 +360,6 @@ class OASRSSampler(Generic[T]):
         same items.  Chunks larger than `repro.core.records.L2_SLICE` are
         processed slice by slice to keep the working set cache-sized.
         """
-        if self._pending:
-            self._decide_pending()
         if not hasattr(items, "__len__"):
             items = list(items)
         n = len(items)
@@ -481,8 +465,6 @@ class OASRSSampler(Generic[T]):
         """Current interval's weighted sample *without* resetting state:
         the strata that received an item, in numbering order, their kept
         floats (value mode) copied into one array the sample owns."""
-        if self._pending:
-            self._decide_pending()
         if not self._value_mode:
             counts = self._seen.tolist()
             active = [number for number, count in enumerate(counts) if count]
@@ -544,8 +526,6 @@ class OASRSSampler(Generic[T]):
         strata that have not received an item are re-sized, so the call is
         safe at any point — mid-interval it leaves active reservoirs alone.
         """
-        if self._pending:
-            self._decide_pending()
         capacities = self._policy.rebalance(self._keys)
         fresh = (self._seen == 0).nonzero()[0].tolist()
         sizes = [capacities[self._keys[number]] for number in fresh]

@@ -76,18 +76,15 @@ def restore_attrs(obj: Any, state: Dict[str, Any]) -> None:
 def sampler_state(sampler: OASRSSampler) -> Dict[str, Any]:
     """Capture an `OASRSSampler` mid-stream as plain data.
 
-    Items queued by ``offer`` are decided first (the sample they give does
-    not depend on when).  Includes the shared ``random.Random`` state, the
-    kernel's NumPy generator (by value — deriving it consumed bits from
-    the parent ``random.Random``, so re-deriving on restore would
-    desynchronize every later draw), the strata in numbering order with
-    their capacities and counters, the interval's store (item lists, or the used part of the
+    Includes the shared ``random.Random`` state, the kernel's NumPy
+    generator (by value — deriving it consumed bits from the parent
+    ``random.Random``, so re-deriving on restore would desynchronize every
+    later draw), the strata in numbering order with their capacities and
+    counters, the interval's store (item lists, or the used part of the
     value buffer with its region offsets), and the allocation policy's
     attributes.  Callables (``key_fn``) are deliberately *not* captured:
     restore targets a sampler built by the same plan, which supplies them.
     """
-    if sampler._pending:
-        sampler._decide_pending()
     gen = sampler._gen
     return {
         "rng": sampler._rng.getstate(),
@@ -124,7 +121,6 @@ def restore_sampler(sampler: OASRSSampler, state: Dict[str, Any]) -> OASRSSample
     sampler._cap = array("q", state["cap"])
     sampler._seen = _np.array(state["seen"], dtype=_np.int64)
     sampler._kept = [list(store) for store in state["kept"]]
-    sampler._pending = []
     sampler._value_mode = state["value_mode"]
     sampler._offset = array("q", state["offset"])
     sampler._room = state["room"]

@@ -9,6 +9,7 @@ stream ends mid-interval on purpose: the pipelined engine then drops an
 end-of-stream flush pane, which must leave no trace in any of them.
 """
 
+import gc
 import random
 import sys
 
@@ -273,14 +274,23 @@ def test_offer_many_makes_no_python_call_per_fill_row():
         view = batch.item_slice(0, rows)
         sampler = OASRSSampler(FixedPerStratum(rows), item_key, random.Random(0))
         calls = []
+        gc.collect()
+        gc.disable()  # no finalizer of another test's garbage runs in the window
         sys.setprofile(lambda frame, event, arg: event == "call" and calls.append(1))
         try:
             sampler.offer_many(view)
         finally:
             sys.setprofile(None)
+            gc.enable()
         assert sampler.close_interval().total_items == rows  # all fill rows
         return len(calls)
 
-    # Up to one L2 slice, the feed is one kernel call whatever its length
-    # (longer feeds are decided slice by slice, one call chain per slice).
-    assert python_calls(L2_SLICE) == python_calls(200)
+    python_calls(200)  # the first generator imports NumPy's lazy modules
+    # Up to one L2 slice, the feed is one kernel call whatever its length;
+    # longer feeds are decided slice by slice, so past the split their cost
+    # grows by a fixed amount per slice, no more than a whole short feed.
+    short = python_calls(200)
+    assert python_calls(L2_SLICE) == short
+    two, three, four = [python_calls(k * L2_SLICE) for k in (2, 3, 4)]
+    assert four - three == three - two
+    assert 0 < three - two <= short

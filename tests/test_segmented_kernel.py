@@ -415,13 +415,6 @@ class TestOneDrawRule:
         assert rows._rng.getstate() == loop._rng.getstate() == run._rng.getstate()
         assert generator_state(rows) == generator_state(loop) == generator_state(run)
 
-    def test_offer_decides_at_the_next_read(self):
-        sampler = OASRSSampler(FixedPerStratum(2), item_key, random.Random(0))
-        sampler.offer(("a", 1.0))
-        assert sampler._gen is None  # queued, not yet decided
-        assert sampler.peek()["a"].count == 1
-        assert sampler._gen is not None and not sampler._pending
-
 
 def chunk_stream():
     # Odd interval lengths: a chunk of 2 leaves a one-row tail.
