@@ -12,8 +12,13 @@ OASRS is the paper's core contribution.  Within each time interval it:
    ``W_i = C_i / Y_i`` (when the reservoir overflowed) or ``1``.
 
 The sampler is *online*: every arrival is decided by one draw rule,
-`repro.core.reservoir.segmented_offer`, which decides a run of rows for
-every stratum at once from one uniform per row of a NumPy generator.  A
+`repro.core.reservoir.draw`, which decides a run of rows for every
+stratum at once from one uniform per row of a NumPy generator.  Only the
+draw uses the randomness: step 1, the run's stable grouping by key
+(`repro.core.reservoir.group_rows`), depends on the rows alone, so a view
+over a resident `repro.core.records.RecordBatch` takes it from the
+batch's cache and a second pass or seed pays only the draw.  The sampler
+maps each group — not each row — to its stratum number.  A
 feed may be a whole interval (``offer_many``), a chunk (``process_chunk``)
 or one item (``offer``); the decisions do not depend on how the rows are
 grouped, so the sample and the generator's state are the same for every
@@ -53,7 +58,7 @@ import numpy as _np
 
 from .records import L2_SLICE as _L2_SLICE
 from .records import ColumnSlice, item_key
-from .reservoir import segmented_offer
+from .reservoir import draw, group_rows
 from .strata import WeightedSample
 
 T = TypeVar("T")
@@ -305,7 +310,7 @@ class OASRSSampler(Generic[T]):
         self._values = _np.empty(0)
         self._offset = array("q")
         self._room = 0
-        # `_strata_of`'s code -> stratum-number table for one batch key table.
+        # `_numbers`' code -> stratum-number table for one batch key table.
         self._lut = None
         self._lut_table = None
 
@@ -346,9 +351,11 @@ class OASRSSampler(Generic[T]):
         """Route and sample a whole chunk at once; returns how many rows
         entered a reservoir.
 
-        The chunk's rows are mapped to stratum numbers (new strata are
-        numbered in arrival order), `repro.core.reservoir.segmented_offer`
-        decides every row of every stratum in one pass, and the kept rows
+        The chunk's rows are grouped by stratum (`group_rows`; a located
+        column view takes its batch's cached grouping), each group is
+        mapped to a stratum number (new strata are numbered in arrival
+        order), `repro.core.reservoir.draw` decides every row of every
+        stratum in one pass, and the kept rows
         are written to the interval's store.  The decision depends only on
         the stratum sequence, the counters, the capacities and the
         generator — a `repro.core.records.ColumnSlice` chunk (canonical
@@ -381,7 +388,8 @@ class OASRSSampler(Generic[T]):
             key = key_fn(item)
             number = index.get(key)
             strata.append(self._register(key) if number is None else number)
-        rows, numbers, slots = self._decide(_np.fromiter(strata, _np.intp, n))
+        grouping = group_rows(_np.fromiter(strata, _np.intp, n))
+        rows, numbers, slots = self._decide(grouping, grouping.codes)
         kept = self._kept
         for row, number, slot in zip(rows.tolist(), numbers.tolist(), slots.tolist()):
             store = kept[number]
@@ -391,8 +399,8 @@ class OASRSSampler(Generic[T]):
                 store.append(items[row])
         return len(rows)
 
-    def _decide(self, strata):
-        """`segmented_offer` over ``strata``, counters extended to new strata."""
+    def _decide(self, grouping, numbers):
+        """`draw` over ``grouping``, counters extended to new strata."""
         seen, strata_seen = self._seen, len(self._keys)
         if len(seen) < strata_seen:
             grown = _np.zeros(strata_seen, dtype=_np.int64)
@@ -401,35 +409,39 @@ class OASRSSampler(Generic[T]):
         if self._gen is None:
             self._gen = _np.random.default_rng(self._rng.getrandbits(64))
         cap = _np.frombuffer(self._cap, dtype=_np.int64)
-        return segmented_offer(strata, seen, cap, self._gen)
+        return draw(grouping, numbers, seen, cap, self._gen)
 
-    def _strata_of(self, chunk: ColumnSlice):
-        """Stratum number of every row of a column chunk.
+    def _numbers(self, grouping, table):
+        """Stratum number of every group of a column chunk's grouping.
 
-        The batch's interned codes go through a per-key-table translation
-        array.  Strata are numbered by *arrival*, never by code, so how a
-        batch happened to intern its keys cannot influence the sample.
+        Codes go through a per-key-table translation array, one lookup per
+        group.  Strata are numbered by *arrival*, never by code — new ones
+        in the order of their group's first row — so how a batch happened
+        to intern its keys cannot influence the sample.
         """
-        table = chunk.key_table
         if table is not self._lut_table or len(table) != len(self._lut):
+            if len(set(table)) != len(table):
+                raise ValueError("a column view's key table names a key twice")
             index = self._index
             self._lut = _np.fromiter(
                 (index.get(key, -1) for key in table), dtype=_np.intp, count=len(table)
             )
             self._lut_table = table
-        strata = self._lut[chunk.codes]
-        if strata.min() < 0:
-            codes, first = _np.unique(chunk.codes[strata < 0], return_index=True)
-            for code in codes[_np.argsort(first)].tolist():
+        numbers = self._lut[grouping.codes]
+        fresh = (numbers < 0).nonzero()[0]
+        if len(fresh):
+            for group in fresh[_np.argsort(grouping.firsts[fresh])].tolist():
+                code = grouping.codes[group]
                 key = table[code]
                 number = self._index.get(key)
                 self._lut[code] = self._register(key) if number is None else number
-            strata = self._lut[chunk.codes]
-        return strata
+            numbers = self._lut[grouping.codes]
+        return numbers
 
     def _process_columns(self, chunk: ColumnSlice) -> int:
         """Column chunk: `_decide`, then scatter the kept values into the buffer."""
-        strata = self._strata_of(chunk)
+        grouping = chunk.grouping()
+        numbers = self._numbers(grouping, chunk.key_table)
         offset = _np.frombuffer(self._offset, dtype=_np.int64)
         if not self._value_mode:
             # First column chunk of the interval: every known stratum gets
@@ -443,7 +455,7 @@ class OASRSSampler(Generic[T]):
             grown = _np.empty(max(self._room, 2 * len(self._values)))
             grown[: len(self._values)] = self._values
             self._values = grown
-        rows, numbers, slots = self._decide(strata)
+        rows, numbers, slots = self._decide(grouping, numbers)
         # NumPy assigns index arrays front to back, so of two rows naming
         # one slot the later stays (tests/test_segmented_kernel.py pins it).
         self._values[offset[numbers] + slots] = chunk.values[rows]

@@ -36,6 +36,13 @@ column when possible and record why the item columns are unavailable in
 `RecordBatch.columnar_reason`; the drivers report that reason instead of
 silently degrading.
 
+A batch also caches, per located row range, the sampling kernel's
+`repro.core.reservoir.Grouping` of its codes (`RecordBatch.grouping`): the
+seed-independent half of OASRS, so every pass and seed over a resident
+stream after the first runs only the draw.  The cache goes with the
+columns, is bounded at `GROUPING_BYTES_PER_ROW` bytes per row, and is
+never pickled.
+
 `L2_SLICE` caps the working set of one vectorized sampling call: oversized
 inputs are processed in L2-cache-sized column slices inside
 `repro.core.oasrs.OASRSSampler.process_chunk`, which is what keeps large
@@ -44,11 +51,15 @@ chunk sizes from spilling out of cache (the old chunk=4096 regression).
 
 from __future__ import annotations
 
+import os
 from itertools import chain, repeat
 from operator import itemgetter
+from threading import Lock
 from typing import Hashable, Iterable, List, Optional, Tuple
 
 import numpy as _np
+
+from .reservoir import Grouping, group_rows
 
 __all__ = [
     "L2_SLICE",
@@ -64,6 +75,27 @@ __all__ = [
 #: stay inside a typical per-core L2 cache.  Inputs larger than this are
 #: processed slice by slice; chunk sizes at or below it are untouched.
 L2_SLICE = 8192
+
+#: The groupings a batch keeps take at most this many bytes per batch row,
+#: room for several chunk grids (a grouping's row order is 2 bytes a row).
+#: Each is charged its arrays plus `_GROUPING_OVERHEAD` for its Python
+#: objects, so a grid of tiny chunks does not fill memory with headers; a
+#: grouping past the bound is computed and not kept.
+GROUPING_BYTES_PER_ROW = 32
+_GROUPING_OVERHEAD = 1024
+
+#: Serialises the bound's check and charge when threads share a batch.
+_grouping_lock = Lock()
+
+
+def _new_grouping_lock() -> None:
+    # A forked shard worker must not inherit the lock held by another thread.
+    global _grouping_lock
+    _grouping_lock = Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_new_grouping_lock)
 
 
 def item_key(item) -> Hashable:
@@ -125,6 +157,13 @@ class ColumnSlice:
             self.key_table[self.codes[index]],
             self.values.item(index),
         )
+
+    def grouping(self) -> Grouping:
+        """The sampling kernel's `repro.core.reservoir.Grouping` of the
+        view's rows: a located view's is cached on its batch."""
+        if self.batch is not None:
+            return self.batch.grouping(self.start, self.codes)
+        return group_rows(self.codes)
 
     def __iter__(self):
         if self.batch is not None:
@@ -325,7 +364,8 @@ class RecordBatch(list):
       by `repro.runtime.source.TopicSource.batches`.
 
     Columns are invalidated if the list length changes (the runtime never
-    mutates streams; this guards ad-hoc test usage).
+    mutates streams; this guards ad-hoc test usage), and with them the
+    cached groupings (`grouping`).
     """
 
     def __init__(self, events: Iterable[Tuple[float, object]] = ()) -> None:
@@ -333,6 +373,8 @@ class RecordBatch(list):
         self._cols = None  # built on first use
         self._seq = None
         self._ordered = None  # (columns it was read from, verdict)
+        # (columns they were read from, {(start, rows): Grouping}, [bytes held])
+        self._groupings = None
 
     @classmethod
     def of(cls, events) -> "RecordBatch":
@@ -417,6 +459,33 @@ class RecordBatch(list):
             ts = cols[0]
             self._ordered = (cols, None if ts is None else not (ts[1:] < ts[:-1]).any())
         return self._ordered[1]
+
+    def grouping(self, start: int, codes) -> Grouping:
+        """The kernel's grouping of ``codes``, the batch's codes of rows
+        ``[start, start + len(codes))`` — cached per row range.
+
+        Every seed and every pass over a resident stream reuses it.  The
+        cache goes with the columns (a change of length drops both), holds
+        at most `GROUPING_BYTES_PER_ROW` bytes per row of the batch, and is
+        neither pickled nor checkpointed: it is derived from the codes.
+        """
+        cols = self._columns()
+        held = self._groupings
+        if held is None or held[0] is not cols:
+            held = self._groupings = (cols, {}, [0])
+        key = (start, len(codes))
+        grouping = held[1].get(key)
+        if grouping is None:
+            grouping = group_rows(codes)
+            cost = _GROUPING_OVERHEAD + sum(array.nbytes for array in grouping)
+            with _grouping_lock:
+                room = GROUPING_BYTES_PER_ROW * cols[4] - held[2][0]
+                if key not in held[1] and cost <= room:
+                    for array in grouping:
+                        array.flags.writeable = False
+                    held[1][key] = grouping
+                    held[2][0] += cost
+        return grouping
 
     @property
     def has_columns(self) -> bool:

@@ -14,14 +14,19 @@ Two forms are provided:
   ``random()`` draw per item once it is full): one list of at most
   ``capacity`` items and one integer counter.  `repro.core.stratify`'s
   value sketch is its user.
-* ``segmented_offer`` — the algorithm decided for a run of rows and every
-  stratum at once: given each row's stratum, the per-stratum counters and
-  capacities, and a NumPy generator, it returns which rows enter which
-  slot.  It draws one uniform per row in stream order, so splitting the
-  rows into several calls changes no decision.  It never looks at a
-  payload, so one set of decisions can be applied to any store (a
-  ``float64`` slot buffer, a list of item tuples).  It is OASRS's only
-  draw rule (`repro.core.oasrs`).
+* the segmented kernel — the algorithm decided for a run of rows and
+  every stratum at once, in two halves.  ``group_rows`` orders the rows
+  stably by code (a `Grouping`); it reads only the codes, so a resident
+  stream computes it once per row range and caches it
+  (`repro.core.records.RecordBatch.grouping`).  ``draw`` is the per-seed
+  half: given the grouping, each group's stratum number, the per-stratum
+  counters and capacities, and a NumPy generator, it returns which rows
+  enter which slot.  It draws one uniform per row in stream order, so
+  splitting the rows into several calls changes no decision.  It never
+  looks at a payload, so one set of decisions can be applied to any store
+  (a ``float64`` slot buffer, a list of item tuples).  It is OASRS's only
+  draw rule (`repro.core.oasrs`); ``segmented_offer`` is the two halves
+  over rows given by stratum number.
 
 Both realise the per-item acceptance probability ``capacity / i`` with a
 uniform victim slot.
@@ -30,13 +35,29 @@ uniform victim slot.
 from __future__ import annotations
 
 import random
-from typing import Generic, Iterable, Iterator, List, Optional, Sequence, TypeVar
+from typing import (
+    Generic,
+    Iterable,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    TypeVar,
+)
 
 import numpy as _np
 
 T = TypeVar("T")
 
-__all__ = ["Reservoir", "reservoir_sample", "segmented_offer"]
+__all__ = [
+    "Grouping",
+    "Reservoir",
+    "draw",
+    "group_rows",
+    "reservoir_sample",
+    "segmented_offer",
+]
 
 
 class Reservoir(Generic[T]):
@@ -146,41 +167,83 @@ def reservoir_sample(
     return reservoir.items
 
 
-def segmented_offer(strata, seen, cap, gen):
+class Grouping(NamedTuple):
+    """A run of rows stably ordered by code: the kernel's seed-free half.
+
+    ``order`` lists the rows by code, arrival order kept inside a code
+    (``uint16`` for runs of at most 2¹⁶ rows); group ``g`` is
+    ``order[starts[g] : starts[g] + counts[g]]``, its code ``codes[g]``
+    (ascending) and its first row ``firsts[g]``.  It depends
+    only on the codes, so a resident stream computes it once per row range
+    (`repro.core.records.RecordBatch.grouping`) and every seed reuses it.
+    """
+
+    order: _np.ndarray
+    codes: _np.ndarray
+    starts: _np.ndarray
+    counts: _np.ndarray
+    firsts: _np.ndarray
+
+
+def group_rows(codes) -> Grouping:
+    """The `Grouping` of a run of non-negative integer codes.
+
+    A stable sort keeps arrival order inside each code; codes below 2¹⁶
+    get NumPy's O(n) radix sort.  A code's rows are consecutive in
+    ``order`` and start at the summed count of the codes below it.
+    """
+    count = _np.bincount(codes)
+    present = count.nonzero()[0]
+    counts = count[present]
+    starts = counts.cumsum() - counts
+    narrow = _np.uint16 if count.shape[0] <= 0x10000 else codes.dtype
+    order = codes.astype(narrow, copy=False).argsort(kind="stable")
+    if codes.shape[0] <= 0x10000:  # a quarter of the bytes a cache keeps
+        order = order.astype(_np.uint16)
+    return Grouping(order, present, starts, counts, order[starts])
+
+
+def draw(grouping: Grouping, numbers, seen, cap, gen):
     """Algorithm 1 for one run of rows, decided segment-wise over its strata.
 
-    ``strata[r]`` is the stratum number of stream row ``r``; ``seen`` and
-    ``cap`` are the per-stratum ``int64`` arrival counters and capacities.
-    Row ``r`` is the ``i``-th arrival of its stratum: ``seen`` before the
-    run plus its rank among the run's rows of that stratum.  With one
-    uniform ``U`` per row, drawn in stream-row order, and ``j = ⌊U·i⌋``: a
-    fill row (``i ≤ N``) takes slot ``i − 1``; a steady row is kept iff
-    ``j < N`` — probability ``N / i`` — and then lands in slot ``j``,
-    uniform on ``0..N−1`` given acceptance.  Each row's decision depends
-    only on its own ``U`` and ``i``, so any split of a run into several
-    calls decides every row alike and leaves ``gen`` in the same state.
+    ``grouping`` is the run's `Grouping` and ``numbers[g]`` the stratum
+    number of its group ``g`` (distinct per group); ``seen`` and ``cap``
+    are the per-stratum ``int64`` arrival counters and capacities.  Row
+    ``r`` is the ``i``-th arrival of its stratum: ``seen`` before the run
+    plus its rank in its group.  With one uniform ``U`` per row, drawn in
+    stream-row order, and ``j = ⌊U·i⌋``: a fill row (``i ≤ N``) takes slot
+    ``i − 1``; a steady row is kept iff ``j < N`` — probability ``N / i``
+    — and then lands in slot ``j``, uniform on ``0..N−1`` given
+    acceptance.  Each row's decision depends only on its own ``U`` and
+    ``i``, so any split of a run into several calls decides every row
+    alike and leaves ``gen`` in the same state.
 
     Returns ``(rows, numbers, slots)``: the kept rows, each one's stratum
-    number, and the slot it takes *within that stratum*, ordered by stratum
-    and, inside a stratum, by arrival.  Apply the writes in the order
+    number, and the slot it takes *within that stratum*, ordered by group
+    and, inside a group, by arrival.  Apply the writes in the order
     returned — two kept rows of a stratum may name the same slot, and the
     later arrival wins, as it would have item by item.  ``seen`` is
-    advanced in place.  O(rows + strata), no Python-level loop.
+    advanced in place.  O(rows + groups), no Python-level loop.
     """
-    n = strata.shape[0]
-    # A stable sort keeps arrival order inside each stratum; 16-bit keys
-    # get NumPy's O(n) radix sort.
-    narrow = _np.uint16 if seen.shape[0] <= 0x10000 else strata.dtype
-    order = strata.astype(narrow, copy=False).argsort(kind="stable")
-    by = strata[order]
-    # A stratum's rows are consecutive in ``by``; the first of them sits at
-    # the summed count of the strata numbered before it.
-    count = _np.bincount(strata, minlength=seen.shape[0])
-    arrival = (seen - count.cumsum() + count)[by]
+    order, _codes, starts, counts, _firsts = grouping
+    n = order.shape[0]
+    before = seen[numbers]
+    seen[numbers] = before + counts
+    arrival = _np.repeat(before - starts, counts)
     arrival += _np.arange(1, n + 1)
-    seen += count
-    slot = (gen.random(n)[order] * arrival).astype(_np.int64)
-    room = cap[by]
-    _np.putmask(slot, arrival <= room, arrival - 1)
+    slot = (gen.random(n).take(order) * arrival).astype(_np.int64)
+    room = cap[numbers]
+    fills = (before < room).any()  # some stratum fills inside the run
+    room = _np.repeat(room, counts)
+    if fills:
+        _np.putmask(slot, arrival <= room, arrival - 1)
     kept = (slot < room).nonzero()[0]
-    return order[kept], by[kept], slot[kept]
+    rows = order.take(kept).astype(_np.intp)
+    return rows, _np.repeat(numbers, counts)[kept], slot[kept]
+
+
+def segmented_offer(strata, seen, cap, gen):
+    """`draw` over rows given by stratum number: ``strata[r]`` is row
+    ``r``'s stratum, so the groups are the strata, ordered by number."""
+    grouping = group_rows(strata)
+    return draw(grouping, grouping.codes, seen, cap, gen)

@@ -101,10 +101,10 @@ def count_strata(items: Sequence[object], key_fn) -> int:
     sources are declared at the aggregator); water-filling re-derives
     capacities from real counters at every interval close.  Column views
     with the canonical key projection count distinct interned codes
-    instead of hashing items one by one — same count, one vectorized pass.
+    instead of hashing items one by one — same count, one ``bincount``.
     """
     if isinstance(items, ColumnSlice) and key_fn is item_key:
-        return max(1, int(_np.unique(items.codes).size))
+        return max(1, int(_np.count_nonzero(_np.bincount(items.codes))))
     return max(1, len({key_fn(item) for item in items}))
 
 

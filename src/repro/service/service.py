@@ -33,7 +33,7 @@ import itertools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import ceil
-from typing import AsyncIterator, Dict, List, Optional
+from typing import AsyncIterator, Dict, Optional, Set
 
 from ..obs import MetricsRegistry
 from ..runtime.config import StreamQuery, SystemConfig, WindowConfig
@@ -211,7 +211,8 @@ class QueryService:
         )
         self._query_ids = itertools.count(1)
         self._tasks: Dict[int, asyncio.Task] = {}
-        self._connections: set = set()
+        # connection task -> its live result-streaming tasks
+        self._connections: Dict[asyncio.Task, Set[asyncio.Task]] = {}
         self._draining = False
         self._server: Optional[asyncio.AbstractServer] = None
 
@@ -471,8 +472,9 @@ class QueryService:
         from . import protocol
 
         write_lock = asyncio.Lock()
-        streams: List[asyncio.Task] = []
-        self._connections.add(asyncio.current_task())
+        # Live result streams only: each finished task removes itself.
+        streams: Set[asyncio.Task] = set()
+        self._connections[asyncio.current_task()] = streams
 
         async def send(payload: dict) -> None:
             async with write_lock:
@@ -531,17 +533,17 @@ class QueryService:
                     await send(protocol.error_message(client_id, str(exc)))
                     continue
                 await send(protocol.admitted_message(client_id, handle))
-                streams.append(
-                    asyncio.ensure_future(
-                        self._stream_results(client_id, handle, send)
-                    )
+                stream = asyncio.ensure_future(
+                    self._stream_results(client_id, handle, send)
                 )
+                streams.add(stream)
+                stream.add_done_callback(streams.discard)
         except asyncio.CancelledError:
             # Shutdown cancelled the read loop; finish result streaming (the
             # queries themselves drain via close()) and hang up cleanly.
             pass
         finally:
-            self._connections.discard(asyncio.current_task())
+            self._connections.pop(asyncio.current_task(), None)
             if streams:
                 await asyncio.gather(*streams, return_exceptions=True)
             writer.close()

@@ -766,3 +766,38 @@ def test_tcp_metrics_request_reports_per_tenant_stats():
     assert alice["admitted"] == 1 and alice["settles"] == 1
     assert alice["time_to_answer"]["count"] == 1
     assert alice["time_to_first_pane"]["count"] == 1
+
+
+def test_tcp_connection_keeps_only_live_result_streams():
+    """A connection used to keep every query's finished result-streaming
+    task for its whole life; each task now leaves the set when it ends."""
+
+    async def scenario():
+        import json
+
+        service = _service()
+        held = []
+        try:
+            _host, port = await service.serve_tcp(port=0)
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            for query in range(200):
+                message = {
+                    "op": "submit", "id": f"q{query}", "tenant": "alice",
+                    "source": "ticks", "config": {"fraction": 0.3, "seed": query},
+                }
+                writer.write((json.dumps(message) + "\n").encode())
+                await writer.drain()
+                while True:
+                    line = await asyncio.wait_for(reader.readline(), timeout=30)
+                    if json.loads(line)["type"] == "answer":
+                        break
+                (streams,) = service._connections.values()
+                held.append(len(streams))
+            writer.close()
+            await writer.wait_closed()
+        finally:
+            await service.close()
+        return held
+
+    held = asyncio.run(scenario())
+    assert len(held) == 200 and max(held) <= 1
