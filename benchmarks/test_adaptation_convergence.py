@@ -16,7 +16,7 @@ pre-defined fraction cannot follow) and asserts the §4.2 controller:
   the adaptation is doing the work, not the workload.
 
 ``REPRO_ADAPT_MAX_INTERVALS`` (default 8) loosens the convergence deadline
-on throttled CI runners, mirroring ``REPRO_FIG6A_MIN_SPEEDUP``.
+on throttled CI runners.
 """
 
 import os

@@ -5,26 +5,25 @@ benchmark measures the repo's own execution speed.  It runs
 `NativeStreamApproxSystem` — OASRS directly over the fig6a microbenchmark
 workload at the figure's 40% sampling fraction — in three modes:
 
-* ``default`` — ``chunk_size`` 0: each interval goes to
-  `OASRSSampler.offer_many` in one call (decided in L2-sized slices),
-* ``chunk=K`` — the interval fed as ``K``-row `OASRSSampler.process_chunk`
-  calls,
+* ``default`` — ``chunk_size`` 0,
+* ``chunk=K`` — ``chunk_size`` K,
 * ``shard=4`` — the real multi-process `ShardedExecutor` (4 workers).
 
+Every engine hands the sampler each interval in one ``offer_many``, which
+decides it in `repro.core.records.L2_SLICE`-row slices, whatever
+``chunk_size`` is: on this engine the chunk size reaches nothing at all.
 OASRS has one draw rule (`repro.core.reservoir.segmented_offer`, one
-uniform per row in stream order), so ``chunk_size`` is a pure speed knob:
-the default and every ``chunk=K`` row keep the same sample and report
-``==`` pane estimates, which is asserted.  What the chunk size costs is a
-kernel call (~16 us whatever its size) per chunk, so ``chunk=64`` is the
-slow baseline the speedups are read against.
+uniform per row in stream order), so every row keeps the same sample and
+reports ``==`` pane estimates, which is asserted, and every row runs the
+same code, so none may be slower than the default by more than noise.
 
-Two wall-clock throughputs are reported per mode: ``end-to-end`` (the
-whole `timed_execute` processing path) and ``sampling path`` (only the
-offer/process_chunk section — the stable basis for the speedup assertion;
-the end-to-end ratio adds shared slicing/estimation time to both sides and
-is noisier run to run).  Asserted claims: every single-process setting
-gives the same pane estimates; the default and large chunks (>= 1024)
-beat ``chunk=64`` on the sampling path by >= ``MIN_SPEEDUP``; chunk 4096
+Two wall-clock throughputs are reported per mode, with each row's ratio
+to ``default``: ``end-to-end`` (the whole `timed_execute` processing
+path) and ``sampling path`` (only the offer section — the stable basis for
+the speed assertion; the end-to-end ratio adds shared slicing/estimation
+time to both sides and is noisier run to run).  Asserted claims: every
+single-process setting gives the same pane estimates; every chunk
+setting's sampling path is >= ``MIN_RATIO`` of the default's; chunk 4096
 does not fall off a cache cliff against 1024; and 4-way sharding keeps
 accuracy within the same error bounds as the single-process run.
 
@@ -48,13 +47,11 @@ from conftest import MICRO_QUERY, RESULTS_DIR, WINDOW
 
 FRACTION = 0.4  # the fig6a operating point
 CHUNKS = (64, 256, 1024, 4096)
-BASELINE = "chunk=64"  # the kernel's call overhead at its largest share
+BASELINE = "default"
 REPEATS = 3  # best-of, to shrug off scheduler noise
-# Required sampling-path speedup of the default and chunk >= 1024 over
-# chunk=64.  The checked-in margin is well above 2x on an idle box; shared
-# CI runners are throttled and noisy, so CI relaxes the gate via this env
-# var rather than flaking unrelated PRs.
-MIN_SPEEDUP = float(os.environ.get("REPRO_FIG6A_MIN_SPEEDUP", "2.0"))
+# Every chunk setting runs the default's code, so its best-of-3 sampling
+# path must read at least this share of the default's.
+MIN_RATIO = 0.8
 
 
 def _throughput(stream, chunk_size=0, parallelism=1):
@@ -102,8 +99,8 @@ def test_fig6a_chunked(benchmark, micro_stream):
     base_total, base_sampling = rows[BASELINE]
     lines = ["fig6a_chunked_scalability — wall-clock throughput (items/s)"]
     lines.append(
-        f"{'setting':<16}{'end-to-end':>14}{'speedup':>9}"
-        f"{'sampling path':>16}{'speedup':>9}"
+        f"{'setting':<16}{'end-to-end':>14}{'ratio':>9}"
+        f"{'sampling path':>16}{'ratio':>9}"
     )
     for setting, (total, sampling) in rows.items():
         lines.append(
@@ -123,10 +120,10 @@ def test_fig6a_chunked(benchmark, micro_stream):
     estimates = runs["default"][2]
     for chunk in CHUNKS:
         assert runs[f"chunk={chunk}"][2] == estimates, f"chunk={chunk} moved a pane"
-    # ...only the speed: the default feed and large chunks amortise the
-    # kernel's per-call cost that 64-row chunks pay >= MIN_SPEEDUP times over.
-    for setting in ("default", "chunk=1024", "chunk=4096"):
-        assert rows[setting][1] >= MIN_SPEEDUP * base_sampling, setting
+    # ...nor the speed: the sampler slices every interval the same way.
+    for chunk in CHUNKS:
+        setting = f"chunk={chunk}"
+        assert rows[setting][1] >= MIN_RATIO * base_sampling, setting
     # Growing the chunk from 1024 to 4096 must not fall off a cache cliff:
     # L2-sized sub-slicing keeps the working set bounded, so throughput is
     # monotone-or-flat (10% tolerance for scheduler noise).
@@ -142,14 +139,14 @@ def _write_bench_json(rows, base_total, base_sampling):
         "benchmark": "fig6a_chunked_scalability",
         "workload": {"fraction": FRACTION, "repeats": REPEATS},
         "machine": {"cpu_count": os.cpu_count()},
-        "gates": {"min_speedup": MIN_SPEEDUP},
+        "gates": {"min_ratio": MIN_RATIO},
         "rows": [
             {
                 "setting": setting,
                 "end_to_end_items_per_s": round(total, 1),
-                "end_to_end_speedup": round(total / base_total, 3),
+                "end_to_end_ratio": round(total / base_total, 3),
                 "sampling_items_per_s": round(sampling, 1),
-                "sampling_speedup": round(sampling / base_sampling, 3),
+                "sampling_ratio": round(sampling / base_sampling, 3),
             }
             for setting, (total, sampling) in rows.items()
         ],

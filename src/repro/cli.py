@@ -16,9 +16,9 @@ Subcommands:
 * ``sweep`` — sweep the sampling fraction and print the resulting figure
   table and an ASCII line chart.
 
-``--chunk-size K`` routes items through the vectorized chunk path and
-``--parallelism N`` shards interval sampling over N real processes; both
-apply to *every* system through the unified runtime.  Combinations the
+``--chunk-size K`` makes the pipelined systems charge virtual seconds in
+runs of K items (every system accepts it; no sample changes) and
+``--parallelism N`` shards interval sampling over N real processes.  Combinations the
 planner cannot support (e.g. ``--parallelism`` with ``spark-srs``, whose
 sampling needs the whole batch) exit with a clear error instead of being
 silently ignored.  ``--via-broker`` replays the workload through the
@@ -577,8 +577,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--systems", nargs="+", choices=list(_CLI_SYSTEMS),
                        default=_DEFAULT_SYSTEMS)
         p.add_argument("--chunk-size", type=int, default=0, dest="chunk_size",
-                       help="sampling run length, honoured by every system; "
-                            "changes no sample (0 = whole intervals)")
+                       help="the pipelined engine's virtual-cost charging "
+                            "run (0 = item by item); changes no sample")
         p.add_argument("--parallelism", type=int, default=1,
                        help="real worker processes for interval sampling "
                             "(OASRS-based systems; others reject it)")

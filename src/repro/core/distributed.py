@@ -16,10 +16,10 @@ just one O(sample-size) merge:
 
   - **in** — an interval delivered as located column views tiling one
     row range of the run's stream (every interval of a column-backed
-    run: direct slide intervals, batched micro-batches, pipelined chunk
-    segments) is named by its ``[lo, hi)`` index span; each forked
-    worker slices its own
-    round-robin shard out of the inherited stream.  Anything else —
+    run: direct slide intervals, batched micro-batches, pipelined
+    intervals) is named by its ``[lo, hi)`` index span; each forked
+    worker slices its own round-robin shard out of the inherited stream
+    and feeds it to its sampler in one ``offer_many``.  Anything else —
     fault-injection reroutes, records the columns cannot represent —
     crosses as a pickled item list.
   - **out** — a stratum sampled from column views comes back as its
@@ -88,7 +88,6 @@ def _run_shard(
     key_fn: KeyFn,
     n_live: int,
     seed: int,
-    chunk_size: int,
 ) -> tuple:
     """Sample one shard for one interval; return a picklable payload.
 
@@ -104,8 +103,7 @@ def _run_shard(
     sampler: OASRSSampler = OASRSSampler(
         _ScaledPolicy(policy, n_live), key_fn=key_fn, rng=random.Random(seed)
     )
-    for start in range(0, len(shard), chunk_size):
-        sampler.process_chunk(shard[start : start + chunk_size])
+    sampler.offer_many(shard)
     sample = sampler.close_interval()
     members = None if sample.packed is not None else sample.members
     return sample.keys, sample.counts, sample.sizes, sample.packed, members
@@ -116,7 +114,7 @@ def _run_shard(
 # ---------------------------------------------------------------------------
 
 
-def _pool_worker_main(conn, policy, key_fn, chunk_size, source) -> None:
+def _pool_worker_main(conn, policy, key_fn, source) -> None:
     """Long-lived shard worker: serve one interval per control message.
 
     Runs in a forked child, so ``policy`` (a copy-on-write snapshot),
@@ -149,7 +147,7 @@ def _pool_worker_main(conn, policy, key_fn, chunk_size, source) -> None:
             else:  # "items": fault reroutes, records off the pinned columns
                 shard = transport[1]
             started = perf_counter()
-            payload = _run_shard(shard, policy, key_fn, n_live, seed, chunk_size)
+            payload = _run_shard(shard, policy, key_fn, n_live, seed)
             kept = sum(payload[2])
             conn.send((payload, (len(shard), kept, perf_counter() - started)))
     except KeyboardInterrupt:
@@ -214,17 +212,13 @@ class ShardedExecutor(Generic[T]):
         policy: AllocationPolicy,
         key_fn: KeyFn,
         seed: Optional[int] = None,
-        chunk_size: int = 1024,
         faults: Optional[FaultSchedule] = None,
         metrics=None,
         source: Optional[Sequence] = None,
     ) -> None:
         if workers <= 0:
             raise ValueError(f"workers must be positive, got {workers}")
-        if chunk_size <= 0:
-            raise ValueError(f"chunk_size must be positive, got {chunk_size}")
         self.workers = workers
-        self.chunk_size = chunk_size
         self._policy = policy
         self._key_fn = key_fn
         self._rng = random.Random(seed)
@@ -329,7 +323,6 @@ class ShardedExecutor(Generic[T]):
                         child_conn,
                         self._policy,
                         self._key_fn,
-                        self.chunk_size,
                         self._source,
                     ),
                     daemon=True,
@@ -561,7 +554,6 @@ class ShardedExecutor(Generic[T]):
                     self._key_fn,
                     n_live,
                     seeds[slot],
-                    self.chunk_size,
                 )
                 for slot in range(n_live)
             ]

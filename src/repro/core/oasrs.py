@@ -372,9 +372,14 @@ class OASRSSampler(Generic[T]):
         n = len(items)
         if n > _L2_SLICE:
             return sum(
-                self.process_chunk(items[start : start + _L2_SLICE])
+                self._process_slice(items[start : start + _L2_SLICE])
                 for start in range(0, n, _L2_SLICE)
             )
+        return self._process_slice(items)
+
+    def _process_slice(self, items: Sequence[T]) -> int:
+        """`process_chunk` over at most `repro.core.records.L2_SLICE` rows."""
+        n = len(items)
         if n == 0:
             return 0
         if self._takes_columns(items):

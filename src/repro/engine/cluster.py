@@ -22,9 +22,14 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
+import numpy as np
+
 from .costs import DEFAULT_COSTS, CostProfile
 
 __all__ = ["VirtualClock", "ExecutionStats", "SimulatedCluster"]
+
+#: Items `SimulatedCluster.ingest_each` charges per NumPy pass (32 B each).
+_EACH_BLOCK = 1 << 16
 
 
 class VirtualClock:
@@ -41,6 +46,16 @@ class VirtualClock:
         if seconds < 0:
             raise ValueError(f"cannot advance clock by {seconds} seconds")
         self._now += seconds
+        return self._now
+
+    def advance_each(self, steps) -> float:
+        """Advance by each of ``steps`` in turn: the float sum ``advance``
+        makes one call at a time, left to right (``np.add.accumulate`` is
+        sequential), bitwise."""
+        sums = np.concatenate(([self._now], steps))
+        if sums[1:].min(initial=0.0) < 0:
+            raise ValueError(f"cannot advance clock by {sums[1:].min()} seconds")
+        self._now = float(np.add.accumulate(sums, out=sums)[-1])
         return self._now
 
     def reset(self) -> None:
@@ -149,8 +164,7 @@ class SimulatedCluster:
         self.stats.items_shuffled += n
         self.parallel(n * self.costs.item_shuffle)
 
-    def sample_items(self, n: int, kind: str) -> None:
-        """Charge the per-item sampling cost of the named algorithm."""
+    def _sample_cost(self, kind: str) -> float:
         per_item = {
             "oasrs": self.costs.item_sample_oasrs,
             "srs": self.costs.item_sample_srs,
@@ -158,8 +172,34 @@ class SimulatedCluster:
         }.get(kind)
         if per_item is None:
             raise ValueError(f"unknown sampling kind {kind!r}")
+        return per_item
+
+    def sample_items(self, n: int, kind: str) -> None:
+        """Charge the per-item sampling cost of the named algorithm."""
+        per_item = self._sample_cost(kind)
         self.stats.items_sampled += n
         self.parallel(n * per_item)
+
+    def ingest_each(self, n: int, kind: Optional[str] = None) -> None:
+        """Charge ``n`` items one at a time: ``ingest_items(1)``, then
+        ``sample_items(1, kind)`` (``process_items(1)`` when ``kind`` is
+        None), per item — the same clock and stats as that loop, bitwise,
+        in one pass."""
+        if n <= 0:
+            return
+        if kind is None:
+            then = self.costs.item_process
+            self.stats.items_processed += n
+        else:
+            then = self._sample_cost(kind)
+            self.stats.items_sampled += n
+        self.stats.items_ingested += n
+        speedup = self.effective_parallelism
+        steps = np.empty(2 * min(n, _EACH_BLOCK))
+        steps[0::2] = self.costs.item_ingest / speedup
+        steps[1::2] = then / speedup
+        for start in range(0, n, _EACH_BLOCK):
+            self.clock.advance_each(steps[: 2 * min(_EACH_BLOCK, n - start)])
 
     def sort(self, comparisons: float) -> None:
         self.stats.sort_comparisons += comparisons

@@ -146,18 +146,16 @@ class SystemConfig:
       rejects ``budget`` with strategy ``none``.
 
     ``nodes``/``cores_per_node`` describe the *simulated* cluster the cost
-    model charges against; ``chunk_size`` and ``parallelism`` control the
-    *real* execution fast paths introduced with the vectorized sampling
-    stack:
+    model charges against; ``chunk_size`` shapes only the simulated
+    charging grid and ``parallelism`` is a *real* execution path:
 
-    * ``chunk_size = K`` (``K >= 2``) feeds the sampling stage in runs of
-      ``K`` (`OASRSSampler.process_chunk`, the pipelined engine's
-      event-time loop); ``0`` (default) and ``1`` feed whole intervals
-      (on the pipelined engine, every run between two watermarks).  It is
-      a pure speed knob: OASRS decides every row by one draw rule that
-      does not depend on how rows are grouped, so every ``chunk_size``
-      returns the same panes.  What it may move is the simulated cost —
-      the pipelined engine charges virtual seconds per run.
+    * ``chunk_size = K`` (``K >= 2``) makes the pipelined engine charge
+      its virtual seconds in runs of ``K`` items; ``0`` (default) and
+      ``1`` charge item by item.  Nothing else reads it: every engine
+      hands the sampler each interval (a micro-batch on the batched
+      engine) in one feed, which the sampler decides in
+      `repro.core.records.L2_SLICE`-row slices, so every ``chunk_size``
+      returns the same panes at the same wall-clock cost.
     * ``parallelism = N`` (``N >= 2``) shards each sampling interval over
       ``N`` real worker processes via
       `repro.core.distributed.ShardedExecutor`.  Supported by every

@@ -21,7 +21,8 @@ this pane":
 
 * `_ingest_batched` — micro-batches (§5.5, Spark-Streaming-style),
 * `_ingest_pipelined` — one event-time loop (§4.2.2, Flink-style): the
-  stream in ``chunk_size`` runs, intervals and panes closed by watermarks,
+  stream charged in ``chunk_size`` runs, intervals and panes closed by
+  watermarks,
 * `_ingest_direct` — this repo's own executor: the sampling stack straight
   over slide-sized intervals, no engine simulation in the hot loop.
 
@@ -29,9 +30,11 @@ Every engine relies on the stream being time-ordered (boundaries are
 binary searches over its timestamps); `_Run` refuses one that is not
 before any pane closes.
 
-``chunk_size`` and ``parallelism`` are honoured uniformly: the planner
-has already rejected combinations the strategy cannot support, so every
-engine can assume its plan is runnable.
+Every engine hands the sampler each interval (a micro-batch on the
+batched engine) in one feed; ``chunk_size`` shapes only the pipelined
+engine's charging grid.  ``parallelism`` is honoured uniformly: the
+planner has already rejected combinations the strategy cannot support, so
+every engine can assume its plan is runnable.
 
 **Fault tolerance as a runtime service.**  With
 ``SystemConfig(checkpoint=CheckpointPolicy(...))`` `_Run.close_pane`
@@ -557,9 +560,7 @@ def execute_plan(
     actually kept across the run's intervals, the measured actual the
     serving layer's settle-up reconciles against its pre-run cost
     estimate — and, on the direct engine, ``"sampling_seconds"``: the wall
-    time spent inside the sampling path itself (the
-    offer/process_chunk/shard section), the number the chunked and sharded
-    fast paths improve.
+    time spent inside the sampling path itself (the offer/shard section).
 
     ``on_pane``, when given, is called with each `WindowResult` the moment
     its pane closes — the streaming hook the serving layer
@@ -661,13 +662,16 @@ def _ingest_pipelined(run: _Run) -> SimulatedCluster:
        ending at or before it;
     2. the run is charged ``ingest_items(n)``, then ``sample_items(n)``
        (the exact ``none`` path: ``process_items(n)``, every item is kept);
-    3. the run is split at slide boundaries into ``process_chunk``
-       segments, closing the intervals that end inside it.
+       one-item runs are charged item by item, in one
+       `SimulatedCluster.ingest_each`;
+    3. the sampler is fed up to the run's end, closing the intervals that
+       end inside it.  Each feed is one ``offer_many`` of the rows up to
+       the next watermark, which may reach past the run: a ``fed``
+       position keeps later runs from feeding a row twice.
 
-    One-item runs are charged one by one, but the sampler takes every run
-    up to the next watermark in one ``process_chunk``: its decisions do
-    not depend on how the rows are grouped, so ``chunk_size`` changes no
-    sample.
+    So the sampler takes every interval in one feed whatever the run
+    length: ``chunk_size`` shapes only the virtual-seconds grid, and its
+    decisions do not depend on how the rows are grouped anyway.
 
     A closed interval is charged ``process_items(kept)`` — the items that
     reach the window, the pipelined saving — and joins the window's
@@ -727,31 +731,29 @@ def _ingest_pipelined(run: _Run) -> SimulatedCluster:
         kept = sample.total_items
         run.close_pane(end, estimate, bound, groups, (), kept, kept, at, engine_state)
 
+    kind = "oasrs" if sampled else None
     if sampled:
-        charge = partial(cluster.sample_items, kind="oasrs")
+        charge = partial(cluster.sample_items, kind=kind)
     else:
         charge = cluster.process_items
-    i = position
+    i = fed = position
     while i < n:
         while stream[i][0] >= next_fire:  # 1. the run's watermark
             close()
         if chunk == 1:  # the one-item runs up to the next watermark
-            j = min(_first_at(stream, ts_col, next_fire, i), n)
-            for _ in range(j - i):
-                cluster.ingest_items(1)  # 2.
-                charge(1)
+            j = _first_at(stream, ts_col, next_fire, i)
+            cluster.ingest_each(j - i, kind)  # 2.
         else:
             j = min(i - i % chunk + chunk, n)
             cluster.ingest_items(j - i)  # 2.
             charge(j - i)
-        lo = i
-        while sampled and lo < j:  # 3.
-            hi = min(_first_at(stream, ts_col, next_fire, lo), j)
-            if hi <= lo:
+        while sampled and fed < j:  # 3.
+            hi = _first_at(stream, ts_col, next_fire, fed)
+            if hi <= fed:
                 close()
                 continue
-            sampler.process_chunk(_items(stream, ts_col, lo, hi))
-            lo = hi
+            sampler.offer_many(_items(stream, ts_col, fed, hi))
+            fed = hi
         i = j
     if n > position:  # the end-of-stream watermark, then the open interval
         while last_ts + 1e-9 >= next_fire:

@@ -10,8 +10,9 @@ sampling-strategy name:
 * ``engine = "batched"``   — micro-batch panes on the Spark-style engine
   (`repro.engine.batched`),
 * ``engine = "pipelined"`` — the Flink-style event-time loop of
-  `repro.runtime.driver`: items (or ``chunk_size`` runs) pushed through
-  the sampler, intervals and panes closed by watermarks,
+  `repro.runtime.driver`: items charged one by one (or in ``chunk_size``
+  runs), each interval fed to the sampler whole, intervals and panes
+  closed by watermarks,
 * ``engine = "direct"``    — this repo's own executor: the sampling stack
   straight over slide intervals, no engine simulation in the hot loop.
 

@@ -24,16 +24,16 @@ engines only feed it, and ``state()`` snapshots it:
   (full-weight strata for ``none``, so exact systems flow through the
   same estimator).
 * ``sample_interval(rows)`` — the one whole-interval feed (the direct
-  engine's slide intervals, OASRS micro-batches): chunk-size runs through
-  ``process_chunk``, or ``offer_many``, then ``close_interval``.
+  engine's slide intervals, OASRS micro-batches): one ``offer_many``,
+  then ``close_interval``.
 * ``sampler(budget, strata_hint)`` — the run's sampler itself, built
   through the strategy's ``interval_sampler`` the first time anyone asks;
   the pipelined engine's sampling operator feeds it as items stream in.
   Only interval-capable strategies (``samples_intervals = True``)
   provide one.
 
-``SystemConfig.chunk_size`` selects the chunk feed where a strategy has
-one (``oasrs``) and is otherwise honoured structurally;
+``SystemConfig.chunk_size`` never reaches a strategy: it shapes only the
+pipelined engine's simulated charging grid.
 ``SystemConfig.parallelism`` shards interval sampling over real worker
 processes where the strategy supports it.  New strategies register with
 `register_strategy` and immediately work in every system that names
@@ -245,16 +245,11 @@ class BoundStrategy:
         """Feed one whole interval to the run's sampler and close it.
 
         ``rows`` is a located `repro.core.records.ColumnSlice` or a plain
-        item list; ``chunk_size > 1`` feeds it as chunk-size runs through
-        the sampler's ``process_chunk``, otherwise ``offer_many`` takes it
-        in one call.  Either way the sample is the same.
+        item list, taken by one ``offer_many``; the sampler slices it at
+        `repro.core.records.L2_SLICE` rows itself.
         """
-        sampler, chunk = self._sampler, self.plan.config.chunk_size
-        if chunk > 1:
-            for start in range(0, len(rows), chunk):
-                sampler.process_chunk(rows[start : start + chunk])
-        else:
-            sampler.offer_many(rows)
+        sampler = self._sampler
+        sampler.offer_many(rows)
         return sampler.close_interval()
 
     # -- checkpoint / recovery role -----------------------------------------
@@ -328,8 +323,8 @@ class NoSamplingStrategy(SamplingStrategy):
     the shared estimator yields exact results with zero-width error
     bounds.  On the pipelined engine the driver aggregates exact panes
     directly (`ExecutionPlan` with strategy ``none`` inserts no sampling
-    operator).  ``chunk_size`` is honoured structurally — RDD partitions
-    and pipelined chunk delivery are the chunks — and changes no output.
+    operator).  ``chunk_size`` shapes only the pipelined engine's charging
+    grid and changes no output.
     """
 
     name = "none"
@@ -353,9 +348,7 @@ class SRSStrategy(SamplingStrategy):
     The whole batch is materialised as an RDD first (all items pay the
     copy), then the ScaSRS random sort keeps ``sampling_fraction`` of it
     as a single unstratified pseudo-stratum — rare sub-streams can vanish,
-    the accuracy weakness of Figures 4b/6c/7a.  ``chunk_size`` is honoured
-    structurally (the RDD's partitions are the chunks) and changes no
-    output.
+    the accuracy weakness of Figures 4b/6c/7a.
     """
 
     name = "srs"
@@ -387,8 +380,7 @@ class STSStrategy(SamplingStrategy):
 
     Statistically strong (proportional allocation, no stratum overlooked)
     but structurally the slowest: the shuffle, per-stratum waitlist sorts,
-    and barriers are all charged.  ``chunk_size`` is honoured structurally
-    and changes no output.
+    and barriers are all charged.
     """
 
     name = "sts"
@@ -471,7 +463,6 @@ class _BoundOASRS(_SeededBound):
                 policy,
                 key_fn,
                 seed=config.seed,
-                chunk_size=config.chunk_size if config.chunk_size > 1 else 1024,
                 faults=config.faults,
                 metrics=self.telemetry.metrics if self.telemetry is not None else None,
                 source=self.source,

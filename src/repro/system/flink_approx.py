@@ -27,8 +27,9 @@ __all__ = ["FlinkStreamApproxSystem"]
 class FlinkStreamApproxSystem(StreamSystem):
     """Pipelined dataflow with the OASRS sampling operator.
 
-    Items flow one at a time (or in ``SystemConfig.chunk_size`` runs) into
-    the run's sampler; each slide boundary closes a weighted interval
+    Items are charged one at a time (or in ``SystemConfig.chunk_size``
+    runs) and the run's sampler takes each slide interval in one feed;
+    each slide boundary closes a weighted interval
     sample that the window pane merges and aggregates — the cheapest
     structure of all six systems.
     ``SystemConfig.parallelism`` shards each interval's sampling over real

@@ -53,8 +53,8 @@ class NativeFlinkSystem(StreamSystem):
     """Flink without sampling: per-item pipelined processing, exact windows.
 
     Streams every item through the pipelined dataflow and aggregates exact
-    panes; with ``SystemConfig.chunk_size > 1`` the dataflow runs in
-    chunked mode (identical results, lower constant factors).
+    panes; ``SystemConfig.chunk_size > 1`` charges its virtual costs in
+    runs of that many items (identical results).
 
     Example
     -------
@@ -75,13 +75,13 @@ class NativeStreamApproxSystem(StreamSystem):
     """This repo's own executor: OASRS straight over slide-sized intervals.
 
     No engine simulation sits in the hot loop — each slide interval's items
-    go directly into the OASRS sampler (per item, in ``chunk_size`` runs
-    through `OASRSSampler.process_chunk`, or sharded over ``parallelism``
-    real processes via `repro.core.distributed.ShardedExecutor`), and each
-    interval close merges the last ``w/δ`` interval samples into the pane
-    estimate.  Because the hot loop is the sampling stack itself, this is
-    the system whose *wall-clock* throughput measures the chunked/sharded
-    fast paths (see ``benchmarks/test_fig6a_chunked_scalability.py``);
+    go directly into the OASRS sampler (one `OASRSSampler.offer_many` per
+    interval, or sharded over ``parallelism`` real processes via
+    `repro.core.distributed.ShardedExecutor`), and each interval close
+    merges the last ``w/δ`` interval samples into the pane estimate.
+    Because the hot loop is the sampling stack itself, this is the system
+    whose *wall-clock* throughput measures the sampling kernel and the
+    sharded path (see ``benchmarks/test_fig6a_chunked_scalability.py``);
     simulated-cluster charges are still recorded so virtual metrics remain
     comparable with the other systems.
 
@@ -113,8 +113,7 @@ class NativeStreamApproxSystem(StreamSystem):
         ``(results, cluster, wall_seconds)`` — the number benchmarks divide
         into ``len(stream)`` for real items-per-second throughput.  After a
         run, ``last_sampling_seconds`` holds the wall time spent inside the
-        sampling path itself (the offer/process_chunk/shard section), the
-        part the chunked and sharded fast paths replace.
+        sampling path itself (the offer/shard section).
         """
         start = time.perf_counter()
         results, cluster = self._execute(stream)

@@ -26,9 +26,9 @@ __all__ = ["SparkStreamApproxSystem"]
 class SparkStreamApproxSystem(StreamSystem):
     """Micro-batch pipeline with on-the-fly OASRS before RDD formation.
 
-    Every arriving item pays one O(1) reservoir offer (chunked through
-    `OASRSSampler.process_chunk` when ``SystemConfig.chunk_size > 1``, or
-    sharded over ``SystemConfig.parallelism`` real worker processes); only
+    Every arriving item pays one O(1) reservoir offer (each micro-batch in
+    one `OASRSSampler.offer_many`, or sharded over
+    ``SystemConfig.parallelism`` real worker processes); only
     *kept* items pay RDD formation and query processing — no shuffle,
     sort, or barrier.
 

@@ -3,7 +3,10 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro.engine.cluster as cluster_module
 from repro.engine.cluster import SimulatedCluster, VirtualClock
 from repro.engine.costs import DEFAULT_COSTS, CostProfile
 
@@ -139,3 +142,52 @@ class TestSimulatedCluster:
         cluster.stats.bump("panes")
         cluster.stats.bump("panes", 2.0)
         assert cluster.stats.custom["panes"] == 3.0
+
+
+def charge_item_by_item(cluster, n, kind):
+    """The reference `SimulatedCluster.ingest_each` replaces: one item at a
+    time, ingest then sample (or process)."""
+    for _ in range(n):
+        cluster.ingest_items(1)
+        if kind is None:
+            cluster.process_items(1)
+        else:
+            cluster.sample_items(1, kind)
+
+
+class TestIngestEach:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        before=st.floats(0.0, 1e3),
+        n=st.integers(0, 3000),
+        kind=st.sampled_from([None, "oasrs", "srs", "sts"]),
+        nodes=st.integers(1, 6),
+        ingest=st.floats(1e-12, 1e-3),
+        then=st.floats(1e-12, 1e-3),
+    )
+    def test_bitwise_the_item_by_item_loop(self, before, n, kind, nodes, ingest, then):
+        costs = DEFAULT_COSTS.scaled(
+            item_ingest=ingest, item_process=then, item_sample_oasrs=then,
+            item_sample_srs=then * 3, item_sample_sts=then / 7,
+        )
+        loop, one = (SimulatedCluster(nodes=nodes, costs=costs) for _ in range(2))
+        for cluster in (loop, one):
+            cluster.serial(before)
+        charge_item_by_item(loop, n, kind)
+        one.ingest_each(n, kind)
+        assert one.elapsed().hex() == loop.elapsed().hex()
+        assert one.stats == loop.stats
+
+    def test_crosses_block_boundaries_bitwise(self):
+        n = 2 * cluster_module._EACH_BLOCK + 3
+        loop, one = SimulatedCluster(), SimulatedCluster()
+        charge_item_by_item(loop, n, "oasrs")
+        one.ingest_each(n, "oasrs")
+        assert one.elapsed().hex() == loop.elapsed().hex()
+        assert one.stats == loop.stats
+
+    def test_unknown_kind_and_negative_costs_are_refused(self):
+        with pytest.raises(ValueError):
+            SimulatedCluster().ingest_each(3, "bogus")
+        with pytest.raises(ValueError):
+            SimulatedCluster(costs=DEFAULT_COSTS.scaled(item_ingest=-1.0)).ingest_each(3)

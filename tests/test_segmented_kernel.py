@@ -30,6 +30,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.oasrs as oasrs
 from repro.core.oasrs import (
     EqualAllocation,
     FixedPerStratum,
@@ -324,16 +325,18 @@ def grouped_intervals(draw):
         ]
         cuts = sorted(draw(st.lists(st.integers(0, n), max_size=3)))
         bounds = [0] + cuts + [n]
-        segments = [
-            (
+        segments = []
+        for lo, hi in zip(bounds, bounds[1:]):
+            # A feed of one to five rows a call pays a kernel call per row
+            # or so: only segments of up to 700 rows draw one.
+            short = hi - lo <= 700
+            segments.append((
                 lo,
                 hi,
-                draw(st.sampled_from(FEEDS)),
+                draw(st.sampled_from(FEEDS if short else FEEDS[1:])),
                 draw(st.booleans()),  # column rows, else tuple rows
-                draw(st.sampled_from([1, 2, 5, 64, 4096])),
-            )
-            for lo, hi in zip(bounds, bounds[1:])
-        ]
+                draw(st.sampled_from([1, 2, 5, 64, 4096] if short else [64, 4096])),
+            ))
         intervals.append((items, segments))
     return intervals
 
@@ -416,31 +419,54 @@ class TestOneDrawRule:
         assert generator_state(rows) == generator_state(loop) == generator_state(run)
 
 
+#: The slide and the micro-batch: every engine feeds 5-second runs.
+RUN_SECONDS = 5.0
+
+
 def chunk_stream():
-    # Odd interval lengths: a chunk of 2 leaves a one-row tail.
-    return stream_by_rates({"A": 803, "B": 201, "C": 21}, duration=12, seed=5)
+    # Odd interval lengths: a chunk of 2 leaves a one-row tail; the two
+    # whole intervals hold more than `L2_SLICE` rows each.
+    return stream_by_rates({"A": 6423, "B": 1609, "C": 21}, duration=12, seed=5)
 
 
 @pytest.mark.parametrize("engine", ["direct", "pipelined", "batched"])
-def test_chunk_size_changes_no_pane(engine):
+def test_chunk_size_changes_no_pane(engine, monkeypatch):
     stream = chunk_stream()
+    draws = []
+    real_draw = oasrs.draw
+
+    def counting_draw(*args):
+        draws.append(1)
+        return real_draw(*args)
+
+    monkeypatch.setattr(oasrs, "draw", counting_draw)
 
     def panes(chunk, shim=False):
         if shim:
             os.environ["REPRO_NO_COLUMNAR"] = "1"
         try:
             plan = build_plan(
-                StreamQuery(kind="mean"), WindowConfig(10.0, 5.0),
-                SystemConfig(sampling_fraction=0.4, seed=3, chunk_size=chunk),
+                StreamQuery(kind="mean"), WindowConfig(10.0, RUN_SECONDS),
+                SystemConfig(
+                    sampling_fraction=0.4, seed=3, chunk_size=chunk,
+                    batch_interval=RUN_SECONDS,
+                ),
                 engine=engine, strategy="oasrs", source=ListSource(stream),
             )
             info = {}
+            draws.clear()
             results, _ = execute_plan(plan, run_info=info)
         finally:
             os.environ.pop("REPRO_NO_COLUMNAR", None)
         assert ("columnar_fallback" in info) == shim
+        # The sampler takes each run between two watermarks in one feed and
+        # slices only that: one draw per `L2_SLICE` rows of a run.
+        assert len(draws) == slices, f"chunk_size={chunk}, shim={shim}"
         return results
 
+    runs = np.bincount([int(ts // RUN_SECONDS) for ts, _item in stream])
+    slices = sum(-(-int(run) // L2_SLICE) for run in runs)
+    assert slices > np.count_nonzero(runs)
     base = panes(0)
     assert len(base) >= 2
     for chunk in (1, 2, 256, 4096):

@@ -38,10 +38,6 @@ class TestConstruction:
         with pytest.raises(ValueError):
             ShardedExecutor(0, FixedPerStratum(5), key_fn=KEY)
 
-    def test_chunk_size_must_be_positive(self):
-        with pytest.raises(ValueError):
-            ShardedExecutor(2, FixedPerStratum(5), key_fn=KEY, chunk_size=0)
-
 
 class TestMergeWeights:
     """The Equation-1 merge: counts add, samples concatenate, W re-derives."""

@@ -68,7 +68,6 @@ def make_executor(**kwargs):
     kwargs.setdefault("policy", WaterFillingAllocation(total=200))
     kwargs.setdefault("key_fn", KEY)
     kwargs.setdefault("seed", 42)
-    kwargs.setdefault("chunk_size", 256)
     return ShardedExecutor(**kwargs)
 
 
@@ -151,7 +150,7 @@ class TestReplyFormat:
     def test_column_shard_replies_with_value_arrays(self):
         events, _spans = as_events(make_intervals(1))
         shard = RecordBatch(events).item_slice(0, len(events))[1::2]
-        payload = _run_shard(shard, WaterFillingAllocation(200), item_key, 2, 5, 256)
+        payload = _run_shard(shard, WaterFillingAllocation(200), item_key, 2, 5)
         keys, counts, sizes, packed, members = payload
         assert keys, "empty payload"
         assert isinstance(packed, np.ndarray) and packed.dtype == np.float64
@@ -173,7 +172,7 @@ class TestReplyFormat:
     def test_tuple_strata_round_trip(self):
         """A custom ``key_fn`` sees item tuples; they come back as they went."""
         items = make_intervals(1)[0]
-        payload = _run_shard(items, WaterFillingAllocation(200), KEY, 2, 5, 256)
+        payload = _run_shard(items, WaterFillingAllocation(200), KEY, 2, 5)
         keys, counts, _sizes, packed, members = payload
         assert packed is None
         sample = WeightedSample.of_columns(*pickle.loads(pickle.dumps(payload)))
