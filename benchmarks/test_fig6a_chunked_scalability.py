@@ -48,48 +48,68 @@ from conftest import MICRO_QUERY, RESULTS_DIR, WINDOW
 FRACTION = 0.4  # the fig6a operating point
 CHUNKS = (64, 256, 1024, 4096)
 BASELINE = "default"
-REPEATS = 3  # best-of, to shrug off scheduler noise
-# Every chunk setting runs the default's code, so its best-of-3 sampling
+REPEATS = 5  # best-of, to shrug off scheduler noise
+# Every chunk setting runs the default's code, so its best-of-REPEATS sampling
 # path must read at least this share of the default's.
 MIN_RATIO = 0.8
 
 
-def _throughput(stream, chunk_size=0, parallelism=1):
-    """Best-of-REPEATS (end-to-end, sampling-path) items/s and the pane
-    estimates for one mode."""
-    best_total = 0.0
-    best_sampling = 0.0
-    for _ in range(REPEATS):
-        config = SystemConfig(
-            sampling_fraction=FRACTION,
-            seed=21,
-            chunk_size=chunk_size,
-            parallelism=parallelism,
-        )
-        system = NativeStreamApproxSystem(MICRO_QUERY, WINDOW, config)
-        results, _cluster, wall = system.timed_execute(stream)
-        fallback = system._run_info.get("parallel_fallback")
-        assert fallback is None, (
-            f"parallelism={parallelism} silently degraded: {fallback}"
-        )
-        # The microbenchmark stream is a RecordBatch with the canonical
-        # projections — the columnar path must actually engage, not shim.
-        assert system._run_info.get("columnar_fallback") is None, (
-            f"columnar path silently degraded: "
-            f"{system._run_info.get('columnar_fallback')}"
-        )
-        best_total = max(best_total, len(stream) / wall)
-        best_sampling = max(best_sampling, len(stream) / system.last_sampling_seconds)
-    return best_total, best_sampling, [r.estimate for r in results]
+MODES = {
+    "default": {},
+    **{f"chunk={chunk}": {"chunk_size": chunk} for chunk in CHUNKS},
+}
+
+
+def _pass(stream, chunk_size=0, parallelism=1):
+    """One timed pass of a mode: (end-to-end, sampling-path) items/s and
+    the pane estimates."""
+    config = SystemConfig(
+        sampling_fraction=FRACTION,
+        seed=21,
+        chunk_size=chunk_size,
+        parallelism=parallelism,
+    )
+    system = NativeStreamApproxSystem(MICRO_QUERY, WINDOW, config)
+    results, _cluster, wall = system.timed_execute(stream)
+    fallback = system._run_info.get("parallel_fallback")
+    assert fallback is None, (
+        f"parallelism={parallelism} silently degraded: {fallback}"
+    )
+    # The microbenchmark stream is a RecordBatch with the canonical
+    # projections — the columnar path must actually engage, not shim.
+    assert system._run_info.get("columnar_fallback") is None, (
+        f"columnar path silently degraded: "
+        f"{system._run_info.get('columnar_fallback')}"
+    )
+    return (
+        len(stream) / wall,
+        len(stream) / system.last_sampling_seconds,
+        [r.estimate for r in results],
+    )
 
 
 def sweep(stream):
-    rows = {}
-    rows["default"] = _throughput(stream)
-    for chunk in CHUNKS:
-        rows[f"chunk={chunk}"] = _throughput(stream, chunk_size=chunk)
-    rows["shard=4"] = _throughput(stream, chunk_size=4096, parallelism=4)
-    return rows
+    """Best-of-REPEATS per mode, after one untimed warm-up pass.  Each
+    round runs every single-process mode once, so a change of machine
+    speed part-way through the sweep reaches every mode alike instead of
+    one mode's whole best-of; the sharded row's worker processes run
+    after all of them."""
+    _pass(stream)
+    runs = {setting: [] for setting in MODES}
+    for _ in range(REPEATS):
+        for setting, kwargs in MODES.items():
+            runs[setting].append(_pass(stream, **kwargs))
+    runs["shard=4"] = [
+        _pass(stream, chunk_size=4096, parallelism=4) for _ in range(REPEATS)
+    ]
+    return {
+        setting: (
+            max(total for total, _, _ in passes),
+            max(sampling for _, sampling, _ in passes),
+            passes[-1][2],
+        )
+        for setting, passes in runs.items()
+    }
 
 
 def test_fig6a_chunked(benchmark, micro_stream):

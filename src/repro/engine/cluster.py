@@ -48,7 +48,7 @@ class VirtualClock:
         self._now += seconds
         return self._now
 
-    def advance_each(self, steps) -> float:
+    def _advance_each(self, steps) -> float:
         """Advance by each of ``steps`` in turn: the float sum ``advance``
         makes one call at a time, left to right (``np.add.accumulate`` is
         sequential), bitwise."""
@@ -199,7 +199,7 @@ class SimulatedCluster:
         steps[0::2] = self.costs.item_ingest / speedup
         steps[1::2] = then / speedup
         for start in range(0, n, _EACH_BLOCK):
-            self.clock.advance_each(steps[: 2 * min(_EACH_BLOCK, n - start)])
+            self.clock._advance_each(steps[: 2 * min(_EACH_BLOCK, n - start)])
 
     def sort(self, comparisons: float) -> None:
         self.stats.sort_comparisons += comparisons

@@ -8,7 +8,8 @@ built by `build_plan`, the sampling stage is a pluggable `SamplingStrategy`
 (``none`` / ``srs`` / ``sts`` / ``oasrs``) behind one chunk-first
 interface, and `execute_plan` drives the plan on one of three engines —
 batched micro-batches, pipelined operators, or the direct executor — with
-``chunk_size`` / ``parallelism`` honoured uniformly.
+``parallelism`` honoured uniformly (``chunk_size`` shapes only the pipelined
+engine's virtual-cost grid).
 
 The seven classes in `repro.system` are thin configs over this runtime;
 porting a new system means registering a strategy and/or naming an

@@ -732,10 +732,9 @@ def _ingest_pipelined(run: _Run) -> SimulatedCluster:
         run.close_pane(end, estimate, bound, groups, (), kept, kept, at, engine_state)
 
     kind = "oasrs" if sampled else None
-    if sampled:
-        charge = partial(cluster.sample_items, kind=kind)
-    else:
-        charge = cluster.process_items
+    charge = (
+        partial(cluster.sample_items, kind=kind) if sampled else cluster.process_items
+    )
     i = fed = position
     while i < n:
         while stream[i][0] >= next_fire:  # 1. the run's watermark

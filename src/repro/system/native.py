@@ -14,8 +14,8 @@ Two kinds of "native" live here:
   (`repro.runtime.driver.execute_plan`), which runs the sampling stack
   straight over slide-sized intervals with no engine simulation in the
   hot loop.  Its **wall-clock** speed therefore reflects the sampling
-  stack itself — the system the chunked (``SystemConfig.chunk_size``) and
-  sharded (``SystemConfig.parallelism``) fast paths are benchmarked on.
+  stack itself — the system the sharded (``SystemConfig.parallelism``)
+  path is benchmarked on.
 """
 
 from __future__ import annotations
@@ -89,7 +89,7 @@ class NativeStreamApproxSystem(StreamSystem):
     -------
     >>> from repro import StreamQuery, WindowConfig, SystemConfig
     >>> q = StreamQuery(key_fn=lambda it: it[0], value_fn=lambda it: it[1])
-    >>> cfg = SystemConfig(sampling_fraction=0.5, chunk_size=128, seed=1)
+    >>> cfg = SystemConfig(sampling_fraction=0.5, seed=1)
     >>> stream = [(i / 1000.0, ("a", 1.0)) for i in range(10_000)]
     >>> report = NativeStreamApproxSystem(q, WindowConfig(5, 5), cfg).run(stream)
     >>> [round(r.estimate, 1) for r in report.results]

@@ -24,6 +24,7 @@ to one of two stores.  Pinned here:
 import os
 import pickle
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -305,6 +306,10 @@ KEY_MAKERS = {
     "mixed": lambda i: f"k{i:02d}" if i % 2 else i + 2,
 }
 FEEDS = ("offer", "offer_many", "chunk")
+#: The sampler's slice while `TestOneDrawRule` runs: an interval of
+#: ``SLICE + 300`` rows crosses a slice boundary whatever its feed, at a
+#: size a one-row feed still walks in well under a second.
+SLICE = 8192
 
 
 @st.composite
@@ -316,7 +321,7 @@ def grouped_intervals(draw):
     rng = random.Random(draw(st.integers(0, 2**16)))
     intervals = []
     for _ in range(draw(st.integers(1, 3))):
-        n = draw(st.one_of(st.integers(0, 700), st.just(L2_SLICE + 300)))
+        n = draw(st.one_of(st.integers(0, 700), st.just(SLICE + 300)))
         # Some strata are first seen only in the interval's second half.
         early = keys[: draw(st.integers(1, strata))]
         items = [
@@ -325,18 +330,16 @@ def grouped_intervals(draw):
         ]
         cuts = sorted(draw(st.lists(st.integers(0, n), max_size=3)))
         bounds = [0] + cuts + [n]
-        segments = []
-        for lo, hi in zip(bounds, bounds[1:]):
-            # A feed of one to five rows a call pays a kernel call per row
-            # or so: only segments of up to 700 rows draw one.
-            short = hi - lo <= 700
-            segments.append((
+        segments = [
+            (
                 lo,
                 hi,
-                draw(st.sampled_from(FEEDS if short else FEEDS[1:])),
+                draw(st.sampled_from(FEEDS)),
                 draw(st.booleans()),  # column rows, else tuple rows
-                draw(st.sampled_from([1, 2, 5, 64, 4096] if short else [64, 4096])),
-            ))
+                draw(st.sampled_from([1, 2, 5, 64, 4096])),
+            )
+            for lo, hi in zip(bounds, bounds[1:])
+        ]
         intervals.append((items, segments))
     return intervals
 
@@ -365,6 +368,7 @@ class TestOneDrawRule:
         capacity=st.integers(1, 200),
         seed=st.integers(0, 2**16),
     )
+    @mock.patch.object(oasrs, "_L2_SLICE", SLICE)
     def test_any_grouping_keeps_the_same_sample_and_generator(
         self, intervals, policy, capacity, seed
     ):
