@@ -11,14 +11,11 @@
 #                     (REPRO_ADAPT_MAX_INTERVALS tunes its deadline),
 #                     and the columnar-vs-shim wall-clock gate
 #                     (REPRO_FIG4A_MIN_COLUMNAR_SPEEDUP, default 1.0);
-#                     the shard=4 row of fig6a is reported, not gated
-#   make shard-modes — the worker-pool and sharded-executor tests twice:
-#                     in-process (REPRO_NO_MP=1) and on the fork pool
+#                     fig6a's rows are reported, not gated
 #   make chaos      — fault-tolerance chaos suite (crash/resume + shard
 #                     kills); REPRO_CHAOS_SEEDS selects the seed matrix,
 #                     e.g. make chaos REPRO_CHAOS_SEEDS="7,19,23"
-#   make check      — test + smoke + shard-modes (what CI runs on every
-#                     push/PR)
+#   make check      — test + smoke (what CI runs on every push/PR)
 #   make loc        — src/ lines per file and the total (CI prints it;
 #                     simplicity changes record it in CHANGES.md)
 
@@ -27,7 +24,7 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH),)
 
 BENCH_JSON ?= benchmarks/results/bench.json
 
-.PHONY: test smoke bench bench-json chaos shard-modes check loc
+.PHONY: test smoke bench bench-json chaos check loc
 
 # Extra pytest flags, e.g. make check PYTEST_ARGS=--benchmark-json=out.json
 PYTEST_ARGS ?=
@@ -49,12 +46,7 @@ REPRO_CHAOS_SEEDS ?= 7
 chaos:
 	REPRO_CHAOS_SEEDS="$(REPRO_CHAOS_SEEDS)" $(PYTHON) -m pytest -x -q tests/chaos
 
-SHARD_TESTS = tests/test_worker_pool.py tests/test_sharded_executor.py
-shard-modes:
-	REPRO_NO_MP=1 $(PYTHON) -m pytest -x -q $(SHARD_TESTS)
-	env -u REPRO_NO_MP $(PYTHON) -m pytest -x -q $(SHARD_TESTS)
-
-check: test smoke shard-modes
+check: test smoke
 
 loc:
 	@find src -name '*.py' | sort | xargs wc -l

@@ -11,10 +11,7 @@ halves of that claim:
   in contrast to an STS-style groupBy at the same sample size.
 
 The sharded side is `ShardedExecutor`, the executor behind
-``SystemConfig(parallelism=N)``, run in-process (``REPRO_NO_MP``): its
-determinism contract makes the samples — all this ablation looks at —
-bitwise those of the forked pool (``tests/test_sharded_executor.py`` pins
-that), without forking 600 worker processes for a statistics sweep.
+``SystemConfig(parallelism=N)``.
 """
 
 import random
@@ -70,8 +67,7 @@ def sweep():
     return single, distributed, stream
 
 
-def test_ablation_distributed(benchmark, monkeypatch):
-    monkeypatch.setenv("REPRO_NO_MP", "1")
+def test_ablation_distributed(benchmark):
     single, distributed, stream = benchmark.pedantic(sweep, rounds=1, iterations=1)
 
     lines = [

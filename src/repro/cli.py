@@ -18,10 +18,11 @@ Subcommands:
 
 ``--chunk-size K`` makes the pipelined systems charge virtual seconds in
 runs of K items (every system accepts it; no sample changes) and
-``--parallelism N`` shards interval sampling over N real processes.  Combinations the
-planner cannot support (e.g. ``--parallelism`` with ``spark-srs``, whose
-sampling needs the whole batch) exit with a clear error instead of being
-silently ignored.  ``--via-broker`` replays the workload through the
+``--parallelism N`` runs the paper's §3.2 distributed OASRS with N workers
+(N local reservoirs per stratum, one merge; at most the simulated cluster's
+cores, 8 by default).  Combinations the planner cannot support (e.g.
+``--parallelism`` with ``spark-srs``, whose sampling needs the whole
+batch) exit with a clear error instead of being silently ignored.  ``--via-broker`` replays the workload through the
 in-memory Kafka-style aggregator first and feeds every system from a
 consumer group over the topic's partitions.
 
@@ -580,8 +581,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="the pipelined engine's virtual-cost charging "
                             "run (0 = item by item); changes no sample")
         p.add_argument("--parallelism", type=int, default=1,
-                       help="real worker processes for interval sampling "
-                            "(OASRS-based systems; others reject it)")
+                       help="§3.2 workers for interval sampling, at most "
+                            "nodes x cores (OASRS-based systems; others "
+                            "reject it)")
         p.add_argument("--via-broker", action="store_true", dest="via_broker",
                        help="replay the workload through the in-memory "
                             "aggregator and feed systems from a consumer group")

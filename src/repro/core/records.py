@@ -51,7 +51,6 @@ column slices.
 
 from __future__ import annotations
 
-import os
 from itertools import chain, repeat
 from operator import itemgetter
 from threading import Lock
@@ -91,16 +90,6 @@ _GROUPING_OVERHEAD = 1024
 
 #: Serialises the bound's check and charge when threads share a batch.
 _grouping_lock = Lock()
-
-
-def _new_grouping_lock() -> None:
-    # A forked shard worker must not inherit the lock held by another thread.
-    global _grouping_lock
-    _grouping_lock = Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_new_grouping_lock)
 
 
 def item_key(item) -> Hashable:
@@ -190,9 +179,8 @@ class ColumnSlice:
         return list(self)
 
     def __reduce__(self):
-        # Pickling (e.g. the sharded executor's fault-reroute transport)
-        # ships the materialized items; the arrays are views into a parent
-        # batch that does not exist on the other side.
+        # Pickling ships the materialized items; the arrays are views into
+        # a parent batch that does not exist on the other side.
         return (_rebuild_column_slice, (self.materialize(),))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -560,7 +548,6 @@ class RecordBatch(list):
         return ColumnSlice(codes[lo:hi], values[lo:hi], key_table, self, lo)
 
     def __reduce__(self):
-        # Columns are derived state; ship only the events (fork-based
-        # workers inherit the cached columns through the address space
-        # anyway, and pickle consumers just want the stream).
+        # Columns are derived state; ship only the events (pickle
+        # consumers just want the stream).
         return (RecordBatch, (list(self),))

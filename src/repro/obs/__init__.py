@@ -10,8 +10,8 @@ decided.  Two primitives:
   instruments, so instrumented code hoists one ``registry.counter(name)``
   lookup out of its loop and pays a single no-op method call per
   increment when telemetry is off.
-* `Tracer` — nested spans (``run → interval → {ingest, offer, transport,
-  estimate, checkpoint}`` on the execution side, ``service → admission →
+* `Tracer` — nested spans (``run → interval → {ingest, offer, estimate,
+  checkpoint}`` on the execution side, ``service → admission →
   execution → pane`` on the serving side) plus instant events, exported
   as JSON-lines or Chrome ``trace_event`` JSON for chrome://tracing.
 

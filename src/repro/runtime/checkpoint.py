@@ -216,13 +216,11 @@ def interval_sampler_state(sampler) -> Dict[str, Any]:
     """Snapshot a run's sampler, whatever its execution mode.
 
     Dispatches on the two sampler shapes the runtime builds: the
-    in-process `OASRSSampler` and the `ShardedIntervalSampler` wrapper
-    around the persistent multi-process executor.  The sharded snapshot
-    needs nothing from the worker processes themselves: shard samplers are
-    rebuilt from coordinator-drawn seeds every interval, so at a pane
-    boundary the pool is stateless and the coordinator's RNG / live-set /
-    policy snapshot (plus the flattened in-flight buffer) is the whole
-    resumable state.
+    `OASRSSampler` and the `ShardedIntervalSampler` wrapper around the
+    §3.2 executor.  The sharded snapshot needs nothing from the shards:
+    shard samplers are rebuilt from coordinator-drawn seeds every
+    interval, so the coordinator's RNG / live-set / policy snapshot (plus
+    the flattened in-flight buffer) is the whole resumable state.
     """
     if isinstance(sampler, ShardedIntervalSampler):
         return {"kind": "sharded", "state": sampler.state()}
@@ -230,13 +228,7 @@ def interval_sampler_state(sampler) -> Dict[str, Any]:
 
 
 def restore_interval_sampler(sampler, payload: Dict[str, Any]) -> None:
-    """Restore an `interval_sampler_state` snapshot onto a rebuilt sampler.
-
-    Restoring a sharded sampler also tears down any spawned worker pool
-    (`ShardedExecutor.restore`): the restored live-worker set need not
-    match the running processes, so the pool re-spawns from the restored
-    state on the next parallel interval.
-    """
+    """Restore an `interval_sampler_state` snapshot onto a rebuilt sampler."""
     kind = payload["kind"]
     if kind == "sharded":
         if not isinstance(sampler, ShardedIntervalSampler):
@@ -248,7 +240,7 @@ def restore_interval_sampler(sampler, payload: Dict[str, Any]) -> None:
     elif kind == "oasrs":
         if isinstance(sampler, ShardedIntervalSampler):
             raise ValueError(
-                "checkpoint was taken without parallelism (in-process sampler); "
+                "checkpoint was taken without parallelism (unsharded sampler); "
                 "resume the plan with the same parallelism"
             )
         restore_sampler(sampler, payload["state"])

@@ -147,7 +147,8 @@ class SystemConfig:
 
     ``nodes``/``cores_per_node`` describe the *simulated* cluster the cost
     model charges against; ``chunk_size`` shapes only the simulated
-    charging grid and ``parallelism`` is a *real* execution path:
+    charging grid and ``parallelism`` is the number of §3.2 workers on
+    that cluster:
 
     * ``chunk_size = K`` (``K >= 2``) makes the pipelined engine charge
       its virtual seconds in runs of ``K`` items; ``0`` (default) and
@@ -156,12 +157,13 @@ class SystemConfig:
       engine) in one feed, which the sampler decides in
       `repro.core.records.L2_SLICE`-row slices, so every ``chunk_size``
       returns the same panes at the same wall-clock cost.
-    * ``parallelism = N`` (``N >= 2``) shards each sampling interval over
-      ``N`` real worker processes via
-      `repro.core.distributed.ShardedExecutor`.  Supported by every
-      OASRS-based system (spark/flink/native StreamApprox); the planner
-      raises `repro.runtime.plan.PlanError` for strategies that cannot
-      shard without synchronization (srs, sts, none).
+    * ``parallelism = N`` (``2 <= N <= nodes * cores_per_node``) shards
+      each sampling interval into ``N`` local reservoirs of ``⌈N_i / N⌉``
+      and merges them (`repro.core.distributed.ShardedExecutor`, run in
+      one process).  Supported by every OASRS-based system
+      (spark/flink/native StreamApprox); the planner raises
+      `repro.runtime.plan.PlanError` for strategies that cannot shard
+      without synchronization (srs, sts, none).
 
     Example
     -------
@@ -231,6 +233,11 @@ class SystemConfig:
             raise ValueError(f"chunk_size must be non-negative, got {self.chunk_size}")
         if self.parallelism < 1:
             raise ValueError(f"parallelism must be at least 1, got {self.parallelism}")
+        if self.parallelism > self.nodes * self.cores_per_node:
+            raise ValueError(
+                f"parallelism {self.parallelism} exceeds the cluster's "
+                f"{self.nodes} x {self.cores_per_node} cores"
+            )
         if self.checkpoint is not None and not isinstance(
             self.checkpoint, CheckpointPolicy
         ):

@@ -198,9 +198,8 @@ def _columnar_gate(stream, plan: ExecutionPlan, intern: bool):
     `repro.core.records.item_key` / `repro.core.records.item_value`
     (identity comparison — a custom callable could observe anything about
     the item object, so it forces the per-item shim).  A non-None reason
-    is surfaced as ``SystemReport.columnar_fallback``, mirroring
-    ``parallel_fallback``: the run still completes, identically, via the
-    per-item shim.
+    is surfaced as ``SystemReport.columnar_fallback``: the run still
+    completes, identically, via the per-item shim.
 
     **Interning.**  Custom ``key_fn``/``value_fn`` callables (the
     Spark/Flink baselines' ``flow_protocol``-style accessors) historically
@@ -312,7 +311,7 @@ class _Run:
         if telemetry is None:
             self.timer, self.trace, metrics = NULL_PANE_TIMER, NULL_TRACER, NULL_METRICS
         else:
-            # Same channel as the fallback reasons; → SystemReport.telemetry.
+            # Beside the columnar fallback reason; → SystemReport.telemetry.
             self.info["telemetry"] = telemetry
             self.timer, self.trace = telemetry.pane_timer(), telemetry.tracer
             metrics = telemetry.metrics
@@ -356,7 +355,6 @@ class _Run:
             self.strategy = get_strategy(plan.strategy).bind(plan)
         else:
             self.strategy = _AdHocBatchStrategy(plan, handle_batch)
-        self.strategy.attach_run(telemetry, stream)
         self.controller: Optional[BudgetController] = None
         if plan.config.budget is None:
             self.first_budget = _interval_budget(stream, plan.window, plan.config)
@@ -552,9 +550,7 @@ def execute_plan(
     bitwise identical to the uninterrupted run's.
 
     ``run_info``, when given, collects run diagnostics the result tuple
-    has no room for — ``"parallel_fallback"``, the reason a
-    ``parallelism > 1`` plan degraded to in-process sampling (absent when
-    the worker pool stayed healthy), ``"columnar_fallback"``,
+    has no room for — ``"columnar_fallback"``,
     ``"telemetry"`` (the live `repro.obs.RunTelemetry` when the config
     enables it), ``"sampled_total"`` — the items the sampling stage
     actually kept across the run's intervals, the measured actual the
@@ -578,13 +574,6 @@ def execute_plan(
     try:
         cluster = ingest(run)
     finally:
-        # Runs on success *and* on error/crash paths so the persistent shard
-        # pool is always released; the fallback reason is read first because
-        # ``close`` is allowed to forget it.
-        reason = run.strategy.parallel_fallback()
-        if reason:
-            run.info["parallel_fallback"] = reason
-        run.strategy.close()
         run.trace.close()
     run.info["sampled_total"] = run.sampled_total
     if run.controller is not None and adaptation_log is not None:
@@ -769,10 +758,7 @@ def _ingest_direct(run: _Run) -> SimulatedCluster:
 
     Each interval goes to the strategy's one feed as a located column
     view (or, off the column path, the list of its items); a sharded
-    sampler ships the view as its ``[lo, hi)`` index span of the stream
-    the run context gave the strategy (the worker pool forks with it
-    inherited, spawns on the first parallel interval and is drained in
-    `execute_plan`'s ``finally``).
+    sampler cuts its shards as strided views of it.
 
     Checkpoints add the in-window interval history; resume restarts the
     interval loop at the checkpointed boundary.
@@ -785,9 +771,6 @@ def _ingest_direct(run: _Run) -> SimulatedCluster:
     ts_col = run.ts_col
     run.sampler()  # built (or restored) before the first feed
     sample_interval = run.strategy.sample_interval
-    # Stage label for the sampling section: sharded sampling crosses the
-    # worker-pool transport; in-process sampling is plain offers.
-    sampling_stage = "transport" if config.parallelism > 1 else "offer"
     history = deque(maxlen=window.intervals_per_window)
     sampling_seconds = 0.0
     # Slide-interval boundaries via bisection on the (ordered) timestamps
@@ -817,7 +800,7 @@ def _ingest_direct(run: _Run) -> SimulatedCluster:
         sampling_started = time.perf_counter()
         sample = sample_interval(_items(stream, ts_col, lo, end_idx))
         sampling_seconds += time.perf_counter() - sampling_started
-        timer.lap(sampling_stage)
+        timer.lap("offer")
         kept = sample.total_items
         run.count(end_idx - lo, kept)
         cluster.process_items(kept)

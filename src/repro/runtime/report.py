@@ -114,11 +114,6 @@ class SystemReport:
     results: List[WindowResult]
     virtual_seconds: float
     items_total: int
-    #: Why a ``parallelism > 1`` run degraded to in-process sampling
-    #: (``REPRO_NO_MP``, missing fork support, a mid-run pool failure, or
-    #: all-but-one workers dead) — None when no parallelism was requested
-    #: or the persistent worker pool stayed healthy throughout.
-    parallel_fallback: Optional[str] = None
     #: Why the run left the columnar record path for the per-item shim
     #: (NumPy missing, payloads the codec cannot represent, custom
     #: key/value projections, or ``REPRO_NO_COLUMNAR``) — None when the

@@ -10,8 +10,8 @@ single chunk-first interface so any engine can drive it:
   random sort (`repro.sampling.sts`),
 * ``oasrs`` — the paper's online adaptive stratified reservoir sampling
   (`repro.core.oasrs`), the only strategy that samples per interval (so
-  the only one the pipelined/direct engines run) and the only one with
-  real multi-process sharding (`repro.core.distributed.ShardedExecutor`).
+  the only one the pipelined/direct engines run) and the only one the
+  §3.2 sharding scheme applies to (`repro.core.distributed.ShardedExecutor`).
 
 Strategy classes are *stateless descriptors*; ``bind(plan)`` creates the
 per-run `BoundStrategy` carrying the RNG and — for interval-sampling
@@ -34,8 +34,8 @@ engines only feed it, and ``state()`` snapshots it:
 
 ``SystemConfig.chunk_size`` never reaches a strategy: it shapes only the
 pipelined engine's simulated charging grid.
-``SystemConfig.parallelism`` shards interval sampling over real worker
-processes where the strategy supports it.  New strategies register with
+``SystemConfig.parallelism`` shards interval sampling into §3.2 local
+reservoirs where the strategy supports it.  New strategies register with
 `register_strategy` and immediately work in every system that names
 them — no new run loop required.
 """
@@ -43,7 +43,7 @@ them — no new run loop required.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Sequence, Type
+from typing import Dict, List, Sequence, Type
 
 import numpy as _np
 
@@ -163,12 +163,11 @@ class BoundStrategy:
 
     A bound strategy owns the run's one sampler: ``sampler`` builds it
     through ``interval_sampler`` on the first ask, ``sample_interval``
-    feeds it a whole interval, ``state`` / ``restore`` snapshot it, and
-    ``close`` releases it.  It is also the *actuation surface* of the
-    budget control loop (`repro.runtime.control`): between panes the
-    driver calls ``set_budget`` with the controller's decision.
-    Fixed-fraction runs never do, so their execution is bit-for-bit
-    unchanged.
+    feeds it a whole interval, and ``state`` / ``restore`` snapshot it.
+    It is also the *actuation surface* of the budget control loop
+    (`repro.runtime.control`): between panes the driver calls
+    ``set_budget`` with the controller's decision.  Fixed-fraction runs
+    never do, so their execution is bit-for-bit unchanged.
     """
 
     def __init__(self, strategy: SamplingStrategy, plan: ExecutionPlan) -> None:
@@ -176,22 +175,6 @@ class BoundStrategy:
         self.plan = plan
         self._fraction_override: float = None  # type: ignore[assignment]
         self._sampler = None
-        self.telemetry = None
-        self.source = None
-
-    def attach_run(self, telemetry, source) -> None:
-        """Give the run's `repro.obs.RunTelemetry` and stream to the strategy.
-
-        The run context calls this right after ``bind`` (before any sampler
-        is built) so sharded strategies can hand both to their worker
-        pools: the metrics registry attributes cross-process costs
-        (spawn, policy-snapshot ship, pickled intervals) per transport kind,
-        and the pool forks with ``source`` inherited, so intervals cross the
-        process boundary as index spans.  ``telemetry`` None means
-        telemetry is off.
-        """
-        self.telemetry = telemetry
-        self.source = source
 
     @property
     def samples_intervals(self) -> bool:
@@ -279,21 +262,6 @@ class BoundStrategy:
         unless the sampler is sharded)."""
         drain = getattr(self._sampler, "drain_recovery_events", None)
         return drain() if drain is not None else []
-
-    def close(self) -> None:
-        """Release per-run resources (a sharded sampler's worker pool);
-        idempotent.  Drivers call this when the run reports."""
-        close = getattr(self._sampler, "close", None)
-        if close is not None:
-            close()
-
-    def parallel_fallback(self) -> Optional[str]:
-        """Why parallel execution degraded to in-process, or None.
-
-        Surfaced as ``SystemReport.parallel_fallback`` so "N workers
-        requested, 1 used" is visible instead of silently swallowed.
-        """
-        return getattr(self._sampler, "fallback_reason", None)
 
 
 class _SeededBound(BoundStrategy):
@@ -433,8 +401,8 @@ class OASRSStrategy(SamplingStrategy):
       stream rate.
 
     The only strategy with ``supports_parallelism``: the sampler shards
-    every interval over ``parallelism`` real worker processes through
-    `repro.core.distributed.ShardedExecutor`.
+    every interval into ``parallelism`` local reservoirs and merges them
+    (§3.2, `repro.core.distributed.ShardedExecutor`).
     """
 
     name = "oasrs"
@@ -464,8 +432,6 @@ class _BoundOASRS(_SeededBound):
                 key_fn,
                 seed=config.seed,
                 faults=config.faults,
-                metrics=self.telemetry.metrics if self.telemetry is not None else None,
-                source=self.source,
             )
         )
 
@@ -476,9 +442,8 @@ class _BoundOASRS(_SeededBound):
         previous budget, so the in-process sampler re-derives its (empty,
         start-of-interval) capacities — without this the adaptation would
         always lag one interval behind.  The sharded sampler needs nothing
-        more: its workers receive the coordinator policy's attribute
-        snapshot inside every interval message, so a re-target is just
-        part of the next message — no shared state, no respawn.
+        more: it builds every interval's shard samplers from the
+        coordinator's policy, so a re-target reaches the next interval.
         """
         self._policy.set_total(total)
         rebalance = getattr(self._sampler, "rebalance", None)

@@ -35,8 +35,8 @@ Server → client (``type`` discriminates)::
                "interval": [9.5, 10.1], "q": 0.5}}   # q only for quantiles
     {"type": "answer", "id": ..., "query_id": 7, "estimate": 9.9,
      "panes": 5, "virtual_seconds": 0.8, "columnar_fallback": null,
-     "parallel_fallback": null, "time_to_first_pane": 0.01,
-     "time_to_answer": 0.05, "tenant": "alice"}
+     "time_to_first_pane": 0.01, "time_to_answer": 0.05,
+     "tenant": "alice"}
     {"type": "error", "id": ..., "detail": "..."}
     {"type": "pong"}
     {"type": "metrics", "id": ...,
@@ -212,7 +212,6 @@ def answer_message(client_id, answer) -> dict:
         "virtual_seconds": report.virtual_seconds,
         "items_total": report.items_total,
         "columnar_fallback": report.columnar_fallback,
-        "parallel_fallback": report.parallel_fallback,
         "cost": answer.cost,
         "actual_cost": answer.actual_cost,
         "time_to_first_pane": answer.time_to_first_pane,

@@ -336,7 +336,6 @@ class QueryService:
                 results=results,
                 virtual_seconds=cluster.elapsed(),
                 items_total=len(handle.plan.source.events()),
-                parallel_fallback=run_info.get("parallel_fallback"),
                 columnar_fallback=run_info.get("columnar_fallback"),
                 adaptation=adaptation,
             )

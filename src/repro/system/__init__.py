@@ -13,8 +13,9 @@ runtime (`repro.runtime`) — a name plus an ``(engine, strategy)`` pair:
 Beyond the paper's six, `NativeStreamApproxSystem` is this repo's own
 executor: the ``oasrs`` strategy on the runtime's **direct** engine, the
 system whose wall-clock speed measures the vectorized sampling kernel and
-the real multi-process `ShardedExecutor` (``SystemConfig.parallelism``).  It is intentionally *not* part of ``ALL_SYSTEMS``,
-which enumerates exactly the paper's evaluated six.
+the §3.2 `ShardedExecutor` (``SystemConfig.parallelism``).  It is
+intentionally *not* part of ``ALL_SYSTEMS``, which enumerates exactly the
+paper's evaluated six.
 
 All share `StreamSystem.run(stream) → SystemReport` with per-pane
 estimates, error bounds, ground truth, accuracy loss, throughput and

@@ -96,7 +96,7 @@ class StreamSystem:
         #: Checkpoint the in-flight ``run`` is resuming from, if any.
         self._resume_from: Optional[PaneCheckpoint] = None
         #: Diagnostics the driver reports back outside the result tuple
-        #: (currently the parallel-fallback reason); reset per run.
+        #: (fallback reasons, telemetry); reset per run.
         self._run_info: dict = {}
 
     def plan(self, source: Optional[PlanSource] = None) -> ExecutionPlan:
@@ -144,7 +144,6 @@ class StreamSystem:
             results=join_ground_truth(results, truth),
             virtual_seconds=cluster.elapsed(),
             items_total=len(events),
-            parallel_fallback=self._run_info.get("parallel_fallback"),
             columnar_fallback=self._run_info.get("columnar_fallback"),
             adaptation=list(self.adaptation),
             telemetry=self._run_info.get("telemetry"),

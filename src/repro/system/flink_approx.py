@@ -32,8 +32,8 @@ class FlinkStreamApproxSystem(StreamSystem):
     each slide boundary closes a weighted interval
     sample that the window pane merges and aggregates — the cheapest
     structure of all six systems.
-    ``SystemConfig.parallelism`` shards each interval's sampling over real
-    worker processes at interval close.
+    ``SystemConfig.parallelism`` shards each interval's sampling into §3.2
+    local reservoirs, merged at interval close.
 
     Example
     -------

@@ -76,7 +76,7 @@ class NativeStreamApproxSystem(StreamSystem):
 
     No engine simulation sits in the hot loop — each slide interval's items
     go directly into the OASRS sampler (one `OASRSSampler.offer_many` per
-    interval, or sharded over ``parallelism`` real processes via
+    interval, or sharded into ``parallelism`` local reservoirs via
     `repro.core.distributed.ShardedExecutor`), and each interval close
     merges the last ``w/δ`` interval samples into the pane estimate.
     Because the hot loop is the sampling stack itself, this is the system

@@ -27,8 +27,8 @@ class SparkStreamApproxSystem(StreamSystem):
     """Micro-batch pipeline with on-the-fly OASRS before RDD formation.
 
     Every arriving item pays one O(1) reservoir offer (each micro-batch in
-    one `OASRSSampler.offer_many`, or sharded over
-    ``SystemConfig.parallelism`` real worker processes); only
+    one `OASRSSampler.offer_many`, or sharded into
+    ``SystemConfig.parallelism`` local reservoirs); only
     *kept* items pay RDD formation and query processing — no shuffle,
     sort, or barrier.
 

@@ -14,9 +14,6 @@ incident instead of hiding it.  These tests pin the observable contract:
   truth (within twice the pane's own widened CI half-width),
 * permanent kills keep the worker dead; killing every worker fails the
   run loudly; and fault runs checkpoint/resume exactly like healthy ones.
-
-``REPRO_NO_MP=1`` forces the in-process sharded fallback so the fault
-path is deterministic and fast under CI.
 """
 
 import pytest
@@ -49,11 +46,6 @@ AFFECTED_PANES = (2, 3)
 #: stays healthy — panes are bitwise identical again once both the killed
 #: and the rewidened interval have left the window.
 ECHO_PANES = (4,)
-
-
-@pytest.fixture(autouse=True)
-def in_process_shards(monkeypatch):
-    monkeypatch.setenv("REPRO_NO_MP", "1")
 
 
 def one_kill(permanent=False):

@@ -254,7 +254,7 @@ class TestBudgetDrivenExecution:
 
     def test_sharded_path_adapts_too(self):
         """parallelism > 1 routes the re-derived budget through the shared
-        water-filling policy into the forked shard workers."""
+        water-filling policy into the shard samplers."""
         stream = drift_stream()
         target = 0.5
         config = SystemConfig(

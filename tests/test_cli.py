@@ -116,9 +116,8 @@ class TestCommands:
         assert code == 0
         assert "native-streamapprox" in out
 
-    def test_parallelism_applies_to_all_oasrs_systems(self, monkeypatch):
+    def test_parallelism_applies_to_all_oasrs_systems(self):
         """--parallelism drives every OASRS system through the CLI."""
-        monkeypatch.setenv("REPRO_NO_MP", "1")  # in-process shards: fast, same path
         code, out = run_cli(
             ["compare", "--rate", "1000", "--duration", "4",
              "--parallelism", "2",

@@ -287,10 +287,7 @@ class TestParallelismEverywhere:
         "cls",
         [SparkStreamApproxSystem, FlinkStreamApproxSystem, NativeStreamApproxSystem],
     )
-    def test_sharded_run_stays_accurate(self, stream, cls, monkeypatch):
-        # In-process shard fallback keeps the test fast and deterministic
-        # while exercising the exact same partition/merge path.
-        monkeypatch.setenv("REPRO_NO_MP", "1")
+    def test_sharded_run_stays_accurate(self, stream, cls):
         config = SystemConfig(sampling_fraction=0.5, parallelism=3)
         report = cls(QUERY, WINDOW, config).run(stream)
         assert report.results
@@ -485,6 +482,15 @@ class TestConfigValidation:
             SystemConfig(chunk_size=-1)
         with pytest.raises(ValueError, match="parallelism"):
             SystemConfig(parallelism=0)
+
+    def test_parallelism_bounded_by_the_simulated_cluster(self):
+        """The paper's ``w`` workers run on the configured cores."""
+        assert SystemConfig(parallelism=8).parallelism == 8  # 1 node x 8 cores
+        assert SystemConfig(nodes=2, cores_per_node=3, parallelism=6).parallelism == 6
+        with pytest.raises(ValueError, match="parallelism 9 exceeds"):
+            SystemConfig(parallelism=9)
+        with pytest.raises(ValueError, match="parallelism 7 exceeds"):
+            SystemConfig(nodes=2, cores_per_node=3, parallelism=7)
 
     def test_query_callables(self):
         with pytest.raises(ValueError, match="key_fn"):

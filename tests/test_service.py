@@ -30,6 +30,7 @@ from repro.service import (
     RejectionReason,
     TenantScheduler,
 )
+from repro.service.protocol import _config_from_message
 from repro.workloads.synthetic import stream_by_rates
 
 
@@ -688,6 +689,44 @@ def test_tcp_rejections_and_ping():
     assert ghost[0]["reason"] == "unknown-tenant"
     assert missing[0]["type"] == "error"
     assert "source" in missing[0]["detail"]
+
+
+def test_wire_parallelism_is_bounded_by_the_cluster():
+    """A wire ``parallelism`` past the simulated cluster's cores fails
+    validation: it never reaches a run (which would build a sampler and a
+    seed per worker every interval)."""
+    with pytest.raises(ValueError, match="parallelism"):
+        _config_from_message({"parallelism": 10**6})
+    assert _config_from_message({"parallelism": 8}).parallelism == 8
+
+
+def test_tcp_submit_with_huge_parallelism_gets_one_error_reply():
+    async def scenario():
+        service = _service()
+        try:
+            _host, port = await service.serve_tcp(port=0)
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            submit = {"op": "submit", "id": "p", "tenant": "alice", "source": "ticks",
+                      "config": {"parallelism": 10**6}}
+            for message in (submit, {"op": "ping"}):
+                writer.write((json.dumps(message) + "\n").encode())
+            await writer.drain()
+            replies = []
+            while not replies or replies[-1]["type"] != "pong":
+                line = await asyncio.wait_for(reader.readline(), timeout=30)
+                assert line, "server hung up"
+                replies.append(json.loads(line))
+            writer.close()
+            return replies, service.metrics_snapshot()["service"]["submitted"]
+        finally:
+            await service.close()
+
+    import json
+
+    replies, submitted = asyncio.run(scenario())
+    assert [reply["type"] for reply in replies] == ["error", "pong"]
+    assert replies[0]["id"] == "p" and "parallelism" in replies[0]["detail"]
+    assert submitted == 0
 
 
 def test_tcp_oversized_line_gets_an_error_reply_and_a_clean_hangup():

@@ -1,24 +1,37 @@
-"""Tests for the real multi-process `ShardedExecutor` (§3.2 on actual cores).
+"""Tests for `ShardedExecutor`, the §3.2 distributed OASRS scheme.
 
 Covers the merge-weight semantics (counters sum, reservoirs concatenate,
-Equation-1 weights re-derive), the process/fallback execution modes,
-worker loss at the executor boundary (discard-and-rewiden; the plan-level
-view is ``tests/chaos/test_shard_kill.py``), and the accuracy acceptance
-bar: 4 sharded workers estimate within the same error bounds as
-single-process OASRS on the synthetic workload.
+Equation-1 weights re-derive), determinism (same seed, same samples;
+a resumed plan matches the uninterrupted one), the interval-sampler
+adapter's buffering, worker loss at the executor boundary
+(discard-and-rewiden; the plan-level view is
+``tests/chaos/test_shard_kill.py``), and the accuracy acceptance bar: 4
+sharded workers estimate within the same error bounds as single-process
+OASRS on the synthetic workload.
 """
 
-import os
 import random
 import statistics
 
 import pytest
 
-from repro.core.distributed import ShardedExecutor
+from repro.core.distributed import ShardedExecutor, ShardedIntervalSampler
 from repro.core.oasrs import FixedPerStratum, WaterFillingAllocation, oasrs_sample
 from repro.core.query import approximate_mean
 from repro.core.error import estimate_error
+from repro.core.records import RecordBatch, item_key, item_value
 from repro.core.recovery import FaultSchedule, ShardKill
+from repro.runtime import (
+    CheckpointPolicy,
+    CheckpointStore,
+    ListSource,
+    StreamQuery,
+    SystemConfig,
+    WindowConfig,
+    build_plan,
+    execute_plan,
+)
+from repro.workloads.synthetic import stream_by_rates
 
 KEY = lambda item: item[0]  # noqa: E731
 VAL = lambda item: item[1]  # noqa: E731
@@ -76,39 +89,6 @@ class TestMergeWeights:
         assert ex.run(make_stream({"a": 30}))["a"].count == 30
         assert ex.run([]).total_count == 0
 
-
-class TestExecutionModes:
-    def test_multiprocess_path_used_when_available(self):
-        ex = ShardedExecutor(4, FixedPerStratum(10), key_fn=KEY, seed=6)
-        ex.run(make_stream({"a": 2000}))
-        if ex._parallel_blocker() is None:
-            assert ex.last_run_parallel
-
-    def test_inline_fallback_with_env_flag(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_MP", "1")
-        ex = ShardedExecutor(4, FixedPerStratum(10), key_fn=KEY, seed=7)
-        merged = ex.run(make_stream({"a": 2000}))
-        assert not ex.last_run_parallel
-        assert merged["a"].count == 2000
-
-    def test_single_worker_runs_inline(self):
-        ex = ShardedExecutor(1, FixedPerStratum(10), key_fn=KEY, seed=8)
-        merged = ex.run(make_stream({"a": 500}))
-        assert not ex.last_run_parallel
-        assert merged["a"].count == 500
-
-    def test_inline_and_parallel_same_distribution(self, monkeypatch):
-        """Same seeds ⇒ identical samples whether forked or inline."""
-        stream = make_stream({"a": 5000, "b": 100}, seed=9)
-        ex_mp = ShardedExecutor(4, FixedPerStratum(32), key_fn=KEY, seed=9)
-        sample_mp = ex_mp.run(stream)
-        monkeypatch.setenv("REPRO_NO_MP", "1")
-        ex_inline = ShardedExecutor(4, FixedPerStratum(32), key_fn=KEY, seed=9)
-        sample_inline = ex_inline.run(stream)
-        for key in sample_mp.keys:
-            assert sample_mp[key].items == sample_inline[key].items
-            assert sample_mp[key].count == sample_inline[key].count
-
     def test_adaptive_policy_observes_merged_counts(self):
         policy = WaterFillingAllocation(200)
         ex = ShardedExecutor(4, policy, key_fn=KEY, seed=10)
@@ -116,14 +96,148 @@ class TestExecutionModes:
         assert policy._capacities  # rebalanced from the merged counters
 
 
+class TestExecutionModes:
+    def test_single_worker_runs_inline(self):
+        ex = ShardedExecutor(1, FixedPerStratum(10), key_fn=KEY, seed=8)
+        merged = ex.run(make_stream({"a": 500}))
+        assert merged["a"].count == 500
+
+    def test_same_seed_same_distribution(self):
+        """Same seeds ⇒ identical samples: shard samplers carry no state."""
+        stream = make_stream({"a": 5000, "b": 100}, seed=9)
+        first = ShardedExecutor(4, FixedPerStratum(32), key_fn=KEY, seed=9).run(stream)
+        again = ShardedExecutor(4, FixedPerStratum(32), key_fn=KEY, seed=9).run(stream)
+        for key in first.keys:
+            assert first[key].items == again[key].items
+            assert first[key].count == again[key].count
+
+
+def fingerprint(sample):
+    """Exact identity of a merged WeightedSample, order-independent."""
+    return tuple(sorted((s.key, s.items, s.count, s.weight) for s in sample))
+
+
+def sharded_sampler(workers=2, policy=None, seed=1):
+    return ShardedIntervalSampler(
+        ShardedExecutor(workers, policy or FixedPerStratum(4), key_fn=KEY, seed=seed)
+    )
+
+
+class TestResume:
+    """`execute_plan(resume_from=...)` on a sharded plan matches bitwise."""
+
+    def plan(self, stream, **overrides):
+        config = SystemConfig(
+            sampling_fraction=0.5, seed=17, parallelism=4, **overrides
+        )
+        return build_plan(
+            StreamQuery(key_fn=KEY, value_fn=VAL, kind="mean"),
+            WindowConfig(length=5.0, slide=2.5),
+            config,
+            engine="direct",
+            strategy="oasrs",
+            source=ListSource(stream),
+            name="sharded-resume",
+        )
+
+    @staticmethod
+    def pane_fingerprint(results):
+        return [
+            (r.end, r.estimate, r.sampled_items,
+             r.error.margin if r.error is not None else None)
+            for r in results
+        ]
+
+    def test_resume_matches_uninterrupted_run(self):
+        stream = stream_by_rates({"A": 300, "B": 60, "C": 10}, duration=15, seed=11)
+        base, _ = execute_plan(self.plan(stream))
+        store = CheckpointStore()
+        execute_plan(
+            self.plan(stream, checkpoint=CheckpointPolicy(every=1)),
+            checkpoint_store=store,
+        )
+        assert len(store) >= 2, "workload too short to exercise resume"
+        for index in store.indices():
+            resumed, _ = execute_plan(
+                self.plan(stream, checkpoint=CheckpointPolicy(every=1)),
+                resume_from=store.get(index),
+            )
+            assert self.pane_fingerprint(resumed) == self.pane_fingerprint(base), (
+                f"resume from checkpoint {index} diverged"
+            )
+
+    @pytest.mark.parametrize("chunk_size", [0, 256])
+    def test_resumed_batched_run_stays_columnar(self, chunk_size):
+        """A restart used to drop a columnar batched run onto tuple
+        micro-batches."""
+        stream = stream_by_rates({"A": 300, "B": 60, "C": 10}, duration=15, seed=11)
+
+        def plan():
+            return build_plan(
+                StreamQuery(key_fn=item_key, value_fn=item_value, kind="mean"),
+                WindowConfig(length=5.0, slide=2.5),
+                SystemConfig(
+                    sampling_fraction=0.5, seed=17, parallelism=2, batch_interval=0.5,
+                    chunk_size=chunk_size, checkpoint=CheckpointPolicy(every=1),
+                ),
+                engine="batched", strategy="oasrs", source=ListSource(stream),
+            )
+
+        store = CheckpointStore()
+        base, _ = execute_plan(plan(), checkpoint_store=store)
+        info = {}
+        resumed, _ = execute_plan(plan(), resume_from=store.get(2), run_info=info)
+        assert resumed == base
+        assert "columnar_fallback" not in info
+
+
+class TestIntervalSamplerBuffering:
+    def test_offer_many_buffers_a_whole_interval_by_reference(self):
+        """A located view is kept intact and sharded as strided views."""
+        batch = RecordBatch([(float(i), item) for i, item in enumerate(
+            make_stream({"a": 2000, "b": 200, "c": 20}, seed=3))])
+        sampler = ShardedIntervalSampler(
+            ShardedExecutor(2, WaterFillingAllocation(200), key_fn=item_key, seed=42)
+        )
+        view = batch.item_slice(0, len(batch))
+        sampler.offer_many(view)
+        assert sampler._chunks[-1] is view
+        assert sampler.close_interval().total_count == len(view)
+
+    def test_process_chunk_keeps_chunk_intact(self):
+        sampler = sharded_sampler()
+        chunk = [("a", float(i)) for i in range(64)]
+        sampler.process_chunk(chunk)
+        assert sampler._chunks[-1] is chunk  # stored by reference, not re-buffered
+
+    def test_mixed_offer_and_chunks_cover_all_items(self):
+        sampler = sharded_sampler()
+        sampler.offer(("a", 1.0))
+        sampler.process_chunk([("a", float(i)) for i in range(50)])
+        sampler.offer_many([("b", float(i)) for i in range(10)])
+        merged = sampler.close_interval()
+        assert merged["a"].count == 51
+        assert merged["b"].count == 10
+        # The buffer drains: a second close sees an empty interval.
+        assert len(sampler.close_interval()) == 0
+
+    def test_state_flattens_buffer_and_restores(self):
+        sampler = sharded_sampler()
+        sampler.process_chunk([("a", float(i)) for i in range(20)])
+        sampler.process_chunk([("b", float(i)) for i in range(5)])
+        snapshot = sampler.state()
+        assert snapshot["buffer"] == (
+            [("a", float(i)) for i in range(20)] + [("b", float(i)) for i in range(5)]
+        )
+        restored = sharded_sampler(seed=99)
+        restored.restore(snapshot)
+        assert fingerprint(sampler.close_interval()) == fingerprint(
+            restored.close_interval()
+        )
+
+
 class TestWorkerLoss:
     """A dead worker loses only its own reservoir and counter (§3.2)."""
-
-    @pytest.fixture(autouse=True)
-    def in_process_shards(self, monkeypatch):
-        # Kills are applied to the partitioned shards before they reach a
-        # worker, so the in-process mode sees exactly what the pool would.
-        monkeypatch.setenv("REPRO_NO_MP", "1")
 
     @staticmethod
     def executor(*kills, workers=4, capacity=50):
@@ -178,7 +292,7 @@ class TestWorkerLoss:
 
 class TestAccuracy:
     def test_sharded_within_single_process_error_bounds(self):
-        """4 real workers estimate the synthetic stream as well as 1 process."""
+        """4 shards estimate the synthetic stream as well as 1 sampler."""
         stream = make_stream({"a": 6000, "b": 600, "c": 30}, seed=20)
         truth = statistics.fmean(v for _k, v in stream)
 

@@ -2,19 +2,14 @@
 
 72 ``parallelism=3`` plans — 2 streams × 3 engines × mean / p90 /
 grouped-sum × ``chunk_size`` 0 / 256 × with / without a permanent
-`ShardKill` — each run on the worker pool and again in-process
-(``REPRO_NO_MP``).  Both must reproduce, pane for pane and bit for bit,
-the digests in ``tests/golden/sharded_digest.json``, which were captured
-at the commit *before* the process boundary was reduced to index spans in
-and value columns out (``python tests/test_sharded_matrix.py --capture``
+`ShardKill` — must reproduce, pane for pane and bit for bit, the digests
+in ``tests/golden/sharded_digest.json``, captured when the shards ran on
+a forked worker pool (``python tests/test_sharded_matrix.py --capture``
 rewrites the file, ``--only PATTERN`` just the matching cases; it needs
 only the public plan API, so it runs on any commit).
 
-The pooled run also pins which message kind carried each interval:
-every fault-free interval of a column-backed run is an index span on all
-three engines and at both chunk sizes (at ``chunk_size`` 0 the pipelined
-loop hands the sampler each run between two watermarks as one view), and
-only the kill interval ships pickled items.
+A sharded plan starts no process: with process start patched to fail,
+every engine still reproduces its digests, fault-free and with a kill.
 """
 
 import argparse
@@ -22,7 +17,7 @@ import fnmatch
 import hashlib
 import itertools
 import json
-import os
+import multiprocessing.process
 from pathlib import Path
 
 import pytest
@@ -128,50 +123,74 @@ def expected():
 
 
 @pytest.mark.parametrize("case", CASES, ids=case_id)
-def test_pooled_and_in_process_match_the_parent_digest(
-    case, streams, expected, monkeypatch
-):
-    stream = streams[case[0]]
-    monkeypatch.delenv("REPRO_NO_MP", raising=False)
-    pooled, info = run_case(case, stream, telemetry=True)
+def test_sharded_plan_matches_the_digest(case, streams, expected):
+    results, _info = run_case(case, streams[case[0]])
+    assert digest(results) == expected[case_id(case)], "a sharded plan left its digest"
+
+
+@pytest.fixture
+def no_process_start(monkeypatch):
+    """Make every process start fail loudly; yields the list of attempts."""
+    attempts = []
+
+    def start(process):
+        attempts.append(process)
+        raise OSError("sharding must not start a process")
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", start)
+    return attempts
+
+
+@pytest.mark.parametrize("engine", ("direct", "pipelined", "batched"))
+@pytest.mark.parametrize("kill", (False, True), ids=("clean", "kill"))
+def test_sharding_starts_no_process(engine, kill, streams, expected, no_process_start):
+    case = ("skewed", engine, "mean", 0, kill)
+    results, info = run_case(case, streams["skewed"], telemetry=True)
+    assert no_process_start == []
     assert "parallel_fallback" not in info
-    assert digest(pooled) == expected[case_id(case)], "pooled run left the parent's panes"
-
-    # Intervals the engine cut: every distinct slide (micro-batch on the
-    # batched engine) the stream has items in.
-    width = BATCH_INTERVAL if case[1] == "batched" else WINDOW.slide
-    intervals = len({int(ts // width) for ts, _item in stream})
-    counters = info["telemetry"].metrics.snapshot()["counters"]
-    kills = 1 if case[4] else 0
-    assert counters["transport.span_intervals"] == intervals - kills
-    assert counters["transport.pickle_intervals"] == kills
-    assert counters["transport.inprocess_intervals"] == 0
-
-    monkeypatch.setenv("REPRO_NO_MP", "1")
-    in_process, info = run_case(case, stream)
-    assert "REPRO_NO_MP" in info["parallel_fallback"]
-    assert digest(in_process) == expected[case_id(case)], "in-process run diverged"
+    assert digest(results) == expected[case_id(case)]
 
 
-def test_records_off_the_columns_travel_pickled():
-    """Int payloads have no value column: micro-batches ship as items."""
-    stream = [(ts, (key, int(value))) for ts, (key, value) in skewed_stream()]
-    config = SystemConfig(
-        sampling_fraction=0.4, seed=3, parallelism=3, batch_interval=BATCH_INTERVAL,
-        telemetry=TelemetryConfig(),
+def test_perf_distributed_pass_starts_no_process(no_process_start, monkeypatch):
+    """The perf harness's ``parallelism=2`` pass (telemetry on, unchecked)
+    ends with no fallback and no process started."""
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "benchmarks" / "perf"))
+    import batch
+
+    stream = skewed_stream()
+    state = batch.BatchState(
+        workload=batch.BATCH_WORKLOADS["direct-hot"], seed=7, stream=stream,
+        source=ListSource(stream), items=len(stream), bytes_columns=0, timings={},
     )
-    plan = build_plan(
-        QUERIES["mean"], WINDOW, config, engine="batched", strategy="oasrs",
-        source=ListSource(stream),
-    )
-    info = {}
-    execute_plan(plan, run_info=info)
-    assert "columnar_fallback" in info and "parallel_fallback" not in info
-    counters = info["telemetry"].metrics.snapshot()["counters"]
-    assert counters["transport.pickle_intervals"] == len(
-        {int(ts // BATCH_INTERVAL) for ts, _item in stream}
-    )
-    assert counters["transport.span_intervals"] == 0
+    counts = batch.distributed_counts(state)
+    assert no_process_start == []
+    assert counts["core.distributed.fallbacks"] == 0
+
+
+def test_records_off_the_columns_shard_like_column_rows():
+    """Int payloads have no value column: the shards take tuple rows, and
+    keep what the same values as column rows keep."""
+    floats = [(ts, (key, float(int(value)))) for ts, (key, value) in skewed_stream()]
+    ints = [(ts, (key, int(value))) for ts, (key, value) in floats]
+
+    def run(stream):
+        config = SystemConfig(
+            sampling_fraction=0.4, seed=3, parallelism=3, batch_interval=BATCH_INTERVAL,
+        )
+        plan = build_plan(
+            QUERIES["mean"], WINDOW, config, engine="batched", strategy="oasrs",
+            source=ListSource(stream),
+        )
+        info = {}
+        return execute_plan(plan, run_info=info)[0], info
+
+    tuple_rows, info = run(ints)
+    assert "columnar_fallback" in info
+    column_rows, info = run(floats)
+    assert "columnar_fallback" not in info
+    assert [(r.end, r.estimate, r.sampled_items) for r in tuple_rows] == [
+        (r.end, r.estimate, r.sampled_items) for r in column_rows
+    ]
 
 
 if __name__ == "__main__":
@@ -185,7 +204,6 @@ if __name__ == "__main__":
     cases = [c for c in CASES if only is None or fnmatch.fnmatchcase(case_id(c), only)]
     if not cases:
         parser.error(f"--only {only!r} matches no case")
-    os.environ.pop("REPRO_NO_MP", None)
     captured = json.loads(DIGESTS.read_text()) if only is not None else {}
     made = {name: make() for name, make in STREAMS.items()}
     for case in cases:

@@ -389,19 +389,15 @@ def test_empty_interval_is_empty_columns():
     assert_same_pane([empty], [WeightedSample()], "mean")
 
 
-def test_sharded_producer_matches_the_object_path(monkeypatch):
-    monkeypatch.setenv("REPRO_NO_MP", "1")
+def test_sharded_producer_matches_the_object_path():
     rng = random.Random(11)
     items = [(f"s{rng.randrange(120)}", 1e3 + rng.gauss(0.0, 5.0)) for _ in range(6000)]
     rows = RecordBatch([(float(i), item) for i, item in enumerate(items)])
     samples = []
     for policy in (FixedPerStratum(6), WaterFillingAllocation(400)):
         executor = ShardedExecutor(2, policy, key_fn=item_key, seed=5)
-        try:
-            samples.append(executor.run(rows.item_slice(0, len(rows))))
-            samples.append(executor.run(items))  # tuple items
-        finally:
-            executor.close()
+        samples.append(executor.run(rows.item_slice(0, len(rows))))
+        samples.append(executor.run(items))  # tuple items
     for sample in samples:
         for kind in ("mean", "sum"):
             assert_same_pane([sample], [ref_peek_of(sample)], kind)
