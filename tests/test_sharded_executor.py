@@ -1,8 +1,10 @@
 """Tests for `ShardedExecutor`, the §3.2 distributed OASRS scheme.
 
 Covers the merge-weight semantics (counters sum, reservoirs concatenate,
-Equation-1 weights re-derive), determinism (same seed, same samples;
-a resumed plan matches the uninterrupted one), the interval-sampler
+Equation-1 weights re-derive), what one shard keeps (column members for
+a column view, the given tuples otherwise), determinism (same seed, same
+samples; a restored executor and a resumed plan match the uninterrupted
+ones), the interval-sampler
 adapter's buffering, worker loss at the executor boundary
 (discard-and-rewiden; the plan-level view is
 ``tests/chaos/test_shard_kill.py``), and the accuracy acceptance bar: 4
@@ -12,14 +14,20 @@ OASRS on the synthetic workload.
 
 import random
 import statistics
+from collections import Counter
 
 import pytest
 
-from repro.core.distributed import ShardedExecutor, ShardedIntervalSampler
-from repro.core.oasrs import FixedPerStratum, WaterFillingAllocation, oasrs_sample
+from repro.core.distributed import ShardedExecutor, ShardedIntervalSampler, _run_shard
+from repro.core.oasrs import (
+    FixedPerStratum,
+    OASRSSampler,
+    WaterFillingAllocation,
+    oasrs_sample,
+)
 from repro.core.query import approximate_mean
 from repro.core.error import estimate_error
-from repro.core.records import RecordBatch, item_key, item_value
+from repro.core.records import RecordBatch, _StratumMembers, item_key, item_value
 from repro.core.recovery import FaultSchedule, ShardKill
 from repro.runtime import (
     CheckpointPolicy,
@@ -111,6 +119,67 @@ class TestExecutionModes:
             assert first[key].items == again[key].items
             assert first[key].count == again[key].count
 
+    def test_single_worker_is_the_plain_sampler(self):
+        """One shard is one OASRS sampler seeded by the coordinator's draw."""
+        stream = make_stream({"a": 800, "b": 40}, seed=12)
+        merged = ShardedExecutor(1, FixedPerStratum(8), key_fn=KEY, seed=3).run(stream)
+        plain = OASRSSampler(
+            FixedPerStratum(8), key_fn=KEY,
+            rng=random.Random(random.Random(3).getrandbits(64)),
+        )
+        plain.offer_many(stream)
+        assert fingerprint(merged) == fingerprint(plain.close_interval())
+
+    def test_chunked_feed_matches_one_flat_run(self):
+        """However the interval was fed, the executor shards the same items."""
+        stream = make_stream({"a": 900, "b": 90, "c": 9}, seed=13)
+        sampler = sharded_sampler(workers=4, seed=5)
+        for lo in range(0, len(stream), 128):
+            sampler.process_chunk(stream[lo : lo + 128])
+        flat = ShardedExecutor(4, FixedPerStratum(4), key_fn=KEY, seed=5).run(stream)
+        assert fingerprint(sampler.close_interval()) == fingerprint(flat)
+
+
+def column_view(items):
+    """``items`` as one located column view (`item_key` / `item_value` rows)."""
+    batch = RecordBatch([(float(i), item) for i, item in enumerate(items)])
+    return batch.item_slice(0, len(batch))
+
+
+class TestShardSamples:
+    """What `_run_shard` keeps, for column views and for plain tuples."""
+
+    def test_column_shard_keeps_column_members(self):
+        stream = make_stream({"a": 1500, "b": 300, "c": 20}, seed=14)
+        shard = column_view(stream)[1::2]
+        sample = _run_shard(shard, WaterFillingAllocation(200), item_key, 2, 5)
+        assert sample.total_count == len(shard)
+        values = Counter(value for _key, value in shard)
+        for stratum in sample:
+            assert type(stratum.items) is _StratumMembers
+            assert 0 < stratum.sample_size <= stratum.count
+            assert all(key == stratum.key for key, _value in stratum.items)
+            assert not Counter(v for _k, v in stratum.items) - values
+
+    def test_tuple_strata_keep_the_items_they_were_given(self):
+        """A custom ``key_fn`` sees item tuples; the kept items are those."""
+        stream = make_stream({"a": 1500, "b": 300, "c": 20}, seed=15)
+        sample = _run_shard(stream, WaterFillingAllocation(200), KEY, 2, 5)
+        assert {s.key: s.count for s in sample} == Counter(KEY(it) for it in stream)
+        for stratum in sample:
+            assert 0 < stratum.sample_size <= stratum.count
+            assert not Counter(stratum.items) - Counter(stream)
+
+    def test_column_view_samples_like_its_tuples(self):
+        """A column view and the same rows as tuples give one merged sample."""
+        stream = make_stream({"a": 2000, "b": 200, "c": 20}, seed=16)
+
+        def run(items):
+            policy = WaterFillingAllocation(200)
+            return ShardedExecutor(4, policy, key_fn=item_key, seed=42).run(items)
+
+        assert fingerprint(run(column_view(stream))) == fingerprint(run(stream))
+
 
 def fingerprint(sample):
     """Exact identity of a merged WeightedSample, order-independent."""
@@ -190,6 +259,44 @@ class TestResume:
         assert resumed == base
         assert "columnar_fallback" not in info
 
+    def test_restore_replays_the_next_interval(self):
+        """An executor restored from a snapshot, reused or fresh, continues
+        exactly as the one the snapshot came from."""
+        intervals = [make_stream({"a": 600, "b": 60}, seed=s) for s in range(3)]
+
+        def executor():
+            return ShardedExecutor(4, WaterFillingAllocation(200), key_fn=KEY, seed=42)
+
+        ex = executor()
+        ex.run(intervals[0])
+        snapshot = ex.state()
+        expected = [fingerprint(ex.run(items)) for items in intervals[1:]]
+        ex.restore(snapshot)
+        assert [fingerprint(ex.run(items)) for items in intervals[1:]] == expected
+        fresh = executor()
+        fresh.restore(snapshot)
+        assert [fingerprint(fresh.run(items)) for items in intervals[1:]] == expected
+
+    def test_restore_revives_a_permanently_killed_worker(self):
+        """The live set and the fault schedule's interval index checkpoint:
+        a restore from before the kill brings the worker back, and re-running
+        the kill interval kills it again."""
+        kill = ShardKill(interval=1, worker=2, permanent=True)
+        ex = ShardedExecutor(
+            4, FixedPerStratum(40), key_fn=KEY, seed=6,
+            faults=FaultSchedule(kills=(kill,)),
+        )
+        ex.run(make_stream({"a": 400}))
+        snapshot = ex.state()
+        first = fingerprint(ex.run(make_stream({"a": 400}, seed=1)))
+        assert ex.live_workers == [0, 1, 3]
+        assert [e.worker for e in ex.drain_recovery_events()] == [2]
+        ex.restore(snapshot)
+        assert ex.live_workers == [0, 1, 2, 3]
+        assert fingerprint(ex.run(make_stream({"a": 400}, seed=1))) == first
+        assert ex.live_workers == [0, 1, 3]
+        assert [e.worker for e in ex.drain_recovery_events()] == [2]
+
 
 class TestIntervalSamplerBuffering:
     def test_offer_many_buffers_a_whole_interval_by_reference(self):
@@ -268,6 +375,22 @@ class TestWorkerLoss:
         ex = self.executor(ShardKill(interval=0, worker=2), capacity=100)
         merged = ex.run(make_stream({"A": 4000}, seed=2))
         assert abs(approximate_mean(merged, VAL).value - 100.0) < 3.0
+
+    def test_kill_changes_only_the_killed_shard(self):
+        """Seeds are drawn per configured worker whatever fails, so the
+        survivors keep their exact samples and later intervals are
+        bitwise those of a fault-free run."""
+        clean = self.executor()
+        faulty = self.executor(ShardKill(interval=1, worker=0, after_fraction=1.0))
+        intervals = [make_stream({"A": 1000, "B": 600}, seed=s) for s in range(3)]
+        outcomes = [(clean.run(items), faulty.run(items)) for items in intervals]
+        for index in (0, 2):
+            want, got = outcomes[index]
+            assert fingerprint(got) == fingerprint(want)
+        want, got = outcomes[1]
+        assert got.total_count == want.total_count - 400  # worker 0's quarter
+        for stratum in got:
+            assert not Counter(stratum.items) - Counter(want[stratum.key].items)
 
     def test_permanent_kill_shrinks_the_live_set(self):
         ex = self.executor(ShardKill(interval=0, worker=3, permanent=True))
